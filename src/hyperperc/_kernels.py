@@ -144,41 +144,11 @@ def _site_reach_threshold_impl(n, indptr, indices, uniforms, order, core, shell)
     return 2.0
 
 
-def _bfs_component_impl(indptr, indices, edge_id, edge_open, start, visited_mark, visited):
-    """Mark the open-edge component of `start` in `visited` with visited_mark.
-
-    `visited` doubles as scratch across calls: a site belongs to the
-    current component iff visited[site] == visited_mark.  Returns the
-    component size.
-    """
-    stack = np.empty(len(visited), dtype=np.int64)
-    top = 0
-    stack[top] = start
-    top += 1
-    visited[start] = visited_mark
-    size = 1
-    while top > 0:
-        top -= 1
-        v = stack[top]
-        for j in range(indptr[v], indptr[v + 1]):
-            if not edge_open[edge_id[j]]:
-                continue
-            u = indices[j]
-            if visited[u] != visited_mark:
-                visited[u] = visited_mark
-                stack[top] = u
-                top += 1
-                size += 1
-    return size
-
-
 label_clusters_kernel = _maybe_jit(_label_clusters_impl)
 bond_reach_threshold = _maybe_jit(_bond_reach_threshold_impl)
 site_reach_threshold = _maybe_jit(_site_reach_threshold_impl)
-bfs_component = _maybe_jit(_bfs_component_impl)
 
 # Uncompiled references, for the backend-equivalence tests and benchmarks.
 label_clusters_py = _label_clusters_impl
 bond_reach_threshold_py = _bond_reach_threshold_impl
 site_reach_threshold_py = _site_reach_threshold_impl
-bfs_component_py = _bfs_component_impl

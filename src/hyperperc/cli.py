@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,11 +27,12 @@ import numpy as np
 
 from . import svg
 from .densities import OriginNotInterior, density_experiment
+from .hypgeo import WORKING_RADIUS
 from .hypvoronoi import Window, delaunay
 from .percolation import (
     InsufficientData,
     NoCrossing,
-    SWEEP_HEADER,
+    SweepResult,
     bernoulli_bond,
     connectivity_decay,
     tiling_pc,
@@ -114,17 +116,56 @@ def parse_pq(s: str):
     return p, q
 
 
+def _check_lambda(values):
+    for lam in values:
+        if not lam > 0:
+            raise ConfigError(f"--lambda must be positive, got {lam:g}")
+
+
+def _check_radius(name: str, R: float):
+    if not 0 < R <= WORKING_RADIUS:
+        raise ConfigError(
+            f"{name} must lie in (0, {WORKING_RADIUS:g}], got {R:g}")
+
+
+def _check_p(p: float):
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"--p must lie in [0, 1], got {p:g}")
+
+
+def _layers(values, least: int = 1) -> list:
+    """Layer counts of at least `least`; percolation needs least=2, since
+    a one-layer ball has no interior vertex to serve as its core."""
+    for L in values:
+        if L < least:
+            raise ConfigError(f"layer count must be at least {least}, got {L}")
+    return values
+
+
+# mkstemp creates 0600 files; outputs keep the mode open() would give them
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    if os.environ.get("HYPERPERC_CRASH_AFTER_TEMP"):
-        # test hook: die between the temp write and the rename, so the
-        # final path must never hold a partial file
-        os._exit(1)
-    os.replace(tmp, path)
+    """Write through a temp file unique to this call, then rename it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            os.fsync(fh.fileno())
+        if os.environ.get("HYPERPERC_CRASH_AFTER_TEMP"):
+            # test hook: die between the temp write and the rename, so the
+            # final path must never hold a partial file
+            os._exit(1)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _git_describe():
@@ -262,11 +303,20 @@ def pc_curve_csv(rows) -> str:
 
 
 def _window_ladder(values):
-    return [Window.with_margin(float(v)) for v in values]
+    """Windows with the default margin; each sampling ball must fit the
+    working radius."""
+    windows = []
+    for v in values:
+        _check_radius("window radius", v)
+        w = Window.with_margin(float(v))
+        _check_radius(f"sample radius (window {v:g} plus margin)", w.R_sample)
+        windows.append(w)
+    return windows
 
 
 def cmd_gen_tiling(args, mapper):
     p, q = parse_pq(args.pq)
+    _layers([args.layers])
     ball = build_ball(p, q, args.layers)
     atomic_write(args.out, ball.serialize())
     return {"p_gon": p, "q_deg": q, "layers": args.layers,
@@ -275,6 +325,9 @@ def cmd_gen_tiling(args, mapper):
 
 
 def cmd_voronoi_sample(args, mapper):
+    _check_lambda([args.lam])
+    _check_radius("--R", args.R)
+    _check_p(args.p)
     pts = sample_colored(args.lam, args.p, args.R, args.seed,
                          "voronoi-sample", args.replica)
     atomic_write(args.out, pts.serialize())
@@ -283,6 +336,8 @@ def cmd_voronoi_sample(args, mapper):
 
 
 def cmd_densities(args, mapper):
+    _check_lambda([args.lam])
+    _check_radius("--R", args.R)
     Rw = args.Rw if args.Rw is not None else args.R - 2.0
     if not 0 < Rw < args.R:
         raise ConfigError("window radius must satisfy 0 < Rw < R")
@@ -304,22 +359,26 @@ def cmd_phase_sweep(args, mapper):
     rows = []
     if args.pq:
         p, q = parse_pq(args.pq)
-        for L in parse_int_list(args.layers or "5"):
+        for L in _layers(parse_int_list(args.layers or "5"), 2):
             sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
                                         args.seed, mapper=mapper)
             rows.extend(sw.rows)
     else:
-        for Rw in parse_grid(args.R):
-            sw = voronoi_signature_sweep(
-                args.lam, p_values, Window.with_margin(Rw), args.replicas,
-                args.seed, mapper=mapper,
-            )
+        _check_lambda([args.lam])
+        for window in _window_ladder(parse_grid(args.R)):
+            try:
+                sw = voronoi_signature_sweep(
+                    args.lam, p_values, window, args.replicas, args.seed,
+                    mapper=mapper,
+                )
+            except ValueError as e:
+                # e.g. a window so small that some replica has no core cell
+                raise ConfigError(f"window radius {window.R_window:g}: {e}")
             rows.extend(sw.rows)
     atomic_write(args.out, phase_table_csv(rows, args.unique_threshold,
                                            args.many_threshold))
     if args.curves:
-        body = SWEEP_HEADER + "\n" + "".join(r.to_line() + "\n" for r in rows)
-        atomic_write(args.curves, body)
+        atomic_write(args.curves, SweepResult(rows).to_csv())
     labels = [classify_phase(r, args.unique_threshold, args.many_threshold)
               for r in rows]
     return {"rows": len(rows),
@@ -330,25 +389,27 @@ def cmd_graph_perc(args, mapper):
     p, q = parse_pq(args.pq)
     p_values = parse_grid(args.p)
     rows = []
-    for L in parse_int_list(args.layers):
+    for L in _layers(parse_int_list(args.layers), 2):
         sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
                                     args.seed, mapper=mapper)
         rows.extend(sw.rows)
-    body = SWEEP_HEADER + "\n" + "".join(r.to_line() + "\n" for r in rows)
-    atomic_write(args.out, body)
+    atomic_write(args.out, SweepResult(rows).to_csv())
     return {"rows": len(rows), "p_gon": p, "q_deg": q}
 
 
 def _pc_like(args, mapper, estimator_tiling, estimator_voronoi):
     p_grid = np.asarray(parse_grid(args.p))
+    if len(parse_grid(args.ladder)) < 3:
+        raise ConfigError("--ladder needs at least 3 sizes")
     if args.pq:
         p, q = parse_pq(args.pq)
-        ladder = parse_int_list(args.ladder)
+        ladder = _layers(parse_int_list(args.ladder), 2)
         est = estimator_tiling(p, q, ladder, p_grid, args.replicas,
                                args.seed, mapper=mapper)
         meta = {"model": f"tiling-{args.mode}", "pgon": p, "qdeg": q}
     else:
         lams = parse_grid(args.lam)
+        _check_lambda(lams)
         ladder = _window_ladder(parse_grid(args.ladder))
         if len(lams) > 1:
             rows = estimate_pc_curve(lams, ladder, p_grid, args.replicas,
@@ -391,6 +452,7 @@ def cmd_pu_estimate(args, mapper):
 
 def cmd_decay(args, mapper):
     p, q = parse_pq(args.pq)
+    _layers([args.layers])
     ball = build_ball(p, q, args.layers)
     distances = [int(d) for d in parse_grid(args.distances)]
     fit = connectivity_decay(ball, args.p, distances, args.replicas,
@@ -412,10 +474,12 @@ def cmd_render(args, mapper):
         meta = {"kind": "voronoi", "n_points": len(pts)}
     elif args.pq:
         p, q = parse_pq(args.pq)
-        ball = build_ball(p, q, args.layers)
-        open_edges = None
+        _layers([args.layers])
         if args.p is not None:
-            open_edges = bernoulli_bond(ball, args.p, args.seed).open_edges
+            _check_p(args.p)
+        ball = build_ball(p, q, args.layers)
+        open_edges = (None if args.p is None
+                      else bernoulli_bond(ball, args.p, args.seed).open_edges)
         doc = svg.render_tiling(ball, open_edges)
         meta = {"kind": "tiling", "n_vertices": ball.n_vertices}
     else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .hypgeo import ball_area, polygon_area
 from .hypvoronoi import VoronoiComplex, Window, cell_polygon, delaunay
-from .pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
+from .pointprocess import sample_colored
 
 
 class OriginNotInterior(ValueError):
@@ -155,14 +155,9 @@ def density_experiment(lam: float, window: Window, replicas: int,
                        experiment: str = "densities") -> DensityEstimate:
     """Sample `replicas` tessellations and estimate their densities."""
 
-    def gen():
-        for rep in range(replicas):
-            rng = replica_rng(master_seed, f"{experiment}-lam{lam:g}", rep)
-            rho, theta = sample_poisson_ball(lam, window.R_sample, rng)
-            pts = ColoredPointSet(
-                rho=rho, theta=theta, white=np.ones(len(rho), dtype=bool),
-                lam=lam, p=1.0, R=window.R_sample, seed=master_seed,
-            )
-            yield delaunay(pts)
-
-    return estimate_densities(gen(), window, lam, seed=master_seed)
+    complexes = (
+        delaunay(sample_colored(lam, 1.0, window.R_sample, master_seed,
+                                f"{experiment}-lam{lam:g}", rep))
+        for rep in range(replicas)
+    )
+    return estimate_densities(complexes, window, lam, seed=master_seed)

@@ -273,25 +273,3 @@ def circumcenters_arrays(ax, ay, az, bx, by, bz, cx, cy, cz):
     rho = np.arccosh(np.maximum(mz, 1.0))
     theta = np.arctan2(my, mx) % TWO_PI
     return rho, theta, finite
-
-
-def geodesic_arc(a: HPoint, b: HPoint):
-    """SVG-friendly description of the geodesic segment from a to b.
-
-    Returns ("line",) when the segment is (numerically) a diameter chord,
-    else ("arc", center, radius, sweep) for the circular arc orthogonal
-    to the unit circle, with sweep the SVG sweep flag.
-    """
-    za, zb = a.disk, b.disk
-    cross = (za.conjugate() * zb).imag
-    if abs(cross) < 1e-12:
-        return ("line",)
-    # Orthogonal circle through za, zb: center c with |c|^2 = r^2 + 1.
-    # Solving the two incidence conditions linearly in (cx, cy).
-    d = 2.0 * cross
-    cx = ((1.0 + abs(za) ** 2) * zb.imag - (1.0 + abs(zb) ** 2) * za.imag) / d
-    cy = ((1.0 + abs(zb) ** 2) * za.real - (1.0 + abs(za) ** 2) * zb.real) / d
-    c = complex(cx, cy)
-    r = math.sqrt(abs(c) ** 2 - 1.0)
-    sweep = 1 if cross < 0 else 0
-    return ("arc", c, r, sweep)

@@ -10,12 +10,11 @@ circumcenters of the kept faces.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
-from .graphs import csr_adjacency
 from .hypgeo import GeodesicPolygon, HPoint, circumcenters_arrays
 from .pointprocess import ColoredPointSet
 
@@ -60,8 +59,6 @@ class VoronoiComplex:
     interior_mask: np.ndarray     # per nucleus
     nucleus_faces: list           # per nucleus: indices of incident kept faces
 
-    _csr: tuple = field(default=None, repr=False)
-
     @property
     def n_nuclei(self) -> int:
         return len(self.points)
@@ -69,11 +66,6 @@ class VoronoiComplex:
     @property
     def n_voronoi_vertices(self) -> int:
         return len(self.vor_rho)
-
-    def csr(self):
-        if self._csr is None:
-            self._csr = csr_adjacency(self.n_nuclei, self.delaunay_edges)
-        return self._csr
 
     def voronoi_vertex(self, j: int) -> HPoint:
         return HPoint(float(self.vor_rho[j]), float(self.vor_theta[j]))
@@ -204,32 +196,6 @@ def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:
         HPoint(float(V.vor_rho[js[k]]), float(V.vor_theta[js[k]])) for k in order
     )
     return GeodesicPolygon(verts)
-
-
-def adjacency_graph(V: VoronoiComplex, color_filter: str = "any"):
-    """Delaunay adjacency restricted to a color class, as a networkx graph.
-
-    Connectivity of this graph equals connectivity of the union of the
-    corresponding closed tiles (cells share a boundary arc iff their
-    nuclei are Delaunay neighbors).
-    """
-    import networkx as nx
-
-    cf = color_filter.lower()
-    if cf not in ("any", "white", "black"):
-        raise ValueError("color_filter must be any, white or black")
-    if cf == "any":
-        mask = np.ones(V.n_nuclei, dtype=bool)
-    elif cf == "white":
-        mask = V.points.white
-    else:
-        mask = ~V.points.white
-    g = nx.Graph()
-    g.add_nodes_from(np.flatnonzero(mask).tolist())
-    e = V.delaunay_edges
-    keep = mask[e[:, 0]] & mask[e[:, 1]]
-    g.add_edges_from(e[keep].tolist())
-    return g
 
 
 def core_cell_mask(V: VoronoiComplex, r_core: float) -> np.ndarray:

@@ -123,13 +123,6 @@ class ClusterLabeling:
         return dict(zip(ids.tolist(), counts.tolist()))
 
     @property
-    def boundary_reaching(self) -> set:
-        if self.shell is None:
-            raise ValueError("labeling carries no shell mask")
-        ls = self.labels[self.shell]
-        return set(np.unique(ls[ls >= 0]).tolist())
-
-    @property
     def k_proxy(self) -> int:
         if self.core is None or self.shell is None:
             raise ValueError("labeling carries no window masks")
@@ -254,13 +247,14 @@ def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
 
-def voronoi_threshold(lam: float, window: Window, master_seed: int,
-                      experiment: str, replica: int,
-                      r_core: float = 0.0) -> float:
-    """One replica of the white-reach threshold for Voronoi percolation.
+def _voronoi_replica(lam: float, window: Window, master_seed: int,
+                     experiment: str, replica: int):
+    """One Voronoi replica: the complex V and its per-cell uniforms u.
 
-    The per-cell uniforms couple all p at once: a cell is white at level
-    p iff its uniform is below p.
+    Nuclei and uniforms come from one replica stream in the order
+    sample_colored draws them, so a cell is white at level p iff
+    u < p; the uniforms couple all p at once.  V carries the colouring
+    at p = 1/2.
     """
     rng = replica_rng(master_seed, experiment, replica)
     rho, theta = sample_poisson_ball(lam, window.R_sample, rng)
@@ -269,7 +263,14 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
         rho=rho, theta=theta, white=u < 0.5, lam=lam, p=0.5,
         R=window.R_sample, seed=master_seed,
     )
-    V = delaunay(pts)
+    return delaunay(pts), u
+
+
+def voronoi_threshold(lam: float, window: Window, master_seed: int,
+                      experiment: str, replica: int,
+                      r_core: float = 0.0) -> float:
+    """One replica of the white-reach threshold for Voronoi percolation."""
+    V, u = _voronoi_replica(lam, window, master_seed, experiment, replica)
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, r_core)
     # a core cell already touching the shell reaches as soon as it is white
@@ -566,11 +567,16 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _aggregate_rows(model, p_values, k_pairs_by_p, meta):
-    """Turn per-replica (k, k_dual/black) pairs into SweepRows."""
+def _aggregate_rows(model, p_values, replica_pairs, meta):
+    """Turn per-replica lists of (k, k_dual/black) pairs, one pair per p,
+    into SweepRows."""
+    k_pairs = {p: [] for p in p_values}
+    for rep_pairs in replica_pairs:
+        for p, pair in zip(p_values, rep_pairs):
+            k_pairs[p].append(pair)
     rows = []
     for p in p_values:
-        pairs = k_pairs_by_p[p]
+        pairs = k_pairs[p]
         n = len(pairs)
         kw = np.array([a for a, _ in pairs], dtype=float)
         kb = np.array([b for _, b in pairs], dtype=float)
@@ -629,12 +635,9 @@ def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
             out.append((lab.k_proxy, dlab.k_proxy))
         return out
 
-    k_pairs = {p: [] for p in p_values}
-    for rep_pairs in mapper(one, range(replicas)):
-        for p, pair in zip(p_values, rep_pairs):
-            k_pairs[p].append(pair)
     meta = dict(pgon=p_gon, qdeg=q_deg, R=float(layers), seed=master_seed)
-    return SweepResult(_aggregate_rows("tiling-bond", p_values, k_pairs, meta))
+    return SweepResult(_aggregate_rows(
+        "tiling-bond", p_values, mapper(one, range(replicas)), meta))
 
 
 def voronoi_signature_sweep(lam: float, p_values, window: Window,
@@ -644,14 +647,7 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
     tag = f"vorsweep-lam{lam:g}-Rw{window.R_window:g}"
 
     def one(rep):
-        rng = replica_rng(master_seed, tag, rep)
-        rho, theta = sample_poisson_ball(lam, window.R_sample, rng)
-        u = rng.random(len(rho))
-        pts = ColoredPointSet(
-            rho=rho, theta=theta, white=u < 0.5, lam=lam, p=0.5,
-            R=window.R_sample, seed=master_seed,
-        )
-        V = delaunay(pts)
+        V, u = _voronoi_replica(lam, window, master_seed, tag, rep)
         inst = voronoi_instance(V, window.R_window, r_core)
         eu = np.ascontiguousarray(inst.edges[:, 0])
         ev = np.ascontiguousarray(inst.edges[:, 1])
@@ -670,12 +666,9 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
             out.append((kw, kb))
         return out
 
-    k_pairs = {p: [] for p in p_values}
-    for rep_pairs in mapper(one, range(replicas)):
-        for p, pair in zip(p_values, rep_pairs):
-            k_pairs[p].append(pair)
     meta = dict(lam=lam, R=window.R_window, seed=master_seed)
-    return SweepResult(_aggregate_rows("voronoi", p_values, k_pairs, meta))
+    return SweepResult(_aggregate_rows(
+        "voronoi", p_values, mapper(one, range(replicas)), meta))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import bfs_distances, csr_adjacency
+from .graphs import bfs_distances
 
 
 class NotHyperbolic(ValueError):
@@ -100,7 +100,6 @@ class DualBall:
     edges: np.ndarray         # (k, 2) face-index pairs
     primal_edge: np.ndarray   # (k,) primal edge index for each dual edge
     dual_edge_of: np.ndarray  # (m,) dual edge index per primal edge, -1 if none
-    rotation: list            # per face: adjacent faces in the face's edge order
     faces: list               # q-cycles around interior primal vertices
 
     @property
@@ -267,16 +266,6 @@ def dual_ball(ball: TilingBall) -> DualBall:
         if dual_edges
         else np.empty((0, 2), dtype=np.int64)
     )
-    # rotation at a dual vertex: neighboring faces in the face's own edge order
-    rotation = []
-    for fi, f in enumerate(ball.faces):
-        order = []
-        for a, b in zip(f, f[1:] + f[:1]):
-            key = (a, b) if a < b else (b, a)
-            fs = edge_faces[key]
-            if len(fs) == 2:
-                order.append(fs[0] if fs[1] == fi else fs[1])
-        rotation.append(order)
     # dual faces: cycles of faces around interior primal vertices
     interior = ball.interior_vertex_mask
     dual_faces = []
@@ -300,7 +289,6 @@ def dual_ball(ball: TilingBall) -> DualBall:
         edges=dual_edges,
         primal_edge=np.array(primal_edge, dtype=np.int64),
         dual_edge_of=dual_edge_of,
-        rotation=rotation,
         faces=dual_faces,
     )
 

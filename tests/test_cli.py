@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hyperperc.cli import (
     ConfigError,
+    atomic_write,
     classify_phase,
     main,
     parse_config,
@@ -160,6 +162,67 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     )
     assert proc.returncode != 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc-estimate", "--ladder", "0,1,2"],
+    ["voronoi-sample", "--lambda", "1", "--R", "13"],
+    ["densities", "--lambda", "-1"],
+    ["gen-tiling", "--pq", "3,7", "--L", "0"],
+    ["phase-sweep", "--p", "0.4,0.5", "--R", "0.5"],
+])
+def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_concurrent_atomic_writes_both_complete(tmp_path):
+    out = str(tmp_path / "out.txt")
+    texts = ["a" * 2_000_000 + "\n", "b" * 2_000_000 + "\n"]
+    errors = []
+    for _ in range(5):
+        barrier = threading.Barrier(2)
+
+        def write(text):
+            barrier.wait()
+            try:
+                atomic_write(out, text)
+            except OSError as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert open(out, encoding="utf-8").read() in texts
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_runs_without_networkx_and_numba(tmp_path):
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "sys.modules['numba'] = None\n"
+        "import hyperperc\n"
+        "for m in pkgutil.iter_modules(hyperperc.__path__):\n"
+        "    importlib.import_module('hyperperc.' + m.name)\n"
+        "from hyperperc import _kernels\n"
+        "assert _kernels.BACKEND == 'numpy'\n"
+        "from hyperperc.cli import main\n"
+        "sys.exit(main(['gen-tiling', '--pq', '3,7', '--L', '3',\n"
+        "               '-o', sys.argv[1]]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "HYPERPERC_BACKEND"}
+    out = tmp_path / "t.txt"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("#pq v1 p=3 q=7 L=3")
 
 
 class TestArtifacts:

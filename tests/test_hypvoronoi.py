@@ -9,12 +9,12 @@ from hyperperc.hypvoronoi import (
     DegenerateInput,
     NotInterior,
     Window,
-    adjacency_graph,
     cell_polygon,
     core_cell_mask,
     delaunay,
     shell_cell_mask,
 )
+from hyperperc.percolation import label_clusters
 from hyperperc.pointprocess import ColoredPointSet, replica_rng, sample_colored
 
 
@@ -200,20 +200,21 @@ class TestAdjacency:
     def test_color_filters_partition_edges(self):
         pts = sample_colored(1.0, 0.5, 5.0, 47, "voronoi-adj", 0)
         V = delaunay(pts)
-        g_any = adjacency_graph(V, "any")
-        g_w = adjacency_graph(V, "white")
-        g_b = adjacency_graph(V, "black")
-        assert g_any.number_of_nodes() == len(pts)
-        assert g_w.number_of_nodes() + g_b.number_of_nodes() == len(pts)
-        mono = g_w.number_of_edges() + g_b.number_of_edges()
-        assert mono < g_any.number_of_edges()
-        for u, v in g_w.edges():
-            assert pts.white[u] and pts.white[v]
-
-    def test_bad_filter(self):
-        V = delaunay(triple_points())
-        with pytest.raises(ValueError):
-            adjacency_graph(V, "grey")
+        n, e, white = V.n_nuclei, V.delaunay_edges, pts.white
+        lw = label_clusters(n, e, site_open=white).labels
+        lb = label_clusters(n, e, site_open=~white).labels
+        # the white and black sites make up all the nuclei, once each
+        assert np.array_equal(lw >= 0, white)
+        assert np.array_equal(lb >= 0, ~white)
+        ww = white[e[:, 0]] & white[e[:, 1]]
+        bb = ~white[e[:, 0]] & ~white[e[:, 1]]
+        assert ww.sum() + bb.sum() < len(e)
+        # no cluster mixes colours: the site-filtered clusters are exactly
+        # the components of the monochromatic Delaunay edges
+        for labels, mono, sites in ((lw, ww, white), (lb, bb, ~white)):
+            by_edges = label_clusters(n, e, edge_open=mono).labels
+            assert np.array_equal(labels[sites], by_edges[sites])
+            assert np.all(sites[labels[sites]])
 
     def test_adjacency_matches_raster_oracle(self):
         # rasterize nearest-nucleus ownership on a fine grid and read off

@@ -114,33 +114,3 @@ class TestReachKernels:
                 n, indptr, indices, us, np.argsort(us), core, shell
             )
 
-
-class TestBfsComponent:
-    def test_component_sizes_match_labels(self):
-        rng = np.random.default_rng(13)
-        n, edges = random_instance(rng, max_n=50)
-        edge_open = rng.random(len(edges)) < 0.5
-        indptr, indices, edge_id = csr_adjacency(n, edges)
-        labels = bfs_labels(n, edges, edge_open, np.ones(n, dtype=bool))
-        visited = np.zeros(n, dtype=np.int64)
-        mark = 0
-        for s in range(n):
-            if labels[s] != s:
-                continue
-            mark += 1
-            size = K.bfs_component(
-                indptr, indices, edge_id, edge_open, s, mark, visited
-            )
-            assert size == int(np.count_nonzero(labels == labels[s]))
-
-    def test_bfs_backends_agree(self):
-        rng = np.random.default_rng(17)
-        n, edges = random_instance(rng, max_n=50)
-        edge_open = rng.random(len(edges)) < 0.4
-        indptr, indices, edge_id = csr_adjacency(n, edges)
-        v1 = np.zeros(n, dtype=np.int64)
-        v2 = np.zeros(n, dtype=np.int64)
-        s1 = K.bfs_component(indptr, indices, edge_id, edge_open, 0, 1, v1)
-        s2 = K.bfs_component_py(indptr, indices, edge_id, edge_open, 0, 1, v2)
-        assert s1 == s2
-        assert np.array_equal(v1, v2)

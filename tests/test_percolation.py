@@ -22,6 +22,7 @@ from hyperperc.percolation import (
     voronoi_signature_sweep,
     wilson_interval,
     SWEEP_HEADER,
+    _voronoi_replica,
 )
 from hyperperc.pointprocess import sample_colored
 from hyperperc.tilinggraph import build_ball, dual_ball
@@ -238,6 +239,16 @@ class TestSweeps:
         a = tiling_signature_sweep(3, 7, 3, [0.3], 10, 5).to_csv()
         b = tiling_signature_sweep(3, 7, 3, [0.3], 10, 5).to_csv()
         assert a == b
+
+    def test_voronoi_replica_reads_the_sample_colored_stream(self):
+        window = Window.with_margin(3.0)
+        V, u = _voronoi_replica(1.0, window, 42, "stream", 3)
+        assert len(u) == V.n_nuclei
+        for p in (0.3, 0.5, 1.0):
+            pts = sample_colored(1.0, p, window.R_sample, 42, "stream", 3)
+            assert np.array_equal(V.points.rho, pts.rho)
+            assert np.array_equal(V.points.theta, pts.theta)
+            assert np.array_equal(pts.white, u < p)
 
 
 class TestDecay:
