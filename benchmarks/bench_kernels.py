@@ -1,8 +1,10 @@
-"""Benchmark the hot kernels under both backends.
+"""Benchmark the filtration kernel under both backends.
 
 Runs itself twice in subprocesses with HYPERPERC_BACKEND set to numba
 and numpy (the backend is fixed at import time), then prints a
-side-by-side table of per-call times and the speedup.
+side-by-side table of per-call times and the speedup for the bond and
+site reach thresholds and the sweep counts, all read from the one
+union-find filtration.
 
 Usage: python3 benchmarks/bench_kernels.py [--layers 8] [--repeats 20]
 """
@@ -16,15 +18,18 @@ import time
 
 import numpy as np
 
+# the checkout's package, ahead of any installed copy
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
 
 def run_kernels(layers: int, repeats: int) -> dict:
     from hyperperc._kernels import (
         BACKEND,
         bond_reach_threshold,
-        label_clusters_kernel,
+        filtration,
         site_reach_threshold,
     )
-    from hyperperc.graphs import csr_adjacency
     from hyperperc.percolation import tiling_instance
     from hyperperc.tilinggraph import build_ball
 
@@ -32,22 +37,20 @@ def run_kernels(layers: int, repeats: int) -> dict:
     inst = tiling_instance(ball, core_radius=0)
     eu = np.ascontiguousarray(inst.edges[:, 0])
     ev = np.ascontiguousarray(inst.edges[:, 1])
-    indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
     rng = np.random.default_rng(0)
     u_edges = rng.random(len(eu))
     u_sites = rng.random(inst.n)
-    edge_open = u_edges < 0.3
-    all_sites = np.ones(inst.n, dtype=bool)
+    order = np.argsort(u_edges)
+    # the forward pass of a signature sweep on a 21-point grid
+    cuts = np.searchsorted(u_edges[order], np.linspace(0.1, 0.5, 21))
 
     cases = {
-        "label_clusters": lambda: label_clusters_kernel(
-            inst.n, eu, ev, edge_open, all_sites),
         "bond_reach_threshold": lambda: bond_reach_threshold(
-            inst.n, eu, ev, u_edges, np.argsort(u_edges),
-            inst.core, inst.shell),
+            inst.n, eu, ev, u_edges, order, inst.core, inst.shell),
         "site_reach_threshold": lambda: site_reach_threshold(
-            inst.n, indptr, indices, u_sites, np.argsort(u_sites),
-            inst.core, inst.shell),
+            inst.n, eu, ev, u_sites, inst.core, inst.shell),
+        "sweep_counts": lambda: filtration(
+            inst.n, eu, ev, order, inst.core, inst.shell, cuts),
     }
     out = {"backend": BACKEND, "n": inst.n, "m": len(eu), "times": {}}
     for name, fn in cases.items():
@@ -72,7 +75,10 @@ def main() -> int:
 
     results = {}
     for backend in ("numba", "numpy"):
-        env = dict(os.environ, HYPERPERC_BACKEND=backend)
+        path = [SRC] + ([os.environ["PYTHONPATH"]]
+                        if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, HYPERPERC_BACKEND=backend,
+                   PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--single",
              "--layers", str(args.layers), "--repeats", str(args.repeats)],

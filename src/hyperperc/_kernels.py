@@ -1,10 +1,12 @@
-"""Hot Monte Carlo kernels: union-find labeling and percolation filtrations.
+"""Hot Monte Carlo kernels: one union-find filtration, and cluster labels.
 
-Each kernel is written as a plain function over numpy arrays and compiled
-with numba's @njit when available.  Set HYPERPERC_BACKEND=numpy to force
-the uncompiled pure-Python/numpy path (used as a correctness reference
-and on platforms without numba); HYPERPERC_BACKEND=numba fails loudly if
+`filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
+2000); the reach thresholds and the phase sweeps are all read from it.
+It is compiled with numba's @njit when available.  Set
+HYPERPERC_BACKEND=numpy to force the uncompiled pure-Python/numpy path
+(the only one without numba); HYPERPERC_BACKEND=numba fails loudly if
 numba is missing.  benchmarks/bench_kernels.py compares the two.
+Cluster labels come from scipy's connected components.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 _CHOICE = os.environ.get("HYPERPERC_BACKEND", "auto").lower()
 if _CHOICE not in ("auto", "numba", "numpy"):
@@ -52,103 +55,101 @@ def _find(parent, i):
 _find = _maybe_jit(_find)
 
 
-def _label_clusters_impl(n, eu, ev, edge_open, site_open):
-    """Union-find labels over open edges between open sites.
+def _filtration_impl(n, eu, ev, order, core, shell, cuts):
+    """Union-find over edges added in `order`, counting the clusters that
+    meet both a core site and a shell site.
 
-    Returns an array where labels[i] is the root index of i's cluster,
-    or -1 for closed sites.
+    Returns (first, counts): first is the position in `order` of the edge
+    that makes the count positive (-1 if it is positive before any edge,
+    len(order) if never); counts[j] is the count after the first cuts[j]
+    edges.  With no cuts the sweep stops at first.  Otherwise it stops
+    after the largest cut, and first is len(order) if the count is still
+    zero there.
     """
-    parent = np.arange(n)
-    for k in range(len(eu)):
-        if not edge_open[k]:
-            continue
-        u, v = eu[k], ev[k]
-        if not (site_open[u] and site_open[v]):
-            continue
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        labels[i] = _find(parent, i) if site_open[i] else -1
-    return labels
-
-
-def _bond_reach_threshold_impl(n, eu, ev, uniforms, order, core, shell):
-    """Bottleneck threshold of core-to-shell connectivity for bond filtration.
-
-    Edges open in increasing order of their uniform mark; returns the
-    uniform at which some core site first joins some shell site (2.0 when
-    that never happens, e.g. disconnected masks).
-    """
+    m = len(order)
+    ncut = len(cuts)
     parent = np.arange(n)
     has_core = core.copy()
     has_shell = shell.copy()
+    both = 0
     for i in range(n):
         if has_core[i] and has_shell[i]:
-            return 0.0
-    for idx in range(len(order)):
-        k = order[idx]
-        ru = _find(parent, eu[k])
-        rv = _find(parent, ev[k])
-        if ru == rv:
-            continue
-        if rv < ru:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        hc = has_core[ru] or has_core[rv]
-        hs = has_shell[ru] or has_shell[rv]
-        has_core[ru] = hc
-        has_shell[ru] = hs
-        if hc and hs:
-            return uniforms[k]
-    return 2.0
-
-
-def _site_reach_threshold_impl(n, indptr, indices, uniforms, order, core, shell):
-    """Like the bond version, but sites activate at their uniform mark.
-
-    A site joins the cluster structure when activated and unions with
-    already-active neighbors; returns the activation value at which some
-    active core site first connects to some active shell site.
-    """
-    parent = np.arange(n)
-    active = np.zeros(n, dtype=np.bool_)
-    has_core = np.zeros(n, dtype=np.bool_)
-    has_shell = np.zeros(n, dtype=np.bool_)
-    for idx in range(len(order)):
-        v = order[idx]
-        active[v] = True
-        has_core[v] = core[v]
-        has_shell[v] = shell[v]
-        for j in range(indptr[v], indptr[v + 1]):
-            u = indices[j]
-            if not active[u]:
-                continue
-            ru = _find(parent, u)
-            rv = _find(parent, v)
+            both += 1
+    first = -1 if both > 0 else m
+    counts = np.zeros(ncut, dtype=np.int64)
+    if ncut == 0 and first < 0:
+        return first, counts
+    # segments between ascending cuts; with no cuts, one segment to the end
+    cut_order = np.argsort(cuts)
+    start = 0
+    for s in range(max(ncut, 1)):
+        end = cuts[cut_order[s]] if ncut else m
+        for idx in range(start, end):
+            k = order[idx]
+            ru = _find(parent, eu[k])
+            rv = _find(parent, ev[k])
             if ru == rv:
                 continue
             if rv < ru:
                 ru, rv = rv, ru
             parent[rv] = ru
-            has_core[ru] = has_core[ru] or has_core[rv]
-            has_shell[ru] = has_shell[ru] or has_shell[rv]
-        rv = _find(parent, v)
-        if has_core[rv] and has_shell[rv]:
-            return uniforms[v]
-    return 2.0
+            hc = has_core[ru] or has_core[rv]
+            hs = has_shell[ru] or has_shell[rv]
+            if hc and hs:
+                both += (1 - (has_core[ru] and has_shell[ru])
+                         - (has_core[rv] and has_shell[rv]))
+                if first == m:
+                    first = idx
+                    if ncut == 0:
+                        return first, counts
+            has_core[ru] = hc
+            has_shell[ru] = hs
+        if ncut:
+            counts[cut_order[s]] = both
+            start = end
+    return first, counts
 
 
-label_clusters_kernel = _maybe_jit(_label_clusters_impl)
-bond_reach_threshold = _maybe_jit(_bond_reach_threshold_impl)
-site_reach_threshold = _maybe_jit(_site_reach_threshold_impl)
+filtration = _maybe_jit(_filtration_impl)
 
-# Uncompiled references, for the backend-equivalence tests and benchmarks.
-label_clusters_py = _label_clusters_impl
-bond_reach_threshold_py = _bond_reach_threshold_impl
-site_reach_threshold_py = _site_reach_threshold_impl
+_NO_CUTS = np.zeros(0, dtype=np.int64)
+
+
+def bond_reach_threshold(n, eu, ev, uniforms, order, core, shell):
+    """Level at which some core site first joins some shell site when
+    edges open in `order` (increasing uniforms): 0.0 if core and shell
+    already share a site, 2.0 if they never join."""
+    first, _ = filtration(n, eu, ev, order, core, shell, _NO_CUTS)
+    if first < 0:
+        return 0.0
+    if first == len(order):
+        return 2.0
+    return uniforms[order[first]]
+
+
+def site_reach_threshold(n, eu, ev, uniforms, core, shell):
+    """Site version of the reach threshold, for disjoint core and shell.
+
+    An edge is usable once both of its ends are open, so this is the bond
+    threshold on the edge levels max(u_a, u_b).
+    """
+    levels = np.maximum(uniforms[eu], uniforms[ev])
+    return bond_reach_threshold(n, eu, ev, levels, np.argsort(levels),
+                                core, shell)
+
+
+def label_clusters_kernel(n, eu, ev, edge_open, site_open):
+    """Connected components of the open edges between open sites.
+
+    labels[i] is the minimal member index of i's cluster, or -1 for
+    closed sites.
+    """
+    # lazy: csgraph adds 3 MB and ~25 ms of import; thresholds never need it
+    from scipy.sparse.csgraph import connected_components
+
+    keep = edge_open & site_open[eu] & site_open[ev]
+    graph = coo_matrix((np.ones(int(keep.sum())), (eu[keep], ev[keep])),
+                       shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    _, lowest = np.unique(comp, return_index=True)
+    return np.where(site_open, lowest[comp], -1)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import svg
 from .densities import OriginNotInterior, density_experiment
+from .graphs import bfs_distances
 from .hypgeo import WORKING_RADIUS
 from .hypvoronoi import Window, delaunay
 from .percolation import (
@@ -128,9 +129,10 @@ def _check_radius(name: str, R: float):
             f"{name} must lie in (0, {WORKING_RADIUS:g}], got {R:g}")
 
 
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"--p must lie in [0, 1], got {p:g}")
+def _check_p(*values):
+    for p in values:
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"--p must lie in [0, 1], got {p:g}")
 
 
 def _layers(values, least: int = 1) -> list:
@@ -356,6 +358,7 @@ def cmd_densities(args, mapper):
 
 def cmd_phase_sweep(args, mapper):
     p_values = parse_grid(args.p)
+    _check_p(*p_values)
     rows = []
     if args.pq:
         p, q = parse_pq(args.pq)
@@ -388,6 +391,7 @@ def cmd_phase_sweep(args, mapper):
 def cmd_graph_perc(args, mapper):
     p, q = parse_pq(args.pq)
     p_values = parse_grid(args.p)
+    _check_p(*p_values)
     rows = []
     for L in _layers(parse_int_list(args.layers), 2):
         sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
@@ -453,8 +457,13 @@ def cmd_pu_estimate(args, mapper):
 def cmd_decay(args, mapper):
     p, q = parse_pq(args.pq)
     _layers([args.layers])
-    ball = build_ball(p, q, args.layers)
+    _check_p(args.p)
     distances = [int(d) for d in parse_grid(args.distances)]
+    ball = build_ball(p, q, args.layers)
+    far = int(bfs_distances(ball.n_vertices, ball.edges, 0).max())
+    if not all(0 <= d <= far for d in distances):
+        raise ConfigError(f"--d must lie in [0, {far}]: {far} is the largest "
+                          "distance from the center of this ball")
     fit = connectivity_decay(ball, args.p, distances, args.replicas,
                              args.seed, mapper=mapper)
     lines = ["d,tau,count,trials"]
@@ -467,8 +476,12 @@ def cmd_decay(args, mapper):
 
 def cmd_render(args, mapper):
     if args.sample:
-        with open(args.sample, encoding="utf-8") as fh:
-            pts = ColoredPointSet.deserialize(fh.read())
+        try:
+            with open(args.sample, encoding="utf-8") as fh:
+                pts = ColoredPointSet.deserialize(fh.read())
+        except (OSError, KeyError, ValueError) as e:
+            raise ConfigError(f"cannot read --sample {args.sample} as a "
+                              f"#hpp v1 point-set file: {e}")
         V = delaunay(pts) if len(pts) >= 3 else None
         doc = svg.render_voronoi(V, R_window=args.Rw)
         meta = {"kind": "voronoi", "n_points": len(pts)}

@@ -1,10 +1,11 @@
 """Bernoulli percolation on tiling balls and Voronoi complexes.
 
-Cluster structure is computed by union-find kernels (see _kernels).  The
-workhorse estimator is the per-replica reach threshold: with one uniform
-mark per edge (or site), the level p* at which the core first connects
-to the shell is found by a single sorted union-find sweep, which yields
-the whole reach curve theta_hat(p) = P[p* <= p] from one pass.  Critical
+Each replica draws one uniform mark per edge (or site), coupling all
+levels p.  One union-find filtration (see _kernels) adds the edges in
+order of their levels and counts the clusters joining the core to the
+shell: its first event is the reach threshold p*, which gives the whole
+reach curve theta_hat(p) = P[p* <= p] from one pass, and a forward and a
+reverse pass give the phase signatures on a whole p-grid.  Critical
 points are located where size-weighted reach curves of successive window
 sizes cross: at criticality the center-to-shell reach probability decays
 like 1/L (tree-like mean-field scaling), so L * theta_L(p) tends to 0
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import (
     bond_reach_threshold,
+    filtration,
     label_clusters_kernel,
     site_reach_threshold,
 )
@@ -133,6 +135,12 @@ class ClusterLabeling:
         return int(len(np.intersect1d(lc, ls, assume_unique=True)))
 
 
+def _endpoints(edges):
+    """The two endpoint columns of an edge array, each contiguous."""
+    return (np.ascontiguousarray(edges[:, 0]),
+            np.ascontiguousarray(edges[:, 1]))
+
+
 def label_clusters(n: int, edges: np.ndarray, edge_open=None, site_open=None,
                    core=None, shell=None) -> ClusterLabeling:
     """Connected components of the open subgraph.
@@ -147,8 +155,7 @@ def label_clusters(n: int, edges: np.ndarray, edge_open=None, site_open=None,
         site_open = np.ones(n, dtype=bool)
     labels = label_clusters_kernel(
         n,
-        np.ascontiguousarray(edges[:, 0]),
-        np.ascontiguousarray(edges[:, 1]),
+        *_endpoints(edges),
         np.asarray(edge_open, dtype=bool),
         np.asarray(site_open, dtype=bool),
     )
@@ -168,18 +175,11 @@ class PercInstance:
     core: np.ndarray
     shell: np.ndarray
 
-    _csr: tuple = field(default=None, repr=False)
-
     def __post_init__(self):
         if (self.core & self.shell).any():
             raise ValueError("core and shell must be disjoint")
         if not self.core.any() or not self.shell.any():
             raise ValueError("core and shell must be nonempty")
-
-    def csr(self):
-        if self._csr is None:
-            self._csr = csr_adjacency(self.n, self.edges)
-        return self._csr
 
 
 def tiling_instance(ball, core_radius: int | None = 2,
@@ -220,8 +220,7 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     (replicas are independent, so any such mapper reproduces the serial
     result bit for bit).
     """
-    eu = np.ascontiguousarray(inst.edges[:, 0])
-    ev = np.ascontiguousarray(inst.edges[:, 1])
+    eu, ev = _endpoints(inst.edges)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
@@ -235,14 +234,12 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
 
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
-    indptr, indices, _ = inst.csr()
+    eu, ev = _endpoints(inst.edges)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(inst.n)
-        return site_reach_threshold(
-            inst.n, indptr, indices, u, np.argsort(u), inst.core, inst.shell
-        )
+        return site_reach_threshold(inst.n, eu, ev, u, inst.core, inst.shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -279,12 +276,8 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     core &= ~shell
     if core.any():
         inst = PercInstance(V.n_nuclei, V.delaunay_edges, core, shell)
-        indptr, indices, _ = inst.csr()
-        t = float(
-            site_reach_threshold(
-                inst.n, indptr, indices, u, np.argsort(u), core, shell
-            )
-        )
+        eu, ev = _endpoints(inst.edges)
+        t = float(site_reach_threshold(inst.n, eu, ev, u, core, shell))
         best = min(best, t)
     return best
 
@@ -601,39 +594,38 @@ def _aggregate_rows(model, p_values, replica_pairs, meta):
     return rows
 
 
+def _pass_counts(inst: PercInstance, eu, ev, levels, p, reverse: bool):
+    """Core-to-shell cluster counts at each p, in the order of p, with the
+    edges of level < p open (forward) or those of level >= p (reverse)."""
+    order = np.argsort(levels)
+    cuts = np.searchsorted(levels[order], p, side="left")
+    if reverse:
+        order = np.ascontiguousarray(order[::-1])
+        cuts = len(order) - cuts
+    return filtration(inst.n, eu, ev, order, inst.core, inst.shell, cuts)[1]
+
+
 def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
                            replicas: int, master_seed: int,
                            core_radius: int = 2, mapper=map) -> SweepResult:
-    """Bond percolation sweep on one {p,q} ball with coupled uniforms per replica."""
+    """Bond percolation sweep on one {p,q} ball with coupled uniforms per
+    replica: an edge is open at p iff u < p, its dual edge iff u >= p."""
     ball = build_ball(p_gon, q_deg, layers)
     dual = dual_ball(ball)
     inst = tiling_instance(ball, core_radius)
     dinst = tiling_instance(dual, core_radius)
-    eu = np.ascontiguousarray(inst.edges[:, 0])
-    ev = np.ascontiguousarray(inst.edges[:, 1])
-    deu = np.ascontiguousarray(dinst.edges[:, 0])
-    dev = np.ascontiguousarray(dinst.edges[:, 1])
-    all_sites = np.ones(inst.n, dtype=bool)
-    all_dsites = np.ones(dinst.n, dtype=bool)
+    eu, ev = _endpoints(inst.edges)
+    deu, dev = _endpoints(dinst.edges)
+    p = np.asarray(p_values, dtype=float)
     tag = f"sweep-{p_gon}-{q_deg}-L{layers}"
 
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
         u = rng.random(len(eu))
-        u_dual = u[dual.primal_edge]
-        out = []
-        for p in p_values:
-            open_e = u < p
-            lab = ClusterLabeling(
-                label_clusters_kernel(inst.n, eu, ev, open_e, all_sites),
-                core=inst.core, shell=inst.shell,
-            )
-            dlab = ClusterLabeling(
-                label_clusters_kernel(dinst.n, deu, dev, u_dual >= p, all_dsites),
-                core=dinst.core, shell=dinst.shell,
-            )
-            out.append((lab.k_proxy, dlab.k_proxy))
-        return out
+        k = _pass_counts(inst, eu, ev, u, p, reverse=False)
+        kd = _pass_counts(dinst, deu, dev, u[dual.primal_edge], p,
+                          reverse=True)
+        return list(zip(k.tolist(), kd.tolist()))
 
     meta = dict(pgon=p_gon, qdeg=q_deg, R=float(layers), seed=master_seed)
     return SweepResult(_aggregate_rows(
@@ -643,28 +635,21 @@ def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
 def voronoi_signature_sweep(lam: float, p_values, window: Window,
                             replicas: int, master_seed: int,
                             r_core: float = 2.0, mapper=map) -> SweepResult:
-    """Color percolation sweep over Voronoi replicas with coupled uniforms."""
+    """Color percolation sweep over Voronoi replicas with coupled uniforms:
+    a cell is white at p iff u < p, so an edge joins two white cells iff
+    max(u_a, u_b) < p and two black cells iff min(u_a, u_b) >= p."""
     tag = f"vorsweep-lam{lam:g}-Rw{window.R_window:g}"
+    p = np.asarray(p_values, dtype=float)
 
     def one(rep):
         V, u = _voronoi_replica(lam, window, master_seed, tag, rep)
         inst = voronoi_instance(V, window.R_window, r_core)
-        eu = np.ascontiguousarray(inst.edges[:, 0])
-        ev = np.ascontiguousarray(inst.edges[:, 1])
-        all_edges = np.ones(len(eu), dtype=bool)
-        out = []
-        for p in p_values:
-            white = u < p
-            kw = ClusterLabeling(
-                label_clusters_kernel(inst.n, eu, ev, all_edges, white),
-                core=inst.core, shell=inst.shell,
-            ).k_proxy
-            kb = ClusterLabeling(
-                label_clusters_kernel(inst.n, eu, ev, all_edges, ~white),
-                core=inst.core, shell=inst.shell,
-            ).k_proxy
-            out.append((kw, kb))
-        return out
+        eu, ev = _endpoints(inst.edges)
+        kw = _pass_counts(inst, eu, ev, np.maximum(u[eu], u[ev]), p,
+                          reverse=False)
+        kb = _pass_counts(inst, eu, ev, np.minimum(u[eu], u[ev]), p,
+                          reverse=True)
+        return list(zip(kw.tolist(), kb.tolist()))
 
     meta = dict(lam=lam, R=window.R_window, seed=master_seed)
     return SweepResult(_aggregate_rows(

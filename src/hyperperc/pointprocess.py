@@ -84,7 +84,7 @@ class ColoredPointSet:
     @staticmethod
     def deserialize(text: str) -> "ColoredPointSet":
         lines = text.strip().splitlines()
-        head = lines[0]
+        head = lines[0] if lines else ""
         if not head.startswith("#hpp v1 "):
             raise ValueError("not a #hpp v1 stream")
         kv = dict(item.split("=") for item in head[len("#hpp v1 ") :].split())

@@ -170,8 +170,17 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["densities", "--lambda", "-1"],
     ["gen-tiling", "--pq", "3,7", "--L", "0"],
     ["phase-sweep", "--p", "0.4,0.5", "--R", "0.5"],
+    ["decay", "--pq", "3,7", "--L", "6", "--p", "0.15"],
+    ["render", "--sample", "{tmp}/missing.txt"],
+    ["render", "--sample", "{tmp}/not-a-sample.txt"],
+    ["decay", "--pq", "3,7", "--L", "3", "--p", "2", "--d", "1:2:1"],
+    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "1.5"],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "1.5"],
+    ["phase-sweep", "--lambda", "1", "--p", "1.5"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "not-a-sample.txt").write_text("hello\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hyperperc import _kernels as K
-from hyperperc.graphs import csr_adjacency
 
 from oracle_perc import bfs_labels, reach_at_level, site_reach_at_level
 
@@ -33,17 +32,68 @@ class TestLabelKernel:
         want = bfs_labels(n, edges, edge_open, site_open)
         assert np.array_equal(got, want)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(7)
-        for trial in range(10):
-            n, edges = random_instance(rng)
-            edge_open = rng.random(len(edges)) < 0.5
-            site_open = rng.random(n) < 0.7
-            eu = np.ascontiguousarray(edges[:, 0])
-            ev = np.ascontiguousarray(edges[:, 1])
-            a = K.label_clusters_kernel(n, eu, ev, edge_open, site_open)
-            b = K.label_clusters_py(n, eu, ev, edge_open, site_open)
-            assert np.array_equal(a, b)
+
+def k_proxy(labels, core, shell):
+    """Clusters that meet both the core and the shell, from BFS labels."""
+    meets_core = set(labels[core & (labels >= 0)].tolist())
+    meets_shell = set(labels[shell & (labels >= 0)].tolist())
+    return len(meets_core & meets_shell)
+
+
+class TestFiltration:
+    @pytest.mark.parametrize("trial", range(20))
+    def test_counts_match_bfs_oracle(self, trial):
+        # forward: the first cut edges in ascending level are those with
+        # level < p; reverse: the first m - cut in descending level are
+        # those with level >= p
+        rng = np.random.default_rng(400 + trial)
+        n, edges = random_instance(rng, max_n=40)
+        m = len(edges)
+        eu = np.ascontiguousarray(edges[:, 0])
+        ev = np.ascontiguousarray(edges[:, 1])
+        core = rng.random(n) < 0.2
+        shell = rng.random(n) < 0.3
+        if trial % 4 == 0:
+            core[0] = shell[0] = True    # overlap: count positive at start
+        levels = rng.random(m)
+        p = rng.random(6)
+        order = np.argsort(levels)
+        cuts = np.searchsorted(levels[order], p, side="left")
+        for reverse in (False, True):
+            o = np.ascontiguousarray(order[::-1]) if reverse else order
+            c = m - cuts if reverse else cuts
+            first, counts = K.filtration(n, eu, ev, o, core, shell, c)
+            for j, pj in enumerate(p):
+                edge_open = levels >= pj if reverse else levels < pj
+                labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
+                assert counts[j] == k_proxy(labels, core, shell)
+            # first: the edge that ends the shortest prefix of the order
+            # with a positive count, looked for up to the largest cut
+            prefix = [k_proxy(bfs_labels(n, edges, np.isin(np.arange(m), o[:i]),
+                                         np.ones(n, bool)), core, shell)
+                      for i in range(c.max() + 1)]
+            positive = [i for i, k in enumerate(prefix) if k > 0]
+            assert first == (positive[0] - 1 if positive else m)
+            if (core & shell).any():
+                assert first == -1
+                assert K.bond_reach_threshold(
+                    n, eu, ev, levels, o, core, shell) == 0.0
+
+    def test_path_by_hand(self):
+        # a path 0-1-2-3 with the core at 0 and the shell at 3; the edge
+        # (1, 2), third in the order, joins them
+        eu = np.array([0, 1, 2])
+        ev = np.array([1, 2, 3])
+        core = np.array([True, False, False, False])
+        shell = np.array([False, False, False, True])
+        order = np.array([2, 0, 1])
+        first, counts = K.filtration(4, eu, ev, order, core, shell, K._NO_CUTS)
+        assert first == 2 and len(counts) == 0
+        first, counts = K.filtration(4, eu, ev, order, core, shell,
+                                     np.array([3, 0, 2, 1]))
+        assert first == 2 and counts.tolist() == [1, 0, 0, 0]
+        first, _ = K.filtration(4, eu, ev, order[:1], core, shell, K._NO_CUTS)
+        assert first == 1    # never joined: len(order)
 
 
 class TestReachKernels:
@@ -85,32 +135,9 @@ class TestReachKernels:
         shell = np.zeros(n, dtype=bool)
         core[0] = True
         shell[n - 1] = True
-        indptr, indices, _ = csr_adjacency(n, edges)
         got = K.site_reach_threshold(
-            n, indptr, indices, u, np.argsort(u), core, shell
+            n, np.ascontiguousarray(edges[:, 0]),
+            np.ascontiguousarray(edges[:, 1]), u, core, shell,
         )
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
-
-    def test_reach_backends_agree(self):
-        rng = np.random.default_rng(11)
-        for trial in range(8):
-            n, edges = random_instance(rng, max_n=40)
-            ub = rng.random(len(edges))
-            us = rng.random(n)
-            core = np.zeros(n, dtype=bool)
-            shell = np.zeros(n, dtype=bool)
-            core[0] = True
-            shell[n - 1] = True
-            eu = np.ascontiguousarray(edges[:, 0])
-            ev = np.ascontiguousarray(edges[:, 1])
-            assert K.bond_reach_threshold(
-                n, eu, ev, ub, np.argsort(ub), core, shell
-            ) == K.bond_reach_threshold_py(n, eu, ev, ub, np.argsort(ub), core, shell)
-            indptr, indices, _ = csr_adjacency(n, edges)
-            assert K.site_reach_threshold(
-                n, indptr, indices, us, np.argsort(us), core, shell
-            ) == K.site_reach_threshold_py(
-                n, indptr, indices, us, np.argsort(us), core, shell
-            )
-

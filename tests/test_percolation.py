@@ -19,12 +19,13 @@ from hyperperc.percolation import (
     tiling_instance,
     tiling_signature_sweep,
     voronoi_phase_signature,
+    voronoi_instance,
     voronoi_signature_sweep,
     wilson_interval,
     SWEEP_HEADER,
     _voronoi_replica,
 )
-from hyperperc.pointprocess import sample_colored
+from hyperperc.pointprocess import replica_rng, sample_colored
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_duality import center_to_boundary_cut, winding_dual_cycle_exists
@@ -234,6 +235,56 @@ class TestSweeps:
         assert rows[0.9].kw >= 0.9
         assert rows[0.1].kb >= 0.9
         assert all(0 <= r.theta <= 1 for r in sw.rows)
+
+    @staticmethod
+    def recording(outputs):
+        def mapper(fn, items):
+            for item in items:
+                outputs.append(fn(item))
+                yield outputs[-1]
+        return mapper
+
+    P_UNSORTED = [0.5, 0.1, 0.3]
+
+    def test_tiling_sweep_matches_labels(self):
+        # the forward and reverse filtration passes give, per replica and
+        # in the caller's p order, the counts of fresh labelings at each p
+        outputs = []
+        tiling_signature_sweep(3, 7, 4, self.P_UNSORTED, 6, 17,
+                               mapper=self.recording(outputs))
+        ball = build_ball(3, 7, 4)
+        dual = dual_ball(ball)
+        inst = tiling_instance(ball, 2)
+        dinst = tiling_instance(dual, 2)
+        for rep, got in enumerate(outputs):
+            u = replica_rng(17, "sweep-3-7-L4", rep).random(len(inst.edges))
+            want = [
+                (label_clusters(inst.n, inst.edges, edge_open=u < p,
+                                core=inst.core, shell=inst.shell).k_proxy,
+                 label_clusters(dinst.n, dinst.edges,
+                                edge_open=u[dual.primal_edge] >= p,
+                                core=dinst.core, shell=dinst.shell).k_proxy)
+                for p in self.P_UNSORTED
+            ]
+            assert got == want
+        assert any(k != (0, 0) for got in outputs for k in got)
+
+    def test_voronoi_sweep_matches_labels(self):
+        window = Window.with_margin(3.5)
+        outputs = []
+        voronoi_signature_sweep(1.0, self.P_UNSORTED, window, 4, 17,
+                                mapper=self.recording(outputs))
+        for rep, got in enumerate(outputs):
+            V, u = _voronoi_replica(1.0, window, 17, "vorsweep-lam1-Rw3.5", rep)
+            inst = voronoi_instance(V, window.R_window, 2.0)
+            want = [
+                tuple(label_clusters(inst.n, inst.edges, site_open=side,
+                                     core=inst.core, shell=inst.shell).k_proxy
+                      for side in (u < p, u >= p))
+                for p in self.P_UNSORTED
+            ]
+            assert got == want
+        assert any(k != (0, 0) for got in outputs for k in got)
 
     def test_sweep_deterministic(self):
         a = tiling_signature_sweep(3, 7, 3, [0.3], 10, 5).to_csv()
