@@ -27,7 +27,6 @@ import numpy as np
 
 from . import svg
 from .densities import OriginNotInterior, density_experiment
-from .graphs import bfs_distances
 from .hypgeo import WORKING_RADIUS
 from .hypvoronoi import Window, delaunay
 from .percolation import (
@@ -55,6 +54,14 @@ PC_CURVE_HEADER = ("lambda,pc,ci_lo,ci_hi,upper_bound,bound_ok,positive_ok,"
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (one `error:` line, exit 2);
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +467,11 @@ def cmd_decay(args, mapper):
     _check_p(args.p)
     distances = [int(d) for d in parse_grid(args.distances)]
     ball = build_ball(p, q, args.layers)
-    far = int(bfs_distances(ball.n_vertices, ball.edges, 0).max())
-    if not all(0 <= d <= far for d in distances):
-        raise ConfigError(f"--d must lie in [0, {far}]: {far} is the largest "
-                          "distance from the center of this ball")
-    fit = connectivity_decay(ball, args.p, distances, args.replicas,
-                             args.seed, mapper=mapper)
+    try:
+        fit = connectivity_decay(ball, args.p, distances, args.replicas,
+                                 args.seed, mapper=mapper)
+    except ValueError as e:
+        raise ConfigError(f"--d: {e}")
     lines = ["d,tau,count,trials"]
     for d, tau, c, t in zip(fit.distances, fit.tau, fit.counts, fit.trials):
         lines.append(f"{d},{tau:.6f},{c},{t}")
@@ -520,7 +526,7 @@ def _add_common(sp, out_default="out.csv"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hyperperc",
         description="Percolation experiments on hyperbolic tessellations",
     )

@@ -13,24 +13,14 @@ def csr_adjacency(n: int, edges: np.ndarray):
     can be consulted during traversals.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    m = len(edges)
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, edges[:, 0], 1)
-    np.add.at(deg, edges[:, 1], 1)
+    # slot 2k is edge k seen from u, slot 2k+1 from v; a stable sort by
+    # vertex keeps each vertex's slots in edge order
+    ends = edges.ravel()
+    slots = np.argsort(ends, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=np.int64)
-    edge_id = np.empty(2 * m, dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for k in range(m):
-        u, v = edges[k]
-        indices[cursor[u]] = v
-        edge_id[cursor[u]] = k
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        edge_id[cursor[v]] = k
-        cursor[v] += 1
-    return indptr, indices, edge_id
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    indices = edges[:, ::-1].ravel()[slots]
+    return indptr, indices, slots // 2
 
 
 def bfs_distances(n: int, edges: np.ndarray, source: int) -> np.ndarray:
@@ -38,16 +28,16 @@ def bfs_distances(n: int, edges: np.ndarray, source: int) -> np.ndarray:
     indptr, indices, _ = csr_adjacency(n, edges)
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
-    frontier = [source]
+    frontier = np.array([source], dtype=np.int64)
     d = 0
-    while frontier:
+    while len(frontier):
         d += 1
-        nxt = []
-        for v in frontier:
-            for j in range(indptr[v], indptr[v + 1]):
-                u = indices[j]
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        # the adjacency slots of every frontier vertex, concatenated
+        first = np.cumsum(count) - count
+        slots = np.repeat(start - first, count) + np.arange(int(count.sum()))
+        nbrs = indices[slots]
+        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        dist[frontier] = d
     return dist

@@ -56,8 +56,9 @@ class VoronoiComplex:
     faces: np.ndarray             # (m, 3) kept triangles (nucleus indices)
     vor_rho: np.ndarray           # (m,) Voronoi vertex polar coordinates
     vor_theta: np.ndarray
-    interior_mask: np.ndarray     # per nucleus
-    nucleus_faces: list           # per nucleus: indices of incident kept faces
+    interior_mask: np.ndarray     # (n,) per nucleus
+    face_ptr: np.ndarray          # (n + 1,) CSR offsets into face_of
+    face_of: np.ndarray           # (3m,) incident kept faces, ascending per nucleus
 
     @property
     def n_nuclei(self) -> int:
@@ -66,6 +67,10 @@ class VoronoiComplex:
     @property
     def n_voronoi_vertices(self) -> int:
         return len(self.vor_rho)
+
+    def cell_faces(self, i: int) -> np.ndarray:
+        """Indices of the kept faces incident to nucleus i, ascending."""
+        return self.face_of[self.face_ptr[i]:self.face_ptr[i + 1]]
 
     def voronoi_vertex(self, j: int) -> HPoint:
         return HPoint(float(self.vor_rho[j]), float(self.vor_theta[j]))
@@ -128,37 +133,42 @@ def delaunay(points: ColoredPointSet, window: Window | None = None) -> VoronoiCo
     faces = faces[finite]
     vr, vt = vr[finite], vt[finite]
 
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    faces = faces.astype(np.int64)
+    corners = faces.ravel()
 
-    nucleus_faces = [[] for _ in range(n)]
-    for j, f in enumerate(faces):
-        for v in f:
-            nucleus_faces[int(v)].append(j)
+    # edge (u, v), u < v, as the key u*n + v: sorted keys are the pairs in
+    # lexicographic order
+    ends = np.sort(faces, axis=1)
+    keys = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1],
+                                     ends[:, 1] * n + ends[:, 2],
+                                     ends[:, 0] * n + ends[:, 2]]))
+    edges = np.column_stack([keys // n, keys % n])
+
+    # face incidence as CSR; the stable sort keeps each nucleus's faces ascending
+    star_kept = np.bincount(corners, minlength=n)
+    face_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(star_kept, out=face_ptr[1:])
+    face_of = np.argsort(corners, kind="stable") // 3
 
     # star completeness: every Euclidean incident simplex must survive
-    star_total = np.zeros(n, dtype=np.int64)
-    np.add.at(star_total, simplices.ravel(), 1)
-    star_kept = np.zeros(n, dtype=np.int64)
-    np.add.at(star_kept, faces.ravel(), 1)
+    star_total = np.bincount(simplices.ravel(), minlength=n)
     on_hull = np.zeros(n, dtype=bool)
     on_hull[tri.convex_hull.ravel()] = True
 
     interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
     vmax = np.zeros(n)
-    for i in range(n):
-        if interior[i] and nucleus_faces[i]:
-            vmax[i] = vr[nucleus_faces[i]].max()
+    np.maximum.at(vmax, corners, np.repeat(vr, 3))
     interior &= vmax <= R_sample - 1.0
 
     return VoronoiComplex(
         points=points,
-        delaunay_edges=edges.astype(np.int64),
-        faces=faces.astype(np.int64),
+        delaunay_edges=edges,
+        faces=faces,
         vor_rho=vr,
         vor_theta=vt,
         interior_mask=interior,
-        nucleus_faces=nucleus_faces,
+        face_ptr=face_ptr,
+        face_of=face_of,
     )
 
 
@@ -183,7 +193,7 @@ def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:
     """Voronoi cell of an interior nucleus, vertices ordered ccw."""
     if not V.interior_mask[i]:
         raise NotInterior(f"nucleus {i} is boundary-masked")
-    js = V.nucleus_faces[i]
+    js = V.cell_faces(i)
     tanh_half = np.tanh(V.vor_rho[js] / 2.0)
     zv = tanh_half * np.exp(1j * V.vor_theta[js])
     nx, ny = V.points.disk_xy[i]
@@ -206,10 +216,7 @@ def core_cell_mask(V: VoronoiComplex, r_core: float) -> np.ndarray:
     nucleus) is always included.
     """
     mask = V.points.rho <= r_core
-    for j in range(V.n_voronoi_vertices):
-        if V.vor_rho[j] <= r_core:
-            for v in V.faces[j]:
-                mask[int(v)] = True
+    mask[V.faces[V.vor_rho <= r_core].ravel()] = True
     mask[int(np.argmin(V.points.rho))] = True
     return mask
 

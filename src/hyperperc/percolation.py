@@ -682,14 +682,17 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
     center, so subcritical replicas cost only the cluster size.  For each
     d, up to targets_per_distance vertices at graph distance d serve as
     endpoints; the fit regresses log tau_hat on d over positive entries.
+    A d with no vertex raises ValueError before any replica runs.
     """
     distances = np.asarray(sorted(set(int(d) for d in distances)))
     dist = bfs_distances(ball.n_vertices, ball.edges, center)
+    far = int(dist.max())
     targets = []
     for d in distances:
         cand = np.flatnonzero(dist == d)
         if len(cand) == 0:
-            raise ValueError(f"no vertex at distance {d} from the center")
+            raise ValueError(f"no vertex at distance {d} from the center: "
+                             f"{far} is the largest distance in this ball")
         targets.append(cand[:targets_per_distance])
 
     indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)

@@ -103,12 +103,13 @@ def _cell_outline(V: VoronoiComplex, i: int) -> list:
     xy = V.points.disk_xy
     zn = complex(*xy[i])
     verts = []
-    for j in V.nucleus_faces[i]:
+    js = V.cell_faces(i)
+    for j in js:
         r = math.tanh(V.vor_rho[j] / 2.0)
         verts.append(r * cmath.exp(1j * V.vor_theta[j]))
     # edges of cell i with a single kept face extend to the ideal boundary
     face_count = {}
-    for j in V.nucleus_faces[i]:
+    for j in js:
         for v in V.faces[j]:
             v = int(v)
             if v != i:

@@ -177,6 +177,9 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "1.5"],
     ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "1.5"],
     ["phase-sweep", "--lambda", "1", "--p", "1.5"],
+    ["decay", "--pq", "3,7", "--L", "3"],
+    ["gen-tiling", "--pq", "3,7", "--L", "x"],
+    ["no-such-command"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

@@ -1,0 +1,93 @@
+from collections import deque
+
+import numpy as np
+import pytest
+
+from hyperperc.graphs import bfs_distances, csr_adjacency
+from hyperperc.tilinggraph import build_ball, dual_ball
+
+from oracle_perc import bfs_labels
+
+
+def loop_csr_adjacency(n, edges):
+    """Edge-by-edge CSR fill: each vertex's slots in ascending edge order."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    deg = np.zeros(n, dtype=np.int64)
+    np.add.at(deg, edges[:, 0], 1)
+    np.add.at(deg, edges[:, 1], 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(2 * len(edges), dtype=np.int64)
+    edge_id = np.empty(2 * len(edges), dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for k, (u, v) in enumerate(edges):
+        indices[cursor[u]], edge_id[cursor[u]] = v, k
+        cursor[u] += 1
+        indices[cursor[v]], edge_id[cursor[v]] = u, k
+        cursor[v] += 1
+    return indptr, indices, edge_id
+
+
+def queue_bfs(n, edges, source):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    dist = [-1] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return np.array(dist, dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return list(graphs())
+
+
+def graphs():
+    ball = build_ball(3, 7, 5)
+    yield ball.n_vertices, ball.edges
+    dual = dual_ball(build_ball(7, 3, 4))
+    yield dual.n_vertices, dual.edges
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 60):
+        # unsorted, repeated and self-loop edges, isolated vertices
+        yield n + 4, rng.integers(0, n, size=(3 * n, 2))
+    yield 5, np.zeros((0, 2), dtype=np.int64)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_csr_matches_loop_fill(cases, case):
+    n, edges = cases[case]
+    got = csr_adjacency(n, edges)
+    want = loop_csr_adjacency(n, edges)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_bfs_matches_queue_bfs(cases, case):
+    n, edges = cases[case]
+    for source in (0, n // 2, n - 1):
+        dist = bfs_distances(n, edges, source)
+        np.testing.assert_array_equal(dist, queue_bfs(n, edges, source))
+        labels = bfs_labels(n, edges, np.ones(len(edges), bool), np.ones(n, bool))
+        np.testing.assert_array_equal(dist >= 0, labels == labels[source])
+
+
+def test_bfs_disconnected_gives_minus_one():
+    # a path 0-1-2, a triangle 3-4-5 and the isolated vertex 6
+    edges = np.array([[0, 1], [1, 2], [3, 4], [4, 5], [3, 5]])
+    np.testing.assert_array_equal(bfs_distances(7, edges, 0),
+                                  [0, 1, 2, -1, -1, -1, -1])
+    np.testing.assert_array_equal(bfs_distances(7, edges, 4),
+                                  [-1, -1, -1, 1, 0, 1, -1])
+    np.testing.assert_array_equal(bfs_distances(7, edges, 6),
+                                  [-1, -1, -1, -1, -1, -1, 0])

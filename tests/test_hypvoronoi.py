@@ -141,7 +141,7 @@ class TestDelaunayConstruction:
         assert interior.any()
         assert not interior.all()
         for i in np.flatnonzero(interior):
-            assert max(V.vor_rho[j] for j in V.nucleus_faces[i]) <= pts.R - 1.0
+            assert max(V.vor_rho[j] for j in V.cell_faces(i)) <= pts.R - 1.0
         # every nucleus hugging the rim is masked
         assert not interior[pts.rho > pts.R - 0.05].any()
 
@@ -258,7 +258,33 @@ class TestAdjacency:
         assert graph_pairs == raster_interior
 
 
+class TestFaceIncidence:
+    @pytest.mark.parametrize("lam,R,rep", [(1.0, 5.0, 0), (0.25, 4.0, 1),
+                                           (2.0, 4.5, 2)])
+    def test_csr_matches_per_nucleus_lists(self, lam, R, rep):
+        V = delaunay(sample_colored(lam, 0.5, R, 67, "voronoi-csr", rep))
+        lists = [[] for _ in range(V.n_nuclei)]
+        for j, face in enumerate(V.faces):
+            for v in face:
+                lists[int(v)].append(j)
+        assert V.face_ptr[0] == 0 and V.face_ptr[-1] == 3 * len(V.faces)
+        for i in range(V.n_nuclei):
+            assert V.cell_faces(i).tolist() == lists[i]
+
+
 class TestCoreShell:
+    @pytest.mark.parametrize("r_core", [0.0, 1.0, 2.0])
+    def test_core_mask_matches_vertex_loop(self, r_core):
+        pts = sample_colored(1.0, 0.5, 5.0, 59, "voronoi-core", 1)
+        V = delaunay(pts)
+        want = pts.rho <= r_core
+        for j in range(V.n_voronoi_vertices):
+            if V.vor_rho[j] <= r_core:
+                for v in V.faces[j]:
+                    want[int(v)] = True
+        want[int(np.argmin(pts.rho))] = True
+        np.testing.assert_array_equal(core_cell_mask(V, r_core), want)
+
     def test_core_contains_origin_cell(self):
         pts = sample_colored(1.0, 0.5, 6.0, 59, "voronoi-core", 0)
         V = delaunay(pts)
