@@ -43,7 +43,7 @@ from .percolation import (
     voronoi_signature_sweep,
 )
 from .pointprocess import ColoredPointSet, sample_colored
-from .tilinggraph import build_ball
+from .tilinggraph import TooLarge, build_ball
 
 PHASE_HEADER = ("model,p,lambda,pgon,qdeg,R,replicas,label,"
                 "theta_w,theta_b,unique_w,unique_b,kw,kb,seed")
@@ -661,7 +661,7 @@ def main(argv=None) -> int:
                       and v is not None}
             write_summary(args.json, config, results, wall)
         return 0
-    except ConfigError as e:
+    except (ConfigError, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NoCrossing, InsufficientData, OriginNotInterior,

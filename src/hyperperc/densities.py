@@ -42,7 +42,7 @@ class DensityEstimate:
     D_F_hat_inverse_area: float
     D_F_inv_se: float
     A_o_samples: list
-    euler: float
+    euler: float               # 2*pi*(D_F - D_E + D_V): exactly -1 for any lam
     euler_se: float
     seed: int = 0
 
@@ -139,15 +139,6 @@ def estimate_densities(complexes, window: Window, lam: float,
         euler_se=se(euler_per_rep),
         seed=seed,
     )
-
-
-def euler_check(D: DensityEstimate):
-    """The combination 2*pi*(D_F - D_E + D_V) and its standard error.
-
-    For the hyperbolic Poisson-Voronoi tessellation the exact value is -1
-    for every intensity.
-    """
-    return D.euler, D.euler_se
 
 
 def density_experiment(lam: float, window: Window, replicas: int,

@@ -368,20 +368,19 @@ def estimate_pc(thresholds_by_size, p_grid, n_bootstrap: int = 200,
     curves = tuple(reach_curve(t, p_grid) for t in samples)
 
     def crossings_of(curve_list):
-        out = []
         scaled = [s * c for s, c in zip(sizes, curve_list)]
-        for small, large in zip(scaled, scaled[1:]):
-            c = _crossing(small, large, p_grid)
-            if c is None:
-                return None
-            out.append(c)
-        return out
+        return [_crossing(small, large, p_grid)
+                for small, large in zip(scaled, scaled[1:])]
 
-    crossings = crossings_of(list(curves))
-    if crossings is None:
+    crossings = crossings_of(curves)
+    if None in crossings:
+        i = crossings.index(None)
+        d = sizes[i + 1] * curves[i + 1] - sizes[i] * curves[i]
         raise NoCrossing(
-            "reach curves do not cross within the p-grid "
-            f"[{p_grid[0]:g}, {p_grid[-1]:g}]; widen the grid or the ladder"
+            f"reach curves of sizes {sizes[i]:g} and {sizes[i + 1]:g} do not "
+            f"cross within the p-grid [{p_grid[0]:g}, {p_grid[-1]:g}]: their "
+            f"size-weighted difference runs from {d.min():.4g} to "
+            f"{d.max():.4g}; widen the grid or the ladder"
         )
     value = float(np.median(crossings))
 
@@ -390,10 +389,13 @@ def estimate_pc(thresholds_by_size, p_grid, n_bootstrap: int = 200,
     for _ in range(n_bootstrap):
         resampled = [t[rng.integers(0, len(t), len(t))] for t in samples]
         cs = crossings_of([reach_curve(t, p_grid) for t in resampled])
-        if cs is not None:
+        if None not in cs:
             boots.append(np.median(cs))
     if len(boots) < n_bootstrap // 2:
-        raise NoCrossing("crossing unstable under bootstrap resampling")
+        raise NoCrossing(
+            "crossing unstable under bootstrap resampling: "
+            f"{len(boots)} of {n_bootstrap} resamples cross"
+        )
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return PcEstimate(
         value=value,
@@ -468,45 +470,6 @@ def voronoi_pu(lam: float, window_ladder, p_grid, replicas: int,
         voronoi_pc(lam, window_ladder, p_grid, replicas, master_seed,
                    mapper=mapper)
     )
-
-
-# ---------------------------------------------------------------------------
-# phase signatures
-
-
-def phase_signature(c: BondConfig, dual: DualBall | None = None,
-                    core_radius: int = 2):
-    """(k, k_dagger): boundary-reaching clusters meeting the core, both layers.
-
-    k counts distinct open primal clusters that touch both the core
-    (combinatorial radius core_radius around the center) and the shell;
-    k_dagger is the same count for the dual configuration.
-    """
-    ball = c.host
-    if isinstance(ball, DualBall):
-        raise ValueError("phase_signature expects a primal configuration")
-    if dual is None:
-        dual = dual_ball(ball)
-    inst = tiling_instance(ball, core_radius)
-    lab = label_clusters(inst.n, inst.edges, edge_open=c.open_edges,
-                         core=inst.core, shell=inst.shell)
-    dc = dual_config(c, dual)
-    dinst = tiling_instance(dual, core_radius)
-    dlab = label_clusters(dinst.n, dinst.edges, edge_open=dc.open_edges,
-                          core=dinst.core, shell=dinst.shell)
-    return lab.k_proxy, dlab.k_proxy
-
-
-def voronoi_phase_signature(V, white: np.ndarray, R_window: float,
-                            r_core: float = 2.0):
-    """(k_white, k_black) for a colored Voronoi complex."""
-    inst = voronoi_instance(V, R_window, r_core)
-    white = np.asarray(white, dtype=bool)
-    kw = label_clusters(inst.n, inst.edges, site_open=white,
-                        core=inst.core, shell=inst.shell).k_proxy
-    kb = label_clusters(inst.n, inst.edges, site_open=~white,
-                        core=inst.core, shell=inst.shell).k_proxy
-    return kw, kb
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,19 @@ operation glues a new p-gon along a maximal chain of boundary edges whose
 inner vertices are saturated (degree already q), which uniformly covers
 the fan, closing and cascade cases that arise for p = 3 or q = 3.
 
-The resulting ball carries its planar rotation system and an interior
-dual graph with the edge bijection e <-> e-dagger.
+The edges of the ball and its interior dual graph, with the edge
+bijection e <-> e-dagger, are read off the face sides with array code.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import bfs_distances
+# Vertex budget of build_ball, checked before each round allocates.
+MAX_VERTICES = 10**7
 
 
 class NotHyperbolic(ValueError):
@@ -29,13 +30,9 @@ class TooLarge(ValueError):
     """Raised when the construction would exceed the vertex budget."""
 
 
-class Disconnected(ValueError):
-    """Defensive: raised if a distance query cannot reach its target."""
-
-
 @dataclass
 class TilingBall:
-    """A finite ball of the {p,q} tiling with rotation system and faces."""
+    """A finite ball of the {p,q} tiling with its faces and boundary."""
 
     p_gon: int
     q_deg: int
@@ -43,11 +40,8 @@ class TilingBall:
     n_vertices: int
     edges: np.ndarray          # (m, 2), u < v
     faces: list                # tuples of vertex ids, ccw
-    rotation: list             # per vertex: neighbors in ccw cyclic order
     boundary: list             # final boundary cycle, ccw
     vertex_layer: np.ndarray   # round at which each vertex appeared
-
-    _edge_index: dict = field(default=None, repr=False)
 
     @property
     def n_edges(self) -> int:
@@ -63,13 +57,6 @@ class TilingBall:
     @property
     def interior_vertex_mask(self) -> np.ndarray:
         return self.degrees == self.q_deg
-
-    def edge_index(self) -> dict:
-        if self._edge_index is None:
-            self._edge_index = {
-                (int(u), int(v)): k for k, (u, v) in enumerate(self.edges)
-            }
-        return self._edge_index
 
     def serialize(self) -> str:
         """Documented edge-list text format with VERTICES/EDGES/FACES/DUAL."""
@@ -100,7 +87,6 @@ class DualBall:
     edges: np.ndarray         # (k, 2) face-index pairs
     primal_edge: np.ndarray   # (k,) primal edge index for each dual edge
     dual_edge_of: np.ndarray  # (m,) dual edge index per primal edge, -1 if none
-    faces: list               # q-cycles around interior primal vertices
 
     @property
     def degrees(self) -> np.ndarray:
@@ -115,11 +101,12 @@ class DualBall:
         return self.degrees == self.primal.p_gon
 
 
-def build_ball(p_gon: int, q_deg: int, layers: int, max_vertices: int = 10**7) -> TilingBall:
+def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
     """Build the layered {p,q} ball with `layers` rounds of faces.
 
     layers=1 is the single base face; each further round attaches every
-    face incident to a then-boundary vertex.
+    face incident to a then-boundary vertex.  Raises TooLarge before a
+    round that could take the ball past MAX_VERTICES vertices.
     """
     if p_gon < 3 or q_deg < 3:
         raise ValueError("need p, q >= 3")
@@ -149,8 +136,6 @@ def build_ball(p_gon: int, q_deg: int, layers: int, max_vertices: int = 10**7) -
         m = p - j - 1
         new = list(range(n, n + m))
         n += m
-        if n > max_vertices:
-            raise TooLarge(f"vertex budget {max_vertices} exceeded")
         deg.extend([2] * m)
         vertex_layer.extend([round_no] * m)
         faces.append(tuple(reversed(chain)) + tuple(new))
@@ -173,6 +158,18 @@ def build_ball(p_gon: int, q_deg: int, layers: int, max_vertices: int = 10**7) -
         while v != start:
             order.append(v)
             v = nxt[v]
+        # A boundary vertex of degree d lies on d - 1 faces and ends the
+        # round on q, so the new faces hold sum(q - d + 1) old vertices.
+        # Each boundary edge ends in one new face, and a face holding k of
+        # them holds at least k + 1 old vertices (every new face meets the
+        # old boundary): there are at most sum(q - d) new faces, each with
+        # at most p - 2 new vertices, so the bound never under-estimates.
+        bound = n + (p - 2) * sum(q - deg[v] for v in order)
+        if bound > MAX_VERTICES:
+            raise TooLarge(
+                f"vertex budget {MAX_VERTICES} exceeded: round {round_no} of "
+                f"the {{{p},{q}}} ball may need up to {bound} vertices"
+            )
         for v in order:
             while v in nxt:  # still on the boundary
                 chain = [prv[v], v]
@@ -191,126 +188,47 @@ def build_ball(p_gon: int, q_deg: int, layers: int, max_vertices: int = 10**7) -
             boundary.append(v)
             v = nxt[v]
 
-    edge_set = set()
-    for f in faces:
-        for a, b in zip(f, f[1:] + f[:1]):
-            edge_set.add((a, b) if a < b else (b, a))
-    edges = np.array(sorted(edge_set), dtype=np.int64)
-
-    rotation = _rotation_from_faces(n, faces, edges)
+    keys = np.unique(_side_keys(faces, n))
     return TilingBall(
         p_gon=p,
         q_deg=q,
         layers=layers,
         n_vertices=n,
-        edges=edges,
+        edges=np.stack(np.divmod(keys, n), axis=1),
         faces=faces,
-        rotation=rotation,
         boundary=boundary,
         vertex_layer=np.array(vertex_layer, dtype=np.int64),
     )
 
 
-def _rotation_from_faces(n, faces, edges):
-    """Cyclic (ccw) neighbor order per vertex, chained through shared faces.
-
-    In a ccw face ... a, v, b ..., edge (v,a) is the ccw-successor of
-    (v,b) around v; boundary vertices yield an open chain starting at the
-    neighbor with no predecessor.
-    """
-    succ = [dict() for _ in range(n)]
-    for f in faces:
-        k = len(f)
-        for i in range(k):
-            a, v, b = f[i - 2], f[i - 1], f[i]
-            succ[v][b] = a
-    neighbor_sets = [set() for _ in range(n)]
-    for u, v in edges:
-        neighbor_sets[u].add(int(v))
-        neighbor_sets[v].add(int(u))
-    rotation = []
-    for v in range(n):
-        s = succ[v]
-        nbrs = neighbor_sets[v]
-        starts = nbrs - set(s.values())
-        cur = min(starts) if starts else min(nbrs)
-        order = [cur]
-        while cur in s and len(order) < len(nbrs):
-            cur = s[cur]
-            order.append(cur)
-        assert len(order) == len(nbrs), "rotation chain broken"
-        rotation.append(order)
-    return rotation
+def _side_keys(faces, n):
+    """Key min*n + max of each face side, face by face, side by side."""
+    f = np.array(faces, dtype=np.int64)
+    g = np.roll(f, -1, axis=1)
+    return (np.minimum(f, g) * n + np.maximum(f, g)).ravel()
 
 
 def dual_ball(ball: TilingBall) -> DualBall:
-    """Interior dual graph: faces become vertices, e-dagger crosses e."""
-    edge_faces = {}
-    for fi, f in enumerate(ball.faces):
-        for a, b in zip(f, f[1:] + f[:1]):
-            key = (a, b) if a < b else (b, a)
-            edge_faces.setdefault(key, []).append(fi)
-    eidx = ball.edge_index()
-    m = ball.n_edges
-    dual_edge_of = np.full(m, -1, dtype=np.int64)
-    dual_edges = []
-    primal_edge = []
-    for key, fs in edge_faces.items():
-        if len(fs) == 2:
-            k = eidx[key]
-            dual_edge_of[k] = len(dual_edges)
-            dual_edges.append((min(fs), max(fs)))
-            primal_edge.append(k)
-    dual_edges = (
-        np.array(dual_edges, dtype=np.int64)
-        if dual_edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    # dual faces: cycles of faces around interior primal vertices
-    interior = ball.interior_vertex_mask
-    dual_faces = []
-    for v in range(ball.n_vertices):
-        if not interior[v]:
-            continue
-        ring = []
-        ok = True
-        rot = ball.rotation[v]
-        for a, b in zip(rot, rot[1:] + rot[:1]):
-            f = _face_with_corner(ball, a, v, b, edge_faces)
-            if f is None:
-                ok = False
-                break
-            ring.append(f)
-        if ok:
-            dual_faces.append(tuple(ring))
+    """Interior dual graph: faces become vertices, e-dagger crosses e.
+
+    The sorted unique side keys are the keys of ball.edges.  A dual edge
+    joins the two faces of an edge whose key occurs twice; dual edges are
+    numbered in the order their primal edges first occur in the faces.
+    """
+    keys = _side_keys(ball.faces, ball.n_vertices)
+    _, first, edge_of = np.unique(keys, return_index=True, return_inverse=True)
+    second = np.flatnonzero(first[edge_of] != np.arange(len(keys)))
+    second = second[np.argsort(first[edge_of[second]])]
+    primal_edge = edge_of[second]
+    dual_edge_of = np.full(ball.n_edges, -1, dtype=np.int64)
+    dual_edge_of[primal_edge] = np.arange(len(primal_edge))
     return DualBall(
         primal=ball,
         n_vertices=len(ball.faces),
-        edges=dual_edges,
-        primal_edge=np.array(primal_edge, dtype=np.int64),
+        edges=np.stack([first[primal_edge], second], axis=1) // ball.p_gon,
+        primal_edge=primal_edge,
         dual_edge_of=dual_edge_of,
-        faces=dual_faces,
     )
-
-
-def _face_with_corner(ball, a, v, b, edge_faces):
-    """The face containing the corner path a-v-b, if present."""
-    k1 = (a, v) if a < v else (v, a)
-    for f in edge_faces.get(k1, ()):  # at most two candidates
-        cyc = ball.faces[f]
-        k = len(cyc)
-        for i in range(k):
-            if cyc[i] == v and {cyc[i - 1], cyc[(i + 1) % k]} >= {a, b}:
-                return f
-    return None
-
-
-def graph_distance(ball: TilingBall, u: int, v: int) -> int:
-    """BFS distance between two vertices of the ball."""
-    d = bfs_distances(ball.n_vertices, ball.edges, u)[v]
-    if d < 0:
-        raise Disconnected(f"no path between {u} and {v}")
-    return int(d)
 
 
 def left_face_of(ball: TilingBall):

@@ -34,7 +34,7 @@ def center_to_boundary_cut(ball, center=0):
 def winding_dual_cycle_exists(ball, dual, dual_open, cut_path):
     """True iff the open dual subgraph has a cycle winding around the center."""
     left = left_face_of(ball)
-    eidx = ball.edge_index()
+    eidx = {(int(u), int(v)): k for k, (u, v) in enumerate(ball.edges)}
     # weight per dual edge: +1 when traversed left-to-right across the cut
     weight = {}
     for a, b in zip(cut_path, cut_path[1:]):

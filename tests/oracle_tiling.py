@@ -1,10 +1,15 @@
-"""Independent geometric oracle for {p,q} tiling balls.
+"""Independent oracles for {p,q} tiling balls.
 
-Generates tiles in the Poincare disk by reflecting the central face
-across its edges (breadth-first, pruned by a radius cap), deduplicates
-vertices and faces by rounded coordinates, and rebuilds the combinatorial
-ball as faces within vertex-sharing distance L-1 of the central face.
-This shares no code path with hyperperc.tilinggraph.build_ball.
+generate_geometric_ball generates tiles in the Poincare disk by
+reflecting the central face across its edges (breadth-first, pruned by a
+radius cap), deduplicates vertices and faces by rounded coordinates, and
+rebuilds the combinatorial ball as faces within vertex-sharing distance
+L-1 of the central face.  This shares no code path with
+hyperperc.tilinggraph.build_ball.
+
+edges_and_dual reads the edges and the interior dual off a face list
+with Python sets and dicts, the reference for the array code of
+build_ball and dual_ball.
 """
 
 import cmath
@@ -121,3 +126,29 @@ def generate_geometric_ball(p, q, layers):
             }
         )
     return out
+
+
+def edges_and_dual(faces):
+    """Edges, dual edges, primal_edge and dual_edge_of of a face list.
+
+    Edges are the sorted pairs u < v of the face sides.  Each edge on two
+    faces gets a dual edge joining them; dual edges are numbered in the
+    order their primal edges first occur, face by face, side by side.
+    """
+    edge_faces = {}
+    for fi, f in enumerate(faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            key = (a, b) if a < b else (b, a)
+            edge_faces.setdefault(key, []).append(fi)
+    edges = sorted(edge_faces)
+    eidx = {e: k for k, e in enumerate(edges)}
+    dual_edge_of = [-1] * len(edges)
+    dual_edges = []
+    primal_edge = []
+    for key, fs in edge_faces.items():
+        if len(fs) == 2:
+            k = eidx[key]
+            dual_edge_of[k] = len(dual_edges)
+            dual_edges.append((min(fs), max(fs)))
+            primal_edge.append(k)
+    return edges, dual_edges, primal_edge, dual_edge_of

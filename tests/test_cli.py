@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperperc import tilinggraph
 from hyperperc.cli import (
     ConfigError,
     atomic_write,
@@ -188,6 +189,16 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 50)
+    out = tmp_path / "out"
+    assert main(["gen-tiling", "--pq", "3,7", "--L", "6", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: vertex budget 50 exceeded: round 2 of the {3,7} ball may "
+        "need up to 60 vertices"]
+    assert not out.exists()
 
 
 def test_concurrent_atomic_writes_both_complete(tmp_path):

@@ -8,7 +8,6 @@ from hyperperc.densities import (
     OriginNotInterior,
     density_experiment,
     estimate_densities,
-    euler_check,
     origin_cell_area,
 )
 from hyperperc.hypgeo import HPoint, Isometry, apply
@@ -56,14 +55,12 @@ class TestEstimates:
         est.validate(max_sigma=4.0)
 
     def test_euler_combination(self, est):
-        value, se = euler_check(est)
-        assert abs(value - (-1.0)) < 4 * se
-        assert np.isfinite(se)
+        assert abs(est.euler - (-1.0)) < 4 * est.euler_se
+        assert np.isfinite(est.euler_se)
 
     def test_low_intensity_euler(self):
         est = density_experiment(0.3, Window.with_margin(5.0), 40, 77)
-        value, se = euler_check(est)
-        assert abs(value - (-1.0)) < 4 * se
+        assert abs(est.euler - (-1.0)) < 4 * est.euler_se
 
     def test_csv_shape(self, est):
         lines = est.to_csv().splitlines()
@@ -107,7 +104,6 @@ def test_euler_bias_shrinks_with_window():
     ses = []
     for Rw in (3.0, 4.0, 5.0):
         est = density_experiment(1.0, Window.with_margin(Rw), 40, 99)
-        value, se = euler_check(est)
-        biases.append(abs(value + 1.0))
-        ses.append(se)
+        biases.append(abs(est.euler + 1.0))
+        ses.append(est.euler_se)
     assert biases[2] <= biases[0] + 2 * math.hypot(ses[0], ses[2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperperc.hypvoronoi import Window, delaunay
+from hyperperc.hypvoronoi import Window
 from hyperperc.percolation import (
     BondConfig,
     InsufficientData,
@@ -13,12 +13,10 @@ from hyperperc.percolation import (
     dual_config,
     estimate_pc,
     label_clusters,
-    phase_signature,
     reach_curve,
     reach_probability,
     tiling_instance,
     tiling_signature_sweep,
-    voronoi_phase_signature,
     voronoi_instance,
     voronoi_signature_sweep,
     wilson_interval,
@@ -130,20 +128,19 @@ class TestLabelClusters:
 
 
 class TestPhaseSignature:
+    # per replica, (k, k_dual) at p = 0 and p = 1: nothing open on one
+    # side means everything open on the other
     def test_full_and_empty(self):
-        b = build_ball(3, 7, 4)
-        d = dual_ball(b)
-        full = BondConfig(b, np.ones(b.n_edges, dtype=bool), 1.0, 0)
-        empty = BondConfig(b, np.zeros(b.n_edges, dtype=bool), 0.0, 0)
-        assert phase_signature(full, d) == (1, 0)
-        assert phase_signature(empty, d) == (0, 1)
+        outputs = []
+        tiling_signature_sweep(3, 7, 4, [0.0, 1.0], 5, 3,
+                               mapper=TestSweeps.recording(outputs))
+        assert outputs == [[(0, 1), (1, 0)]] * 5
 
     def test_voronoi_extremes(self):
-        pts = sample_colored(1.0, 0.5, 6.0, 3, "sig", 0)
-        V = delaunay(pts)
-        n = len(pts)
-        assert voronoi_phase_signature(V, np.ones(n, dtype=bool), 4.0) == (1, 0)
-        assert voronoi_phase_signature(V, np.zeros(n, dtype=bool), 4.0) == (0, 1)
+        outputs = []
+        voronoi_signature_sweep(1.0, [0.0, 1.0], Window.with_margin(4.0), 3, 3,
+                                mapper=TestSweeps.recording(outputs))
+        assert outputs == [[(0, 1), (1, 0)]] * 3
 
 
 class TestReach:
@@ -193,8 +190,16 @@ class TestEstimatePc:
             inst = tiling_instance(build_ball(3, 7, L), core_radius=0)
             pairs.append((L, bond_thresholds(inst, 100, 42, f"pc-smoke-{L}")))
         # deep supercritical grid: all curves saturated, no sign change
-        with pytest.raises(NoCrossing):
+        with pytest.raises(NoCrossing, match="sizes 4 and 5 do not cross"
+                           r".*difference runs from 1 to 1;"):
             estimate_pc(pairs, np.arange(0.7, 0.96, 0.05), bootstrap_seed=1)
+
+    def test_unstable_bootstrap_names_the_count(self):
+        pairs = [(1, np.array([0.64, 0.27, 0.04])),
+                 (2, np.array([0.02, 0.81, 0.91])),
+                 (3, np.array([0.61, 0.73, 0.54]))]
+        with pytest.raises(NoCrossing, match="87 of 200 resamples cross"):
+            estimate_pc(pairs, np.linspace(0, 1, 11), bootstrap_seed=1)
 
 
 class TestPrimalDualExclusivity:

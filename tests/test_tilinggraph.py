@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from hyperperc.tilinggraph import (
-    NotHyperbolic,
-    TooLarge,
-    build_ball,
-    dual_ball,
-    graph_distance,
-)
+from hyperperc import tilinggraph
+from hyperperc.tilinggraph import NotHyperbolic, TooLarge, build_ball, dual_ball
 
-from oracle_tiling import generate_geometric_ball
+from oracle_tiling import edges_and_dual, generate_geometric_ball
 
 
 class TestBuildBall:
@@ -25,9 +20,23 @@ class TestBuildBall:
         with pytest.raises(NotHyperbolic):
             build_ball(3, 6, 2)
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            build_ball(3, 7, 6, max_vertices=50)
+    def test_too_large(self, monkeypatch):
+        monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 50)
+        with pytest.raises(TooLarge, match=r"budget 50 exceeded: round 2 "
+                           r"of the \{3,7\} ball may need up to 60 vertices"):
+            build_ball(3, 7, 6)
+        assert build_ball(3, 7, 2).n_vertices <= 50
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (7, 3), (4, 5), (5, 4), (3, 8)])
+    def test_budget_bound_never_under_estimates(self, p, q, monkeypatch):
+        # one vertex short of each ball: the check before the last round
+        # must refuse it, or the ball would outgrow the budget unchecked
+        for L in range(2, 6):
+            n = build_ball(p, q, L).n_vertices
+            monkeypatch.setattr(tilinggraph, "MAX_VERTICES", n - 1)
+            with pytest.raises(TooLarge, match=f"round {L - 1} "):
+                build_ball(p, q, L)
+            monkeypatch.undo()
 
     def test_interior_degrees(self):
         b = build_ball(3, 7, 4)
@@ -71,16 +80,12 @@ class TestBuildBall:
         g2_degrees = oracle[2]["degree_histogram"]
         assert sorted(d for _, d in g1.degree()) == g2_degrees
 
-    def test_rotation_system_is_planar_embedding(self):
+    def test_ball_is_planar(self):
         import networkx as nx
 
         b = build_ball(4, 5, 3)
-        g = nx.Graph(b.edges.tolist())
-        is_planar, _ = nx.check_planarity(g)
+        is_planar, _ = nx.check_planarity(nx.Graph(b.edges.tolist()))
         assert is_planar
-        for v in range(b.n_vertices):
-            assert len(b.rotation[v]) == b.degrees[v]
-            assert set(b.rotation[v]) == {int(u) for u in g.neighbors(v)}
 
     def test_boundary_is_simple_cycle(self):
         b = build_ball(3, 7, 4)
@@ -140,7 +145,6 @@ class TestDual:
         interior = d.interior_vertex_mask
         assert interior.any()
         assert np.all(d.degrees[interior] == 3)
-        assert all(len(f) == 7 for f in d.faces)
 
     def test_edge_bijection_involution(self):
         b = build_ball(4, 5, 3)
@@ -159,19 +163,18 @@ class TestDual:
         two_sided = sum(1 for v in edge_face_count.values() if v == 2)
         assert len(d.edges) == two_sided
 
+    @pytest.mark.parametrize("p,q", [(3, 7), (7, 3), (4, 5), (5, 4), (3, 8)])
+    def test_matches_dict_oracle(self, p, q):
+        # same arrays in the same order, so per-dual-edge uniforms stay put
+        for L in range(1, 6):
+            b = build_ball(p, q, L)
+            d = dual_ball(b)
+            edges, dual_edges, primal_edge, dual_edge_of = edges_and_dual(b.faces)
+            assert b.edges.tolist() == [list(e) for e in edges]
+            assert d.edges.tolist() == [list(e) for e in dual_edges]
+            assert d.primal_edge.tolist() == primal_edge
+            assert d.dual_edge_of.tolist() == dual_edge_of
+            assert d.edges.shape == (len(dual_edges), 2)
+            for a in (b.edges, d.edges, d.primal_edge, d.dual_edge_of):
+                assert a.dtype == np.int64
 
-class TestGraphDistance:
-    def test_zero_and_adjacent(self):
-        b = build_ball(3, 7, 3)
-        assert graph_distance(b, 5, 5) == 0
-        u, v = b.edges[0]
-        assert graph_distance(b, int(u), int(v)) == 1
-
-    def test_center_to_boundary_matches_networkx(self):
-        import networkx as nx
-
-        b = build_ball(3, 7, 4)
-        g = nx.Graph(b.edges.tolist())
-        sp = nx.single_source_shortest_path_length(g, 0)
-        for v in b.boundary[:10]:
-            assert graph_distance(b, 0, v) == sp[v]
