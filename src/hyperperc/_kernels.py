@@ -2,43 +2,18 @@
 
 `filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
 2000); the reach thresholds and the phase sweeps are all read from it.
-It is compiled with numba's @njit when available.  Set
-HYPERPERC_BACKEND=numpy to force the uncompiled pure-Python/numpy path
-(the only one without numba); HYPERPERC_BACKEND=numba fails loudly if
-numba is missing.  benchmarks/bench_kernels.py compares the two.
-Cluster labels come from scipy's connected components.
+It is plain Python over numpy arrays.  Cluster labels come from scipy's
+connected components.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.sparse import coo_matrix
 
-_CHOICE = os.environ.get("HYPERPERC_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError("HYPERPERC_BACKEND must be auto, numba or numpy")
-
-if _CHOICE == "numpy":
-    USE_NUMBA = False
-else:
-    try:
-        from numba import njit  # noqa: F401
-
-        USE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        USE_NUMBA = False
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def _maybe_jit(fn):
-    if USE_NUMBA:
-        return njit(cache=True, nogil=True)(fn)
-    return fn
+# perfbench records this in each run's environment and refuses to compare
+# runs whose backends differ; the filtration has one implementation
+BACKEND = "numpy"
 
 
 def _find(parent, i):
@@ -52,10 +27,7 @@ def _find(parent, i):
     return root
 
 
-_find = _maybe_jit(_find)
-
-
-def _filtration_impl(n, eu, ev, order, core, shell, cuts):
+def filtration(n, eu, ev, order, core, shell, cuts):
     """Union-find over edges added in `order`, counting the clusters that
     meet both a core site and a shell site.
 
@@ -108,9 +80,6 @@ def _filtration_impl(n, eu, ev, order, core, shell, cuts):
             counts[cut_order[s]] = both
             start = end
     return first, counts
-
-
-filtration = _maybe_jit(_filtration_impl)
 
 _NO_CUTS = np.zeros(0, dtype=np.int64)
 

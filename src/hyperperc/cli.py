@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,7 +59,12 @@ class ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError (one `error:` line, exit 2);
-    subparsers are built from the same class."""
+    subparsers are built from the same class.  A token made of `-` and a
+    digit or `.` is a value, so `--p -0.1,0.5` reaches the range checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -89,22 +95,39 @@ def serialize_config(cfg: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in sorted(cfg.items()))
 
 
+# the largest grid README or the tests use has 51 points
+MAX_GRID_POINTS = 10**5
+
+
 def parse_grid(s: str) -> list:
-    """`start:stop:step` (inclusive of stop up to rounding) or comma list."""
+    """`start:stop:step` (inclusive of stop up to rounding) or comma list
+    of finite values, 1 to MAX_GRID_POINTS of them; a colon grid's size is
+    checked before it is built."""
     s = s.strip()
+    colon = ":" in s
+    bad = ConfigError(f"bad grid {s!r}: want start:stop:step or a,b,c")
     try:
-        if ":" in s:
-            parts = [float(x) for x in s.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, step = parts
-            if step <= 0 or stop < start:
-                raise ValueError
-            n = int(math.floor((stop - start) / step + 0.5)) + 1
-            return [start + i * step for i in range(n)]
-        return [float(x) for x in s.split(",") if x.strip()]
+        if colon:
+            start, stop, step = parts = [float(x) for x in s.split(":")]
+        else:
+            parts = [float(x) for x in s.split(",") if x.strip()]
     except ValueError:
-        raise ConfigError(f"bad grid {s!r}: want start:stop:step or a,b,c")
+        raise bad
+    if not all(math.isfinite(x) for x in parts):
+        raise ConfigError(f"bad grid {s!r}: values must be finite")
+    if not colon:
+        n = len(parts)
+    elif step <= 0 or stop < start:
+        raise bad
+    else:
+        # capped as a float: a tiny step's count may not even fit an int
+        n = math.floor(min((stop - start) / step, MAX_GRID_POINTS) + 0.5) + 1
+    if n == 0:
+        raise ConfigError(f"bad grid {s!r}: no values")
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"bad grid {s!r}: more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(n)] if colon else parts
 
 
 def parse_int_list(s: str) -> list:
@@ -136,10 +159,10 @@ def _check_radius(name: str, R: float):
             f"{name} must lie in (0, {WORKING_RADIUS:g}], got {R:g}")
 
 
-def _check_p(*values):
-    for p in values:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"--p must lie in [0, 1], got {p:g}")
+def _check_unit(name: str, *values):
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {v:g}")
 
 
 def _layers(values, least: int = 1) -> list:
@@ -336,7 +359,7 @@ def cmd_gen_tiling(args, mapper):
 def cmd_voronoi_sample(args, mapper):
     _check_lambda([args.lam])
     _check_radius("--R", args.R)
-    _check_p(args.p)
+    _check_unit("--p", args.p)
     pts = sample_colored(args.lam, args.p, args.R, args.seed,
                          "voronoi-sample", args.replica)
     atomic_write(args.out, pts.serialize())
@@ -365,7 +388,9 @@ def cmd_densities(args, mapper):
 
 def cmd_phase_sweep(args, mapper):
     p_values = parse_grid(args.p)
-    _check_p(*p_values)
+    _check_unit("--p", *p_values)
+    _check_unit("--unique-threshold", args.unique_threshold)
+    _check_unit("--many-threshold", args.many_threshold)
     rows = []
     if args.pq:
         p, q = parse_pq(args.pq)
@@ -398,7 +423,7 @@ def cmd_phase_sweep(args, mapper):
 def cmd_graph_perc(args, mapper):
     p, q = parse_pq(args.pq)
     p_values = parse_grid(args.p)
-    _check_p(*p_values)
+    _check_unit("--p", *p_values)
     rows = []
     for L in _layers(parse_int_list(args.layers), 2):
         sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
@@ -408,8 +433,9 @@ def cmd_graph_perc(args, mapper):
     return {"rows": len(rows), "p_gon": p, "q_deg": q}
 
 
-def _pc_like(args, mapper, estimator_tiling, estimator_voronoi):
+def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
     p_grid = np.asarray(parse_grid(args.p))
+    _check_unit("--p", *p_grid)
     if len(parse_grid(args.ladder)) < 3:
         raise ConfigError("--ladder needs at least 3 sizes")
     if args.pq:
@@ -417,7 +443,7 @@ def _pc_like(args, mapper, estimator_tiling, estimator_voronoi):
         ladder = _layers(parse_int_list(args.ladder), 2)
         est = estimator_tiling(p, q, ladder, p_grid, args.replicas,
                                args.seed, mapper=mapper)
-        meta = {"model": f"tiling-{args.mode}", "pgon": p, "qdeg": q}
+        meta = {"model": f"tiling-{mode}", "pgon": p, "qdeg": q}
     else:
         lams = parse_grid(args.lam)
         _check_lambda(lams)
@@ -449,7 +475,7 @@ def cmd_pc_estimate(args, mapper):
         return tiling_pc(p, q, ladder, grid, replicas, seed,
                          mode=args.mode, mapper=mapper)
 
-    return _pc_like(args, mapper, tiling_est, voronoi_pc)
+    return _pc_like(args, mapper, tiling_est, voronoi_pc, args.mode)
 
 
 def cmd_pu_estimate(args, mapper):
@@ -464,7 +490,7 @@ def cmd_pu_estimate(args, mapper):
 def cmd_decay(args, mapper):
     p, q = parse_pq(args.pq)
     _layers([args.layers])
-    _check_p(args.p)
+    _check_unit("--p", args.p)
     distances = [int(d) for d in parse_grid(args.distances)]
     ball = build_ball(p, q, args.layers)
     try:
@@ -481,6 +507,8 @@ def cmd_decay(args, mapper):
 
 
 def cmd_render(args, mapper):
+    if args.Rw is not None:
+        _check_radius("--Rw", args.Rw)
     if args.sample:
         try:
             with open(args.sample, encoding="utf-8") as fh:
@@ -495,7 +523,7 @@ def cmd_render(args, mapper):
         p, q = parse_pq(args.pq)
         _layers([args.layers])
         if args.p is not None:
-            _check_p(args.p)
+            _check_unit("--p", args.p)
         ball = build_ball(p, q, args.layers)
         open_edges = (None if args.p is None
                       else bernoulli_bond(ball, args.p, args.seed).open_edges)
@@ -584,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ladder", default="3.5,4.5,5.5",
                         help="window radii or layer counts, ascending")
         sp.add_argument("--p", default="0.04:0.72:0.02", help="p grid")
-        sp.add_argument("--mode", choices=("bond", "site"), default="bond")
+        if name == "pc-estimate":
+            sp.add_argument("--mode", choices=("bond", "site"), default="bond")
         _add_common(sp, out_default=None)
         sp.set_defaults(fn=fn)
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hyperperc import tilinggraph
 from hyperperc.cli import (
+    MAX_GRID_POINTS,
     ConfigError,
     atomic_write,
     classify_phase,
@@ -23,17 +24,31 @@ from hyperperc.cli import (
 )
 from hyperperc.percolation import SweepRow
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _child_env(**extra):
+    """Environment for a child Python that imports this checkout's package."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra,
+                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
 
 class TestGrids:
     def test_colon_grid_inclusive(self):
         g = parse_grid("0.1:0.5:0.1")
         assert g == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
     def test_comma_list(self):
         assert parse_grid("3.5,4.5,5.5") == [3.5, 4.5, 5.5]
 
     def test_bad_grid(self):
-        for s in ("0.5:0.1:0.1", "1:2", "a,b", "0.1:0.5:0"):
+        for s in ("0.5:0.1:0.1", "1:2", "a,b", "0.1:0.5:0",
+                  "0:inf:1", "0:1:inf", "0:nan:1", "0.5,nan", "-inf,1",
+                  ",", "", "0:1:1e-12", "-1e308:1e308:1e-300",
+                  f"1:{MAX_GRID_POINTS + 1}:1"):
             with pytest.raises(ConfigError):
                 parse_grid(s)
 
@@ -155,13 +170,14 @@ class TestDeterminism:
 
 def test_crash_injection_leaves_no_partial_output(tmp_path):
     out = tmp_path / "t.txt"
-    env = dict(os.environ, HYPERPERC_CRASH_AFTER_TEMP="1")
     proc = subprocess.run(
         [sys.executable, "-m", "hyperperc.cli", "gen-tiling",
          "--pq", "3,7", "--L", "2", "-o", str(out)],
-        env=env, capture_output=True,
+        env=_child_env(HYPERPERC_CRASH_AFTER_TEMP="1"), capture_output=True,
     )
-    assert proc.returncode != 0
+    # exit 1 with the temp file left behind: the child reached the hook
+    assert proc.returncode == 1, proc.stderr
+    assert len(list(tmp_path.glob("t.txt.*.tmp"))) == 1
     assert not out.exists()
 
 
@@ -181,14 +197,42 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["decay", "--pq", "3,7", "--L", "3"],
     ["gen-tiling", "--pq", "3,7", "--L", "x"],
     ["no-such-command"],
+    ["pu-estimate", "--pq", "3,7", "--mode", "site", "--ladder", "2,3,4",
+     "--replicas", "5"],
+    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "0:inf:1"],
+    ["pc-estimate", "--lambda", "1", "--ladder", "3,4,5", "--p", ","],
+    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", ","],
+    ["decay", "--pq", "3,7", "--L", "3", "--p", "0.1", "--d", "1:2:inf"],
+    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "0:1:1e-12"],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0.5",
+     "--unique-threshold", "7"],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0.5",
+     "--many-threshold", "-0.5"],
+    ["render", "--sample", "{tmp}/empty-sample.txt", "--Rw", "-3"],
+    ["pc-estimate", "--pq", "3,7", "--ladder", "2,3,4",
+     "--p", "0.5:1.5:0.1", "--replicas", "5"],
+    ["pu-estimate", "--pq", "3,7", "--ladder", "2,3,4",
+     "--p", "0.5:1.5:0.1", "--replicas", "5"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")
+    (tmp_path / "empty-sample.txt").write_text(
+        "#hpp v1 lambda=1 p=0.5 R=6 seed=0\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["-0.1,0.5", "-0.1:0.5:0.1"])
+def test_negative_p_reaches_the_range_check(grid, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["graph-perc", "--pq", "3,7", "--L", "3", "--p", grid,
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --p must lie in [0, 1], got -0.1"]
+    assert not out.exists()
 
 
 def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
@@ -240,10 +284,10 @@ def test_runs_without_networkx_and_numba(tmp_path):
         "sys.exit(main(['gen-tiling', '--pq', '3,7', '--L', '3',\n"
         "               '-o', sys.argv[1]]))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "HYPERPERC_BACKEND"}
     out = tmp_path / "t.txt"
-    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("#pq v1 p=3 q=7 L=3")
 
