@@ -84,10 +84,11 @@ def filtration(n, eu, ev, order, core, shell, cuts):
 _NO_CUTS = np.zeros(0, dtype=np.int64)
 
 
-def bond_reach_threshold(n, eu, ev, uniforms, order, core, shell):
+def bond_reach_threshold(n, eu, ev, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
-    edges open in `order` (increasing uniforms): 0.0 if core and shell
-    already share a site, 2.0 if they never join."""
+    edges open in increasing uniforms: 0.0 if core and shell already
+    share a site, 2.0 if they never join."""
+    order = np.argsort(uniforms)
     first, _ = filtration(n, eu, ev, order, core, shell, _NO_CUTS)
     if first < 0:
         return 0.0
@@ -97,14 +98,20 @@ def bond_reach_threshold(n, eu, ev, uniforms, order, core, shell):
 
 
 def site_reach_threshold(n, eu, ev, uniforms, core, shell):
-    """Site version of the reach threshold, for disjoint core and shell.
+    """Level at which some core site first joins some shell site when
+    sites open in increasing uniforms, 2.0 if they never join.
 
-    An edge is usable once both of its ends are open, so this is the bond
-    threshold on the edge levels max(u_a, u_b).
+    A site in both core and shell reaches as soon as it opens.  The other
+    core sites reach through edges, which are usable once both of their
+    ends are open: the bond threshold on the edge levels max(u_a, u_b).
     """
-    levels = np.maximum(uniforms[eu], uniforms[ev])
-    return bond_reach_threshold(n, eu, ev, levels, np.argsort(levels),
-                                core, shell)
+    both = core & shell
+    best = float(uniforms[both].min()) if both.any() else 2.0
+    rest = core & ~shell
+    if rest.any():
+        levels = np.maximum(uniforms[eu], uniforms[ev])
+        best = min(best, bond_reach_threshold(n, eu, ev, levels, rest, shell))
+    return best
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

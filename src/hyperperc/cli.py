@@ -29,7 +29,7 @@ import numpy as np
 from . import svg
 from .densities import OriginNotInterior, density_experiment
 from .hypgeo import WORKING_RADIUS
-from .hypvoronoi import Window, delaunay
+from .hypvoronoi import DegenerateInput, Window, delaunay
 from .percolation import (
     InsufficientData,
     NoCrossing,
@@ -163,6 +163,15 @@ def _check_unit(name: str, *values):
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {v:g}")
+
+
+def _ladder(values, text: str) -> list:
+    """At least 3 strictly increasing sizes."""
+    if len(values) < 3:
+        raise ConfigError("--ladder needs at least 3 sizes")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"--ladder must be strictly increasing, got {text!r}")
+    return values
 
 
 def _layers(values, least: int = 1) -> list:
@@ -360,6 +369,8 @@ def cmd_voronoi_sample(args, mapper):
     _check_lambda([args.lam])
     _check_radius("--R", args.R)
     _check_unit("--p", args.p)
+    if args.replica < 0:
+        raise ConfigError(f"--replica must be non-negative, got {args.replica}")
     pts = sample_colored(args.lam, args.p, args.R, args.seed,
                          "voronoi-sample", args.replica)
     atomic_write(args.out, pts.serialize())
@@ -375,7 +386,7 @@ def cmd_densities(args, mapper):
         raise ConfigError("window radius must satisfy 0 < Rw < R")
     window = Window(R_sample=args.R, R_window=Rw)
     est = density_experiment(args.lam, window, args.replicas, args.seed)
-    est.validate(max_sigma=4.0)
+    est.validate()
     atomic_write(args.out, est.to_csv())
     return {
         "DV": est.D_V_hat, "DV_se": est.D_V_se, "DE": est.D_E_hat,
@@ -436,18 +447,22 @@ def cmd_graph_perc(args, mapper):
 def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
     p_grid = np.asarray(parse_grid(args.p))
     _check_unit("--p", *p_grid)
-    if len(parse_grid(args.ladder)) < 3:
-        raise ConfigError("--ladder needs at least 3 sizes")
     if args.pq:
         p, q = parse_pq(args.pq)
-        ladder = _layers(parse_int_list(args.ladder), 2)
+        try:
+            ladder = parse_int_list(args.ladder)
+        except ConfigError:
+            raise ConfigError(
+                f"a tiling's --ladder takes integer layer counts, e.g. 5,6,7; "
+                f"got {args.ladder!r}")
+        ladder = _layers(_ladder(ladder, args.ladder), 2)
         est = estimator_tiling(p, q, ladder, p_grid, args.replicas,
                                args.seed, mapper=mapper)
         meta = {"model": f"tiling-{mode}", "pgon": p, "qdeg": q}
     else:
         lams = parse_grid(args.lam)
         _check_lambda(lams)
-        ladder = _window_ladder(parse_grid(args.ladder))
+        ladder = _window_ladder(_ladder(parse_grid(args.ladder), args.ladder))
         if len(lams) > 1:
             rows = estimate_pc_curve(lams, ladder, p_grid, args.replicas,
                                      args.seed, mapper=mapper)
@@ -491,7 +506,11 @@ def cmd_decay(args, mapper):
     p, q = parse_pq(args.pq)
     _layers([args.layers])
     _check_unit("--p", args.p)
-    distances = [int(d) for d in parse_grid(args.distances)]
+    distances = parse_grid(args.distances)
+    if any(d != int(d) for d in distances):
+        raise ConfigError(
+            f"--d takes integer distances, got {args.distances!r}")
+    distances = [int(d) for d in distances]
     ball = build_ball(p, q, args.layers)
     try:
         fit = connectivity_decay(ball, args.p, distances, args.replicas,
@@ -610,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lambda or lambda grid (voronoi)")
         sp.add_argument("--pq", default=None, help="tiling instead of voronoi")
         sp.add_argument("--ladder", default="3.5,4.5,5.5",
-                        help="window radii or layer counts, ascending")
+                        help="window radii, or a tiling's integer layer "
+                             "counts, strictly increasing")
         sp.add_argument("--p", default="0.04:0.72:0.02", help="p grid")
         if name == "pc-estimate":
             sp.add_argument("--mode", choices=("bond", "site"), default="bond")
@@ -690,7 +710,7 @@ def main(argv=None) -> int:
                       and v is not None}
             write_summary(args.json, config, results, wall)
         return 0
-    except (ConfigError, TooLarge) as e:
+    except (ConfigError, TooLarge, DegenerateInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NoCrossing, InsufficientData, OriginNotInterior,

@@ -41,7 +41,6 @@ class DensityEstimate:
     D_F_count_se: float
     D_F_hat_inverse_area: float
     D_F_inv_se: float
-    A_o_samples: list
     euler: float               # 2*pi*(D_F - D_E + D_V): exactly -1 for any lam
     euler_se: float
     seed: int = 0
@@ -51,9 +50,10 @@ class DensityEstimate:
         se = math.hypot(self.D_F_count_se, self.D_F_inv_se)
         return abs(self.D_F_hat_count - self.D_F_hat_inverse_area) / se
 
-    def validate(self, max_sigma: float = 4.0) -> None:
+    def validate(self) -> None:
+        """Raise when the two face-density estimators differ by over 4 sigma."""
         s = self.cross_check_sigma()
-        if s > max_sigma:
+        if s > 4.0:
             raise RuntimeError(
                 f"face-density estimators disagree by {s:.1f} sigma"
             )
@@ -134,7 +134,6 @@ def estimate_densities(complexes, window: Window, lam: float,
         D_F_count_se=se(df),
         D_F_hat_inverse_area=float(inv_a.mean()),
         D_F_inv_se=se(inv_a),
-        A_o_samples=(1.0 / inv_a).tolist(),
         euler=float(euler_per_rep.mean()),
         euler_se=se(euler_per_rep),
         seed=seed,
@@ -142,13 +141,12 @@ def estimate_densities(complexes, window: Window, lam: float,
 
 
 def density_experiment(lam: float, window: Window, replicas: int,
-                       master_seed: int,
-                       experiment: str = "densities") -> DensityEstimate:
+                       master_seed: int) -> DensityEstimate:
     """Sample `replicas` tessellations and estimate their densities."""
 
     complexes = (
         delaunay(sample_colored(lam, 1.0, window.R_sample, master_seed,
-                                f"{experiment}-lam{lam:g}", rep))
+                                f"densities-lam{lam:g}", rep))
         for rep in range(replicas)
     )
     return estimate_densities(complexes, window, lam, seed=master_seed)

@@ -1,8 +1,21 @@
-"""Small shared graph helpers: CSR adjacency and BFS distances."""
+"""Small shared graph helpers: edge keys, CSR adjacency and BFS distances."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def side_keys(faces, n: int) -> np.ndarray:
+    """Key min*n + max of each face side, face by face, side by side."""
+    f = np.asarray(faces, dtype=np.int64)
+    g = np.roll(f, -1, axis=1)
+    return (np.minimum(f, g) * n + np.maximum(f, g)).ravel()
+
+
+def edges_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The distinct edges (u, v), u < v, of edge keys; sorted keys are the
+    pairs in lexicographic order."""
+    return np.stack(np.divmod(np.unique(keys), n), axis=1)
 
 
 def csr_adjacency(n: int, edges: np.ndarray):

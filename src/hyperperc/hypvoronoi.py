@@ -9,12 +9,12 @@ circumcenters of the kept faces.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
+from .graphs import edges_of_keys, side_keys
 from .hypgeo import GeodesicPolygon, HPoint, circumcenters_arrays
 from .pointprocess import ColoredPointSet
 
@@ -38,13 +38,10 @@ class Window:
         if not 0 < self.R_window < self.R_sample:
             raise ValueError("need 0 < R_window < R_sample")
 
-    @property
-    def margin(self) -> float:
-        return self.R_sample - self.R_window
-
     @staticmethod
-    def with_margin(R_window: float, margin: float = 2.0) -> "Window":
-        return Window(R_window + margin, R_window)
+    def with_margin(R_window: float) -> "Window":
+        """Sampling ball 2 beyond the window."""
+        return Window(R_window + 2.0, R_window)
 
 
 @dataclass
@@ -64,55 +61,29 @@ class VoronoiComplex:
     def n_nuclei(self) -> int:
         return len(self.points)
 
-    @property
-    def n_voronoi_vertices(self) -> int:
-        return len(self.vor_rho)
-
     def cell_faces(self, i: int) -> np.ndarray:
         """Indices of the kept faces incident to nucleus i, ascending."""
         return self.face_of[self.face_ptr[i]:self.face_ptr[i + 1]]
 
-    def voronoi_vertex(self, j: int) -> HPoint:
-        return HPoint(float(self.vor_rho[j]), float(self.vor_theta[j]))
 
-    def serialize(self) -> str:
-        buf = io.StringIO()
-        buf.write(
-            "#hvc v1 n=%d edges=%d vverts=%d\n"
-            % (self.n_nuclei, len(self.delaunay_edges), self.n_voronoi_vertices)
-        )
-        buf.write("NUCLEI\n")
-        buf.write(self.points.serialize())
-        buf.write("DELAUNAY_EDGES\n")
-        for u, v in self.delaunay_edges:
-            buf.write(f"{u} {v}\n")
-        buf.write("VORONOI_VERTICES\n")
-        for j in range(self.n_voronoi_vertices):
-            a, b, c = self.faces[j]
-            buf.write(
-                "%.17g %.17g %d %d %d\n"
-                % (self.vor_rho[j], self.vor_theta[j], a, b, c)
-            )
-        return buf.getvalue()
-
-
-def delaunay(points: ColoredPointSet, window: Window | None = None) -> VoronoiComplex:
+def delaunay(points: ColoredPointSet) -> VoronoiComplex:
     """Build the hyperbolic Delaunay/Voronoi complex of a colored sample.
 
     A nucleus is interior when all its incident Voronoi vertices exist
     (no incident face was filtered, nucleus off the Euclidean hull) and
-    lie within R_sample - 1 of the origin.
+    lie within points.R - 1 of the origin.
     """
     n = len(points)
     if n < 3:
-        raise DegenerateInput("need at least 3 nuclei")
+        raise DegenerateInput(
+            f"need at least 3 nuclei, got {n} at lambda={points.lam:g} in "
+            f"a ball of radius R={points.R:g}")
     xy = points.disk_xy
     # exact duplicates break the empty-disk property
     order = np.lexsort((xy[:, 1], xy[:, 0]))
     s = xy[order]
     if np.any(np.all(s[1:] == s[:-1], axis=1)):
         raise DegenerateInput("duplicate nuclei")
-    R_sample = points.R if window is None else window.R_sample
 
     tri = _EuclideanDelaunay(xy)  # Qhull; cocircular ties broken by joggle-free merge
     simplices = tri.simplices
@@ -136,13 +107,7 @@ def delaunay(points: ColoredPointSet, window: Window | None = None) -> VoronoiCo
     faces = faces.astype(np.int64)
     corners = faces.ravel()
 
-    # edge (u, v), u < v, as the key u*n + v: sorted keys are the pairs in
-    # lexicographic order
-    ends = np.sort(faces, axis=1)
-    keys = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1],
-                                     ends[:, 1] * n + ends[:, 2],
-                                     ends[:, 0] * n + ends[:, 2]]))
-    edges = np.column_stack([keys // n, keys % n])
+    edges = edges_of_keys(side_keys(faces, n), n)
 
     # face incidence as CSR; the stable sort keeps each nucleus's faces ascending
     star_kept = np.bincount(corners, minlength=n)
@@ -158,7 +123,7 @@ def delaunay(points: ColoredPointSet, window: Window | None = None) -> VoronoiCo
     interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
     vmax = np.zeros(n)
     np.maximum.at(vmax, corners, np.repeat(vr, 3))
-    interior &= vmax <= R_sample - 1.0
+    interior &= vmax <= points.R - 1.0
 
     return VoronoiComplex(
         points=points,

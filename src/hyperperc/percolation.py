@@ -59,34 +59,12 @@ class BondConfig:
             raise ValueError("open_edges length must match host edge count")
 
 
-@dataclass
-class SiteConfig:
-    """One realization of Bernoulli site percolation."""
-
-    host: object
-    open_sites: np.ndarray     # bool per vertex
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if len(self.open_sites) != self.host.n_vertices:
-            raise ValueError("open_sites length must match host vertex count")
-
-
 def bernoulli_bond(host, p: float, seed: int, experiment: str = "bond",
                    replica: int = 0) -> BondConfig:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = replica_rng(seed, experiment, replica)
     return BondConfig(host, rng.random(len(host.edges)) < p, p, seed)
-
-
-def bernoulli_site(host, p: float, seed: int, experiment: str = "site",
-                   replica: int = 0) -> SiteConfig:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    rng = replica_rng(seed, experiment, replica)
-    return SiteConfig(host, rng.random(host.n_vertices) < p, p, seed)
 
 
 def dual_config(c: BondConfig, dual: DualBall | None = None) -> BondConfig:
@@ -182,29 +160,24 @@ class PercInstance:
             raise ValueError("core and shell must be nonempty")
 
 
-def tiling_instance(ball, core_radius: int | None = 2,
-                    center: int = 0) -> PercInstance:
+def tiling_instance(ball, core_radius: int) -> PercInstance:
     """Core/shell instance on a TilingBall or DualBall.
 
-    The shell is the set of combinatorially incomplete vertices (degree
-    below the regular value).  core_radius=None scales the core with the
-    ball: radius = eccentricity // 2 (used for crossing estimators).
+    The core is the complete vertices within graph distance core_radius
+    of vertex 0; the shell is the set of combinatorially incomplete
+    vertices (degree below the regular value).
     """
-    dist = bfs_distances(ball.n_vertices, ball.edges, center)
+    dist = bfs_distances(ball.n_vertices, ball.edges, 0)
     shell = ~ball.interior_vertex_mask
-    if core_radius is None:
-        core_radius = max(1, int(dist[dist >= 0].max()) // 2)
     core = (dist >= 0) & (dist <= core_radius) & ~shell
     return PercInstance(ball.n_vertices, ball.edges, core, shell)
 
 
-def voronoi_instance(V, R_window: float, r_core: float = 0.0) -> PercInstance:
-    """Core/shell instance on a Voronoi complex.
-
-    r_core=0 keeps only the cell containing the origin.
-    """
+def voronoi_instance(V, R_window: float) -> PercInstance:
+    """Core/shell instance on a Voronoi complex: the core is the cells
+    meeting the ball of radius 2 that do not touch the shell."""
     shell = shell_cell_mask(V, R_window)
-    core = core_cell_mask(V, r_core) & ~shell
+    core = core_cell_mask(V, 2.0) & ~shell
     return PercInstance(V.n_nuclei, V.delaunay_edges, core, shell)
 
 
@@ -225,9 +198,7 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(len(eu))
-        return bond_reach_threshold(
-            inst.n, eu, ev, u, np.argsort(u), inst.core, inst.shell
-        )
+        return bond_reach_threshold(inst.n, eu, ev, u, inst.core, inst.shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -264,29 +235,21 @@ def _voronoi_replica(lam: float, window: Window, master_seed: int,
 
 
 def voronoi_threshold(lam: float, window: Window, master_seed: int,
-                      experiment: str, replica: int,
-                      r_core: float = 0.0) -> float:
-    """One replica of the white-reach threshold for Voronoi percolation."""
+                      experiment: str, replica: int) -> float:
+    """One replica of the level at which the cell containing the origin
+    first joins the shell through white cells."""
     V, u = _voronoi_replica(lam, window, master_seed, experiment, replica)
     shell = shell_cell_mask(V, window.R_window)
-    core = core_cell_mask(V, r_core)
-    # a core cell already touching the shell reaches as soon as it is white
-    overlap = core & shell
-    best = float(u[overlap].min()) if overlap.any() else 2.0
-    core &= ~shell
-    if core.any():
-        inst = PercInstance(V.n_nuclei, V.delaunay_edges, core, shell)
-        eu, ev = _endpoints(inst.edges)
-        t = float(site_reach_threshold(inst.n, eu, ev, u, core, shell))
-        best = min(best, t)
-    return best
+    core = core_cell_mask(V, 0.0)
+    eu, ev = _endpoints(V.delaunay_edges)
+    return float(site_reach_threshold(V.n_nuclei, eu, ev, u, core, shell))
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,
                        master_seed: int, experiment: str,
-                       r_core: float = 0.0, mapper=map) -> np.ndarray:
+                       mapper=map) -> np.ndarray:
     def one(rep):
-        return voronoi_threshold(lam, window, master_seed, experiment, rep, r_core)
+        return voronoi_threshold(lam, window, master_seed, experiment, rep)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -306,13 +269,6 @@ def wilson_interval(k: int, n: int, z: float = 1.96):
     center = (ph + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n))
     return ph, max(0.0, center - half), min(1.0, center + half)
-
-
-def reach_probability(thresholds: np.ndarray, p: float):
-    """Reach frequency at level p with a Wilson confidence interval."""
-    n = len(thresholds)
-    k = int(np.count_nonzero(np.asarray(thresholds) <= p))
-    return wilson_interval(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +306,10 @@ def _crossing(curve_small, curve_large, p_grid):
     return None
 
 
-def estimate_pc(thresholds_by_size, p_grid, n_bootstrap: int = 200,
+BOOTSTRAP_RESAMPLES = 200
+
+
+def estimate_pc(thresholds_by_size, p_grid,
                 bootstrap_seed: int = 0) -> PcEstimate:
     """Critical level from crossings of size-weighted reach curves.
 
@@ -386,15 +345,15 @@ def estimate_pc(thresholds_by_size, p_grid, n_bootstrap: int = 200,
 
     rng = np.random.default_rng(bootstrap_seed)
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         resampled = [t[rng.integers(0, len(t), len(t))] for t in samples]
         cs = crossings_of([reach_curve(t, p_grid) for t in resampled])
         if None not in cs:
             boots.append(np.median(cs))
-    if len(boots) < n_bootstrap // 2:
+    if len(boots) < BOOTSTRAP_RESAMPLES // 2:
         raise NoCrossing(
             "crossing unstable under bootstrap resampling: "
-            f"{len(boots)} of {n_bootstrap} resamples cross"
+            f"{len(boots)} of {BOOTSTRAP_RESAMPLES} resamples cross"
         )
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return PcEstimate(
@@ -570,13 +529,14 @@ def _pass_counts(inst: PercInstance, eu, ev, levels, p, reverse: bool):
 
 def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
                            replicas: int, master_seed: int,
-                           core_radius: int = 2, mapper=map) -> SweepResult:
+                           mapper=map) -> SweepResult:
     """Bond percolation sweep on one {p,q} ball with coupled uniforms per
-    replica: an edge is open at p iff u < p, its dual edge iff u >= p."""
+    replica: an edge is open at p iff u < p, its dual edge iff u >= p.
+    Both cores have radius 2."""
     ball = build_ball(p_gon, q_deg, layers)
     dual = dual_ball(ball)
-    inst = tiling_instance(ball, core_radius)
-    dinst = tiling_instance(dual, core_radius)
+    inst = tiling_instance(ball, 2)
+    dinst = tiling_instance(dual, 2)
     eu, ev = _endpoints(inst.edges)
     deu, dev = _endpoints(dinst.edges)
     p = np.asarray(p_values, dtype=float)
@@ -597,7 +557,7 @@ def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
 
 def voronoi_signature_sweep(lam: float, p_values, window: Window,
                             replicas: int, master_seed: int,
-                            r_core: float = 2.0, mapper=map) -> SweepResult:
+                            mapper=map) -> SweepResult:
     """Color percolation sweep over Voronoi replicas with coupled uniforms:
     a cell is white at p iff u < p, so an edge joins two white cells iff
     max(u_a, u_b) < p and two black cells iff min(u_a, u_b) >= p."""
@@ -606,7 +566,7 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
 
     def one(rep):
         V, u = _voronoi_replica(lam, window, master_seed, tag, rep)
-        inst = voronoi_instance(V, window.R_window, r_core)
+        inst = voronoi_instance(V, window.R_window)
         eu, ev = _endpoints(inst.edges)
         kw = _pass_counts(inst, eu, ev, np.maximum(u[eu], u[ev]), p,
                           reverse=False)
@@ -636,19 +596,21 @@ class DecayFit:
     r_squared: float
 
 
+DECAY_TARGETS = 8
+
+
 def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
-                       master_seed: int, targets_per_distance: int = 8,
-                       center: int = 0, mapper=map) -> DecayFit:
+                       master_seed: int, mapper=map) -> DecayFit:
     """Two-point connectivity tau_hat(d) and its exponential-decay fit.
 
-    Edges are sampled lazily while exploring the open cluster of the
-    center, so subcritical replicas cost only the cluster size.  For each
-    d, up to targets_per_distance vertices at graph distance d serve as
+    Edges are sampled lazily while exploring the open cluster of vertex 0
+    (the center), so subcritical replicas cost only the cluster size.
+    For each d, up to DECAY_TARGETS vertices at graph distance d serve as
     endpoints; the fit regresses log tau_hat on d over positive entries.
     A d with no vertex raises ValueError before any replica runs.
     """
     distances = np.asarray(sorted(set(int(d) for d in distances)))
-    dist = bfs_distances(ball.n_vertices, ball.edges, center)
+    dist = bfs_distances(ball.n_vertices, ball.edges, 0)
     far = int(dist.max())
     targets = []
     for d in distances:
@@ -656,7 +618,7 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
         if len(cand) == 0:
             raise ValueError(f"no vertex at distance {d} from the center: "
                              f"{far} is the largest distance in this ball")
-        targets.append(cand[:targets_per_distance])
+        targets.append(cand[:DECAY_TARGETS])
 
     indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
     tag = f"decay-{ball.p_gon}-{ball.q_deg}-p{p:g}"
@@ -664,8 +626,8 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
         edge_state = {}
-        visited = {center}
-        stack = [center]
+        visited = {0}
+        stack = [0]
         while stack:
             v = stack.pop()
             for j in range(indptr[v], indptr[v + 1]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import WORKING_RADIUS, CapExceeded, HPoint, ball_area
+from .hypgeo import WORKING_RADIUS, CapExceeded, ball_area
 
 
 def _experiment_tag(experiment: str) -> int:
@@ -59,10 +59,6 @@ class ColoredPointSet:
 
     def __len__(self) -> int:
         return len(self.rho)
-
-    @property
-    def points(self) -> list:
-        return [HPoint(float(r), float(t)) for r, t in zip(self.rho, self.theta)]
 
     @property
     def disk_xy(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""SVG 1.1 rendering: tessellations in the Poincare disk and phase tables.
+"""SVG 1.1 rendering of tessellations in the Poincare disk, 600 px square.
 
 Geodesic edges are drawn as circular arcs orthogonal to the unit circle.
 Unbounded Voronoi cells are closed off through the ideal endpoints of
@@ -25,7 +25,7 @@ _PALETTE = (
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    'width="{s}" height="{s}" viewBox="-1.05 -1.05 2.1 2.1">\n'
+    'width="600" height="600" viewBox="-1.05 -1.05 2.1 2.1">\n'
 )
 
 _DISK = ('<circle cx="0" cy="0" r="1" fill="none" stroke="#000" '
@@ -73,8 +73,8 @@ def _polygon_d(zs) -> str:
     return " ".join(parts)
 
 
-def document(body: str, size: int = 600) -> str:
-    return _HEADER.format(s=size) + _DISK + body + "</svg>\n"
+def document(body: str) -> str:
+    return _HEADER + _DISK + body + "</svg>\n"
 
 
 def _bisector_ideal_point(zi: complex, zj: complex, toward: complex) -> complex:
@@ -128,12 +128,12 @@ def _cell_outline(V: VoronoiComplex, i: int) -> list:
     return verts
 
 
-def render_voronoi(V: VoronoiComplex | None, R_window: float | None = None,
-                   size: int = 600) -> str:
+def render_voronoi(V: VoronoiComplex | None,
+                   R_window: float | None = None) -> str:
     """Tessellation picture: white/black cell fills, boundary-reaching
     monochromatic clusters stroked in distinct colors."""
     if V is None or V.n_nuclei < 3:
-        return document("", size)
+        return document("")
     if R_window is None:
         R_window = V.points.R - 2.0
     shell = shell_cell_mask(V, R_window)
@@ -163,7 +163,7 @@ def render_voronoi(V: VoronoiComplex | None, R_window: float | None = None,
             f'<path d="{_polygon_d(outline)}" fill="{fill}" '
             f'stroke="{sc}" stroke-width="{sw}"/>\n'
         )
-    return document("".join(body), size)
+    return document("".join(body))
 
 
 def tiling_layout(ball) -> dict:
@@ -210,7 +210,7 @@ def tiling_layout(ball) -> dict:
     return coords
 
 
-def render_tiling(ball, open_edges=None, size: int = 600) -> str:
+def render_tiling(ball, open_edges=None) -> str:
     """Edge drawing of a tiling ball; open edges (if given) drawn bold."""
     coords = tiling_layout(ball)
     body = []
@@ -224,31 +224,4 @@ def render_tiling(ball, open_edges=None, size: int = 600) -> str:
         else:
             style = 'stroke="#cccccc" stroke-width="0.002"'
         body.append(f'<path d="{d}" fill="none" {style}/>\n')
-    return document("".join(body), size)
-
-
-_PHASE_FILL = {
-    "W-unique": "#ffffff",
-    "B-unique": "#404040",
-    "both-many": "#d62728",
-    "subcritical-ambiguous": "#9a9a9a",
-}
-
-
-def render_phase_table(rows, size: int = 600) -> str:
-    """Scatter grid of phase labels over (p, second parameter) points."""
-    if not rows:
-        return document("", size)
-    ps = sorted({r["p"] for r in rows})
-    ys = sorted({r["y"] for r in rows})
-    body = []
-    for r in rows:
-        px = -0.9 + 1.8 * ps.index(r["p"]) / max(len(ps) - 1, 1)
-        py = 0.9 - 1.8 * ys.index(r["y"]) / max(len(ys) - 1, 1)
-        fill = _PHASE_FILL.get(r["label"], "#ffb000")
-        body.append(
-            f'<rect x="{_fmt(px - 0.04)}" y="{_fmt(py - 0.04)}" '
-            f'width="0.08" height="0.08" fill="{fill}" '
-            'stroke="#000" stroke-width="0.002"/>\n'
-        )
-    return document("".join(body), size)
+    return document("".join(body))

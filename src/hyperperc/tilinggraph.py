@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import edges_of_keys, side_keys
+
 # Vertex budget of build_ball, checked before each round allocates.
 MAX_VERTICES = 10**7
 
@@ -188,24 +190,16 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
             boundary.append(v)
             v = nxt[v]
 
-    keys = np.unique(_side_keys(faces, n))
     return TilingBall(
         p_gon=p,
         q_deg=q,
         layers=layers,
         n_vertices=n,
-        edges=np.stack(np.divmod(keys, n), axis=1),
+        edges=edges_of_keys(side_keys(faces, n), n),
         faces=faces,
         boundary=boundary,
         vertex_layer=np.array(vertex_layer, dtype=np.int64),
     )
-
-
-def _side_keys(faces, n):
-    """Key min*n + max of each face side, face by face, side by side."""
-    f = np.array(faces, dtype=np.int64)
-    g = np.roll(f, -1, axis=1)
-    return (np.minimum(f, g) * n + np.maximum(f, g)).ravel()
 
 
 def dual_ball(ball: TilingBall) -> DualBall:
@@ -215,7 +209,7 @@ def dual_ball(ball: TilingBall) -> DualBall:
     joins the two faces of an edge whose key occurs twice; dual edges are
     numbered in the order their primal edges first occur in the faces.
     """
-    keys = _side_keys(ball.faces, ball.n_vertices)
+    keys = side_keys(ball.faces, ball.n_vertices)
     _, first, edge_of = np.unique(keys, return_index=True, return_inverse=True)
     second = np.flatnonzero(first[edge_of] != np.arange(len(keys)))
     second = second[np.argsort(first[edge_of[second]])]

@@ -156,7 +156,7 @@ def test_criterion_3_density_identities(capfd):
 
 def test_criterion_4_half_is_critical(capfd):
     sw = voronoi_signature_sweep(1.0, [0.5], Window.with_margin(6.0), 200,
-                                 SEED, r_core=2.0, mapper=MAPPER)
+                                 SEED, mapper=MAPPER)
     r = sw.rows[0]
     report("criterion-4 half-critical", [
         (r.theta >= 0.9, f"white reach {r.theta:.3f} >= 0.9"),

@@ -213,6 +213,14 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
      "--p", "0.5:1.5:0.1", "--replicas", "5"],
     ["pu-estimate", "--pq", "3,7", "--ladder", "2,3,4",
      "--p", "0.5:1.5:0.1", "--replicas", "5"],
+    ["densities", "--lambda", "0.01", "--R", "3", "--replicas", "2"],
+    ["pc-estimate", "--lambda", "0.001", "--ladder", "1,2,3",
+     "--replicas", "3"],
+    ["voronoi-sample", "--lambda", "1", "--replica", "-1"],
+    ["pc-estimate", "--lambda", "1", "--ladder", "5.5,4.5,3.5"],
+    ["pc-estimate", "--pq", "3,7", "--ladder", "6,5,4"],
+    ["decay", "--pq", "3,7", "--L", "6", "--p", "0.15", "--d", "0:3:0.5"],
+    ["pc-estimate", "--pq", "3,7"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")
@@ -233,6 +241,19 @@ def test_negative_p_reaches_the_range_check(grid, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: --p must lie in [0, 1], got -0.1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["densities", "--lambda", "0.01", "--R", "3", "--replicas", "2"],
+     "error: need at least 3 nuclei, got 0 at lambda=0.01 in a ball of "
+     "radius R=3"),
+    (["pc-estimate", "--pq", "3,7"],
+     "error: a tiling's --ladder takes integer layer counts, e.g. 5,6,7; "
+     "got '3.5,4.5,5.5'"),
+], ids=["too-few-nuclei", "tiling-ladder"])
+def test_error_names_the_cause(argv, message, tmp_path, capsys):
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -52,7 +52,7 @@ class TestEstimates:
     def test_face_density_both_estimators(self, est):
         assert abs(est.D_F_hat_count - 1.0) < 4 * est.D_F_count_se
         assert abs(est.D_F_hat_inverse_area - 1.0) < 4 * est.D_F_inv_se
-        est.validate(max_sigma=4.0)
+        est.validate()
 
     def test_euler_combination(self, est):
         assert abs(est.euler - (-1.0)) < 4 * est.euler_se

@@ -73,7 +73,7 @@ class TestWindow:
     def test_margin(self):
         w = Window.with_margin(5.0)
         assert w.R_sample == 7.0
-        assert w.margin == 2.0
+        assert w.R_window == 5.0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ class TestDelaunayConstruction:
 
     def test_symmetric_triple(self):
         V = delaunay(triple_points())
-        assert V.n_voronoi_vertices == 1
+        assert len(V.vor_rho) == 1
         assert len(V.delaunay_edges) == 3
         # equidistant from all three, so the single Voronoi vertex is the origin
         assert V.vor_rho[0] < 1e-9
@@ -123,11 +123,11 @@ class TestDelaunayConstruction:
     def test_empty_circumdisk_invariant(self, replica):
         pts = sample_colored(1.0, 0.5, 4.0, 23, "voronoi-mid", replica)
         V = delaunay(pts)
-        assert V.n_voronoi_vertices > 0
-        for j in range(V.n_voronoi_vertices):
-            c = V.voronoi_vertex(j)
+        assert len(V.vor_rho) > 0
+        for j in range(len(V.vor_rho)):
             d_all = dist_arrays(
-                np.full(len(pts), c.rho), np.full(len(pts), c.theta),
+                np.full(len(pts), V.vor_rho[j]),
+                np.full(len(pts), V.vor_theta[j]),
                 pts.rho, pts.theta,
             )
             r_face = d_all[V.faces[j]]
@@ -278,7 +278,7 @@ class TestCoreShell:
         pts = sample_colored(1.0, 0.5, 5.0, 59, "voronoi-core", 1)
         V = delaunay(pts)
         want = pts.rho <= r_core
-        for j in range(V.n_voronoi_vertices):
+        for j in range(len(V.vor_rho)):
             if V.vor_rho[j] <= r_core:
                 for v in V.faces[j]:
                     want[int(v)] = True
@@ -300,21 +300,3 @@ class TestCoreShell:
         core = core_cell_mask(V, 1.0)
         assert not (core & shell).any()
 
-
-class TestSerialization:
-    def test_sections_and_counts(self):
-        V = delaunay(sample_colored(1.0, 0.5, 4.0, 61, "voronoi-ser", 0))
-        text = V.serialize()
-        lines = text.splitlines()
-        assert lines[0].startswith("#hvc v1 ")
-        assert "NUCLEI" in lines
-        assert "DELAUNAY_EDGES" in lines
-        assert "VORONOI_VERTICES" in lines
-        kv = dict(item.split("=") for item in lines[0][len("#hvc v1 ") :].split())
-        assert int(kv["edges"]) == len(V.delaunay_edges)
-        assert int(kv["vverts"]) == V.n_voronoi_vertices
-
-    def test_deterministic(self):
-        a = delaunay(sample_colored(1.0, 0.5, 4.0, 61, "voronoi-ser", 0)).serialize()
-        b = delaunay(sample_colored(1.0, 0.5, 4.0, 61, "voronoi-ser", 0)).serialize()
-        assert a == b

@@ -77,7 +77,7 @@ class TestFiltration:
             if (core & shell).any():
                 assert first == -1
                 assert K.bond_reach_threshold(
-                    n, eu, ev, levels, o, core, shell) == 0.0
+                    n, eu, ev, levels, core, shell) == 0.0
 
     def test_path_by_hand(self):
         # a path 0-1-2-3 with the core at 0 and the shell at 3; the edge
@@ -121,12 +121,12 @@ class TestReachKernels:
         shell[n - 1] = True
         got = K.bond_reach_threshold(
             n, np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1]),
-            u, np.argsort(u), core, shell,
+            u, core, shell,
         )
         want = self.brute_bond_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
-    @pytest.mark.parametrize("trial", range(15))
+    @pytest.mark.parametrize("trial", range(25))
     def test_site_threshold_matches_brute_force(self, trial):
         rng = np.random.default_rng(300 + trial)
         n, edges = random_instance(rng, max_n=30)
@@ -135,6 +135,14 @@ class TestReachKernels:
         shell = np.zeros(n, dtype=bool)
         core[0] = True
         shell[n - 1] = True
+        if trial >= 15:
+            # overlapping masks: a site in both reaches as soon as it opens
+            core |= rng.random(n) < 0.2
+            shell |= rng.random(n) < 0.2
+            k = int(rng.integers(n))
+            core[k] = shell[k] = True
+            if trial % 5 == 0:
+                shell |= core    # no core site outside the shell
         got = K.site_reach_threshold(
             n, np.ascontiguousarray(edges[:, 0]),
             np.ascontiguousarray(edges[:, 1]), u, core, shell,

@@ -7,14 +7,12 @@ from hyperperc.percolation import (
     InsufficientData,
     NoCrossing,
     bernoulli_bond,
-    bernoulli_site,
     bond_thresholds,
     connectivity_decay,
     dual_config,
     estimate_pc,
     label_clusters,
     reach_curve,
-    reach_probability,
     tiling_instance,
     tiling_signature_sweep,
     voronoi_instance,
@@ -35,8 +33,6 @@ class TestBernoulli:
         b = build_ball(3, 7, 3)
         assert bernoulli_bond(b, 1.0, 1).open_edges.all()
         assert not bernoulli_bond(b, 0.0, 1).open_edges.any()
-        assert bernoulli_site(b, 1.0, 1).open_sites.all()
-        assert not bernoulli_site(b, 0.0, 1).open_sites.any()
 
     def test_open_fraction_concentrates(self):
         b = build_ball(3, 7, 5)
@@ -148,10 +144,10 @@ class TestReach:
         b = build_ball(3, 7, 4)
         inst = tiling_instance(b, core_radius=2)
         t = bond_thresholds(inst, 50, 77, "reach-test")
-        f0, lo0, hi0 = reach_probability(t, 0.0)
-        f1, lo1, hi1 = reach_probability(t, 1.0)
+        f0, f1 = reach_curve(t, [0.0, 1.0])
         assert f0 == 0.0
         assert f1 == 1.0
+        _, lo1, _ = wilson_interval(int(f1 * len(t)), len(t))
         assert lo1 > 0.9
 
     def test_curve_monotone(self):
@@ -281,7 +277,7 @@ class TestSweeps:
                                 mapper=self.recording(outputs))
         for rep, got in enumerate(outputs):
             V, u = _voronoi_replica(1.0, window, 17, "vorsweep-lam1-Rw3.5", rep)
-            inst = voronoi_instance(V, window.R_window, 2.0)
+            inst = voronoi_instance(V, window.R_window)
             want = [
                 tuple(label_clusters(inst.n, inst.edges, site_open=side,
                                      core=inst.core, shell=inst.shell).k_proxy

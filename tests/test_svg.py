@@ -80,14 +80,3 @@ def test_render_tiling_styles_by_state():
     bold = sum(1 for e in edges if e.get("stroke") == "#d62728")
     assert bold == int(c.open_edges.sum())
 
-
-def test_phase_table_grid():
-    rows = [
-        {"p": 0.1, "y": 1.0, "label": "B-unique"},
-        {"p": 0.5, "y": 1.0, "label": "both-many"},
-        {"p": 0.9, "y": 1.0, "label": "W-unique"},
-        {"p": 0.5, "y": 2.0, "label": "subcritical-ambiguous"},
-    ]
-    root = ET.fromstring(svg.render_phase_table(rows))
-    ns = "{http://www.w3.org/2000/svg}"
-    assert len(root.findall(f"{ns}rect")) == 4
