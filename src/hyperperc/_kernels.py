@@ -43,10 +43,7 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     parent = np.arange(n)
     has_core = core.copy()
     has_shell = shell.copy()
-    both = 0
-    for i in range(n):
-        if has_core[i] and has_shell[i]:
-            both += 1
+    both = int(np.count_nonzero(core & shell))
     first = -1 if both > 0 else m
     counts = np.zeros(ncut, dtype=np.int64)
     if ncut == 0 and first < 0:

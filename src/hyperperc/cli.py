@@ -199,10 +199,6 @@ def atomic_write(path: str, text: str) -> None:
             fh.flush()
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             os.fsync(fh.fileno())
-        if os.environ.get("HYPERPERC_CRASH_AFTER_TEMP"):
-            # test hook: die between the temp write and the rename, so the
-            # final path must never hold a partial file
-            os._exit(1)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -385,7 +381,8 @@ def cmd_densities(args, mapper):
     if not 0 < Rw < args.R:
         raise ConfigError("window radius must satisfy 0 < Rw < R")
     window = Window(R_sample=args.R, R_window=Rw)
-    est = density_experiment(args.lam, window, args.replicas, args.seed)
+    est = density_experiment(args.lam, window, args.replicas, args.seed,
+                             mapper=mapper)
     est.validate()
     atomic_write(args.out, est.to_csv())
     return {
@@ -444,7 +441,8 @@ def cmd_graph_perc(args, mapper):
     return {"rows": len(rows), "p_gon": p, "q_deg": q}
 
 
-def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
+def _pc_like(args, mapper, pu: bool):
+    """Shared body of pc-estimate and pu-estimate (pu=True)."""
     p_grid = np.asarray(parse_grid(args.p))
     _check_unit("--p", *p_grid)
     if args.pq:
@@ -456,8 +454,14 @@ def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
                 f"a tiling's --ladder takes integer layer counts, e.g. 5,6,7; "
                 f"got {args.ladder!r}")
         ladder = _layers(_ladder(ladder, args.ladder), 2)
-        est = estimator_tiling(p, q, ladder, p_grid, args.replicas,
-                               args.seed, mapper=mapper)
+        # p_u of a tiling is read from bond percolation on its dual
+        mode = "bond" if pu else args.mode
+        if pu:
+            est = tiling_pu(p, q, ladder, p_grid, args.replicas, args.seed,
+                            mapper=mapper)
+        else:
+            est = tiling_pc(p, q, ladder, p_grid, args.replicas, args.seed,
+                            mode=mode, mapper=mapper)
         meta = {"model": f"tiling-{mode}", "pgon": p, "qdeg": q}
     else:
         lams = parse_grid(args.lam)
@@ -469,8 +473,8 @@ def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
             if args.out:
                 atomic_write(args.out, pc_curve_csv(rows))
             return {"model": "voronoi-curve", "rows": rows}
-        est = estimator_voronoi(lams[0], ladder, p_grid, args.replicas,
-                                args.seed, mapper=mapper)
+        est = (voronoi_pu if pu else voronoi_pc)(
+            lams[0], ladder, p_grid, args.replicas, args.seed, mapper=mapper)
         meta = {"model": "voronoi", "lambda": lams[0]}
     if args.out:
         lines = ["size,p,theta"]
@@ -486,20 +490,13 @@ def _pc_like(args, mapper, estimator_tiling, estimator_voronoi, mode="bond"):
 
 
 def cmd_pc_estimate(args, mapper):
-    def tiling_est(p, q, ladder, grid, replicas, seed, mapper):
-        return tiling_pc(p, q, ladder, grid, replicas, seed,
-                         mode=args.mode, mapper=mapper)
-
-    return _pc_like(args, mapper, tiling_est, voronoi_pc, args.mode)
+    return _pc_like(args, mapper, pu=False)
 
 
 def cmd_pu_estimate(args, mapper):
-    def tiling_est(p, q, ladder, grid, replicas, seed, mapper):
-        return tiling_pu(p, q, ladder, grid, replicas, seed, mapper=mapper)
-
     if not args.pq and len(parse_grid(args.lam)) > 1:
         raise ConfigError("pu-estimate takes a single lambda")
-    return _pc_like(args, mapper, tiling_est, voronoi_pu)
+    return _pc_like(args, mapper, pu=True)
 
 
 def cmd_decay(args, mapper):

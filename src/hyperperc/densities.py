@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypgeo import ball_area, polygon_area
-from .hypvoronoi import VoronoiComplex, Window, cell_polygon, delaunay
-from .pointprocess import sample_colored
+from .hypvoronoi import VoronoiComplex, Window, cell_polygon
+from .percolation import voronoi_replica
 
 
 class OriginNotInterior(ValueError):
@@ -86,30 +86,39 @@ def origin_cell_area(V: VoronoiComplex) -> float:
     return polygon_area(cell_polygon(V, i))
 
 
-def estimate_densities(complexes, window: Window, lam: float,
-                       seed: int = 0) -> DensityEstimate:
-    """Density estimates from an iterable of Voronoi complexes (replicas).
+def density_experiment(lam: float, window: Window, replicas: int,
+                       master_seed: int, mapper=map) -> DensityEstimate:
+    """Sample `replicas` tessellations and estimate their densities.
 
     Counting uses nucleus/vertex positions only; replicas whose origin
     cell is boundary-masked contribute counts but no inverse-area sample
-    and are flagged as discarded for that estimator.
+    and are flagged as discarded for that estimator.  mapper is any
+    order-preserving map over the replica indices.
     """
+    if replicas < 1:
+        raise ValueError("no replicas supplied")
+    def one(rep):
+        V, _ = voronoi_replica(lam, window, master_seed,
+                               f"densities-lam{lam:g}", rep)
+        n_vv = int(np.count_nonzero(V.vor_rho <= window.R_window))
+        n_nuclei = int(np.count_nonzero(V.points.rho <= window.R_window))
+        try:
+            return n_vv, n_nuclei, 1.0 / origin_cell_area(V)
+        except OriginNotInterior:
+            return n_vv, n_nuclei, None
+
     area = ball_area(window.R_window)
     dv, de, df, inv_a = [], [], [], []
     discarded = 0
-    for V in complexes:
-        in_win = V.vor_rho <= window.R_window
-        n_vv = int(np.count_nonzero(in_win))
+    for n_vv, n_nuclei, inv in mapper(one, range(replicas)):
         dv.append(n_vv / area)
         # every Voronoi vertex of a generic Poisson sample has degree 3
         de.append(3 * n_vv / (2 * area))
-        df.append(int(np.count_nonzero(V.points.rho <= window.R_window)) / area)
-        try:
-            inv_a.append(1.0 / origin_cell_area(V))
-        except OriginNotInterior:
+        df.append(n_nuclei / area)
+        if inv is None:
             discarded += 1
-    if not dv:
-        raise ValueError("no replicas supplied")
+        else:
+            inv_a.append(inv)
     if not inv_a:
         raise OriginNotInterior("origin cell boundary-masked in every replica")
     dv = np.asarray(dv)
@@ -136,17 +145,5 @@ def estimate_densities(complexes, window: Window, lam: float,
         D_F_inv_se=se(inv_a),
         euler=float(euler_per_rep.mean()),
         euler_se=se(euler_per_rep),
-        seed=seed,
+        seed=master_seed,
     )
-
-
-def density_experiment(lam: float, window: Window, replicas: int,
-                       master_seed: int) -> DensityEstimate:
-    """Sample `replicas` tessellations and estimate their densities."""
-
-    complexes = (
-        delaunay(sample_colored(lam, 1.0, window.R_sample, master_seed,
-                                f"densities-lam{lam:g}", rep))
-        for rep in range(replicas)
-    )
-    return estimate_densities(complexes, window, lam, seed=master_seed)

@@ -1,4 +1,5 @@
-"""Small shared graph helpers: edge keys, CSR adjacency and BFS distances."""
+"""Small shared graph helpers: edge keys, degrees, CSR adjacency and BFS
+distances."""
 
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ def edges_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """The distinct edges (u, v), u < v, of edge keys; sorted keys are the
     pairs in lexicographic order."""
     return np.stack(np.divmod(np.unique(keys), n), axis=1)
+
+
+def vertex_degrees(n: int, edges: np.ndarray) -> np.ndarray:
+    """Number of edge ends at each of the n vertices."""
+    return np.bincount(edges.ravel(), minlength=n)
 
 
 def csr_adjacency(n: int, edges: np.ndarray):

@@ -215,9 +215,12 @@ def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
 
-def _voronoi_replica(lam: float, window: Window, master_seed: int,
-                     experiment: str, replica: int):
+def voronoi_replica(lam: float, window: Window, master_seed: int,
+                    experiment: str, replica: int):
     """One Voronoi replica: the complex V and its per-cell uniforms u.
+
+    The one builder of a Voronoi replica, for the thresholds, the sweeps
+    and the density estimates.
 
     Nuclei and uniforms come from one replica stream in the order
     sample_colored draws them, so a cell is white at level p iff
@@ -238,7 +241,7 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
                       experiment: str, replica: int) -> float:
     """One replica of the level at which the cell containing the origin
     first joins the shell through white cells."""
-    V, u = _voronoi_replica(lam, window, master_seed, experiment, replica)
+    V, u = voronoi_replica(lam, window, master_seed, experiment, replica)
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, 0.0)
     eu, ev = _endpoints(V.delaunay_edges)
@@ -565,7 +568,7 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
     p = np.asarray(p_values, dtype=float)
 
     def one(rep):
-        V, u = _voronoi_replica(lam, window, master_seed, tag, rep)
+        V, u = voronoi_replica(lam, window, master_seed, tag, rep)
         inst = voronoi_instance(V, window.R_window)
         eu, ev = _endpoints(inst.edges)
         kw = _pass_counts(inst, eu, ev, np.maximum(u[eu], u[ev]), p,

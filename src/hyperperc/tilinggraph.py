@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import edges_of_keys, side_keys
+from .graphs import edges_of_keys, side_keys, vertex_degrees
 
 # Vertex budget of build_ball, checked before each round allocates.
 MAX_VERTICES = 10**7
@@ -51,10 +51,7 @@ class TilingBall:
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return vertex_degrees(self.n_vertices, self.edges)
 
     @property
     def interior_vertex_mask(self) -> np.ndarray:
@@ -92,11 +89,7 @@ class DualBall:
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return vertex_degrees(self.n_vertices, self.edges)
 
     @property
     def interior_vertex_mask(self) -> np.ndarray:

@@ -138,7 +138,7 @@ def test_criterion_3_density_identities(capfd):
     checks = []
     for lam in (0.5, 1.0):
         est = density_experiment(lam, Window(R_sample=7.0, R_window=5.0),
-                                 50, SEED)
+                                 300, SEED, mapper=MAPPER)
         dv_target = 2 * lam + 1 / math.pi
         checks += [
             (abs(est.D_V_hat - dv_target) < 3 * est.D_V_se,

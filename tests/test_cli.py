@@ -170,12 +170,20 @@ class TestDeterminism:
 
 def test_crash_injection_leaves_no_partial_output(tmp_path):
     out = tmp_path / "t.txt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperperc.cli", "gen-tiling",
-         "--pq", "3,7", "--L", "2", "-o", str(out)],
-        env=_child_env(HYPERPERC_CRASH_AFTER_TEMP="1"), capture_output=True,
+    # the child dies between the temp write and the rename, so the final
+    # path must never hold a partial file
+    child = (
+        "import os, sys\n"
+        "from hyperperc import cli\n"
+        "os.replace = lambda *a: os._exit(1)\n"
+        "cli.main(sys.argv[1:])\n"
     )
-    # exit 1 with the temp file left behind: the child reached the hook
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "gen-tiling",
+         "--pq", "3,7", "--L", "2", "-o", str(out)],
+        env=_child_env(), capture_output=True,
+    )
+    # exit 1 with the temp file left behind: the child reached the rename
     assert proc.returncode == 1, proc.stderr
     assert len(list(tmp_path.glob("t.txt.*.tmp"))) == 1
     assert not out.exists()

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hyperperc.cli import make_mapper
 from hyperperc.densities import (
     DensityEstimate,
     OriginNotInterior,
     density_experiment,
-    estimate_densities,
     origin_cell_area,
 )
 from hyperperc.hypgeo import HPoint, Isometry, apply
@@ -57,6 +57,11 @@ class TestEstimates:
     def test_euler_combination(self, est):
         assert abs(est.euler - (-1.0)) < 4 * est.euler_se
         assert np.isfinite(est.euler_se)
+
+    def test_thread_pool_reproduces_the_serial_estimate(self, est):
+        threaded = density_experiment(1.0, Window.with_margin(4.5), 40, 2024,
+                                      mapper=make_mapper(2))
+        assert threaded.to_csv() == est.to_csv()
 
     def test_low_intensity_euler(self):
         est = density_experiment(0.3, Window.with_margin(5.0), 40, 77)

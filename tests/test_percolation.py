@@ -19,7 +19,7 @@ from hyperperc.percolation import (
     voronoi_signature_sweep,
     wilson_interval,
     SWEEP_HEADER,
-    _voronoi_replica,
+    voronoi_replica,
 )
 from hyperperc.pointprocess import replica_rng, sample_colored
 from hyperperc.tilinggraph import build_ball, dual_ball
@@ -276,7 +276,7 @@ class TestSweeps:
         voronoi_signature_sweep(1.0, self.P_UNSORTED, window, 4, 17,
                                 mapper=self.recording(outputs))
         for rep, got in enumerate(outputs):
-            V, u = _voronoi_replica(1.0, window, 17, "vorsweep-lam1-Rw3.5", rep)
+            V, u = voronoi_replica(1.0, window, 17, "vorsweep-lam1-Rw3.5", rep)
             inst = voronoi_instance(V, window.R_window)
             want = [
                 tuple(label_clusters(inst.n, inst.edges, site_open=side,
@@ -294,7 +294,7 @@ class TestSweeps:
 
     def test_voronoi_replica_reads_the_sample_colored_stream(self):
         window = Window.with_margin(3.0)
-        V, u = _voronoi_replica(1.0, window, 42, "stream", 3)
+        V, u = voronoi_replica(1.0, window, 42, "stream", 3)
         assert len(u) == V.n_nuclei
         for p in (0.3, 0.5, 1.0):
             pts = sample_colored(1.0, p, window.R_sample, 42, "stream", 3)
