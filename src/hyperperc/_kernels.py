@@ -1,18 +1,25 @@
-"""Hot Monte Carlo kernels: one union-find filtration, and cluster labels.
+"""Hot Monte Carlo kernels: invasion thresholds, one union-find
+filtration, and cluster labels.
 
-`filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
-2000); the reach thresholds and the phase sweeps are all read from it.
-It is plain Python over numpy arrays.  Cluster labels come from scipy's
-connected components.
+A reach threshold is the minimax (bottleneck) level of a path from the
+core to the shell.  `bond_reach_threshold` and `site_reach_threshold`
+find it by invasion percolation from the core (Prim's algorithm over a
+CSR adjacency), so they touch only the edges around the invaded
+cluster.  `filtration` adds all edges in a given order (Newman & Ziff,
+PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
+on a whole p-grid.  Both are plain Python over numpy arrays.  Cluster
+labels come from scipy's connected components.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 from scipy.sparse import coo_matrix
 
 # perfbench records this in each run's environment and refuses to compare
-# runs whose backends differ; the filtration has one implementation
+# runs whose backends differ; the kernels have one implementation
 BACKEND = "numpy"
 
 
@@ -31,28 +38,18 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     """Union-find over edges added in `order`, counting the clusters that
     meet both a core site and a shell site.
 
-    Returns (first, counts): first is the position in `order` of the edge
-    that makes the count positive (-1 if it is positive before any edge,
-    len(order) if never); counts[j] is the count after the first cuts[j]
-    edges.  With no cuts the sweep stops at first.  Otherwise it stops
-    after the largest cut, and first is len(order) if the count is still
-    zero there.
+    Returns counts: counts[j] is the count after the first cuts[j] edges.
+    The sweep stops after the largest cut.
     """
-    m = len(order)
-    ncut = len(cuts)
     parent = np.arange(n)
     has_core = core.copy()
     has_shell = shell.copy()
     both = int(np.count_nonzero(core & shell))
-    first = -1 if both > 0 else m
-    counts = np.zeros(ncut, dtype=np.int64)
-    if ncut == 0 and first < 0:
-        return first, counts
-    # segments between ascending cuts; with no cuts, one segment to the end
-    cut_order = np.argsort(cuts)
+    counts = np.zeros(len(cuts), dtype=np.int64)
+    # segments between ascending cuts
     start = 0
-    for s in range(max(ncut, 1)):
-        end = cuts[cut_order[s]] if ncut else m
+    for j in np.argsort(cuts):
+        end = cuts[j]
         for idx in range(start, end):
             k = order[idx]
             ru = _find(parent, eu[k])
@@ -67,47 +64,70 @@ def filtration(n, eu, ev, order, core, shell, cuts):
             if hc and hs:
                 both += (1 - (has_core[ru] and has_shell[ru])
                          - (has_core[rv] and has_shell[rv]))
-                if first == m:
-                    first = idx
-                    if ncut == 0:
-                        return first, counts
             has_core[ru] = hc
             has_shell[ru] = hs
-        if ncut:
-            counts[cut_order[s]] = both
-            start = end
-    return first, counts
-
-_NO_CUTS = np.zeros(0, dtype=np.int64)
+        counts[j] = both
+        start = end
+    return counts
 
 
-def bond_reach_threshold(n, eu, ev, uniforms, core, shell):
+def _invade(indptr, indices, levels, sources, targets):
+    """Invasion percolation from the sources: the minimax level over paths
+    to a target, where levels[j] is the level of adjacency slot j, or 2.0
+    if no target is reachable.  Sources and targets are disjoint.
+
+    The lowest boundary slot is always taken next; the running maximum of
+    the taken levels when the first target is taken is the answer.
+    """
+    invaded = sources.copy()
+    heap = []
+    for v in np.flatnonzero(sources).tolist():
+        a, b = indptr[v], indptr[v + 1]
+        heap.extend(zip(levels[a:b].tolist(), indices[a:b].tolist()))
+    heapify(heap)
+    top = 0.0
+    while heap:
+        level, w = heappop(heap)
+        if invaded[w]:
+            continue
+        if level > top:
+            top = level
+        if targets[w]:
+            return top
+        invaded[w] = True
+        a, b = indptr[w], indptr[w + 1]
+        for slot in zip(levels[a:b].tolist(), indices[a:b].tolist()):
+            heappush(heap, slot)
+    return 2.0
+
+
+def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
     edges open in increasing uniforms: 0.0 if core and shell already
-    share a site, 2.0 if they never join."""
-    order = np.argsort(uniforms)
-    first, _ = filtration(n, eu, ev, order, core, shell, _NO_CUTS)
-    if first < 0:
+    share a site, 2.0 if they never join.  (indptr, indices, edge_id) is
+    the graph's CSR adjacency (graphs.csr_adjacency)."""
+    if (core & shell).any():
         return 0.0
-    if first == len(order):
-        return 2.0
-    return uniforms[order[first]]
+    return _invade(indptr, indices, uniforms[edge_id], core, shell)
 
 
-def site_reach_threshold(n, eu, ev, uniforms, core, shell):
+def site_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
     sites open in increasing uniforms, 2.0 if they never join.
 
     A site in both core and shell reaches as soon as it opens.  The other
     core sites reach through edges, which are usable once both of their
-    ends are open: the bond threshold on the edge levels max(u_a, u_b).
+    ends are open: the bond threshold on the slot levels max(u_a, u_b).
+    Slot levels come from the two ends, so edge_id is not read; it is
+    taken for the same CSR triple as bond_reach_threshold.
     """
     both = core & shell
     best = float(uniforms[both].min()) if both.any() else 2.0
     rest = core & ~shell
     if rest.any():
-        levels = np.maximum(uniforms[eu], uniforms[ev])
-        best = min(best, bond_reach_threshold(n, eu, ev, levels, rest, shell))
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        levels = np.maximum(uniforms[rows], uniforms[indices])
+        best = min(best, _invade(indptr, indices, levels, rest, shell))
     return best
 
 

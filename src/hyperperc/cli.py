@@ -617,18 +617,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "graph-perc.csv")
     sp.set_defaults(fn=cmd_graph_perc)
 
-    for name, fn, hlp in (
-        ("pc-estimate", cmd_pc_estimate, "critical level estimate"),
-        ("pu-estimate", cmd_pu_estimate, "uniqueness level estimate"),
+    pu_about = (
+        "p_u is 1 minus the p_c of the dual ball (bond, tilings) or of the "
+        "black cells (Voronoi).  --p is the grid on which that p_c is "
+        "searched, and --out gets the dual's (or the black cells') reach "
+        "curves on their own levels.")
+    for name, fn, hlp, about, p_help in (
+        ("pc-estimate", cmd_pc_estimate, "critical level estimate", None,
+         "p grid"),
+        ("pu-estimate", cmd_pu_estimate, "uniqueness level estimate",
+         pu_about, "grid on which p_c of the dual (or of the black cells) "
+                   "is searched"),
     ):
-        sp = sub.add_parser(name, help=hlp)
+        sp = sub.add_parser(name, help=hlp, description=about)
         sp.add_argument("--lambda", dest="lam", default="1",
                         help="lambda or lambda grid (voronoi)")
         sp.add_argument("--pq", default=None, help="tiling instead of voronoi")
         sp.add_argument("--ladder", default="3.5,4.5,5.5",
                         help="window radii, or a tiling's integer layer "
                              "counts, strictly increasing")
-        sp.add_argument("--p", default="0.04:0.72:0.02", help="p grid")
+        sp.add_argument("--p", default="0.04:0.72:0.02", help=p_help)
         if name == "pc-estimate":
             sp.add_argument("--mode", choices=("bond", "site"), default="bond")
         _add_common(sp, out_default=None)

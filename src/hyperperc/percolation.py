@@ -1,16 +1,17 @@
 """Bernoulli percolation on tiling balls and Voronoi complexes.
 
 Each replica draws one uniform mark per edge (or site), coupling all
-levels p.  One union-find filtration (see _kernels) adds the edges in
-order of their levels and counts the clusters joining the core to the
-shell: its first event is the reach threshold p*, which gives the whole
-reach curve theta_hat(p) = P[p* <= p] from one pass, and a forward and a
-reverse pass give the phase signatures on a whole p-grid.  Critical
-points are located where size-weighted reach curves of successive window
-sizes cross: at criticality the center-to-shell reach probability decays
-like 1/L (tree-like mean-field scaling), so L * theta_L(p) tends to 0
-below, to a constant at, and to infinity above the critical level, and
-successive sizes cross near it.
+levels p.  The reach threshold p*, the level at which the core first
+joins the shell, is found by invasion from the core over the graph's CSR
+adjacency (see _kernels), built once per ball or Voronoi replica; the
+thresholds give the whole reach curve theta_hat(p) = P[p* <= p].  The
+phase signatures on a whole p-grid come from a forward and a reverse
+union-find filtration pass, which count the clusters joining the core
+to the shell.  Critical points are located where size-weighted reach
+curves of successive window sizes cross: at criticality the
+center-to-shell reach probability decays like 1/L (tree-like mean-field
+scaling), so L * theta_L(p) tends to 0 below, to a constant at, and to
+infinity above the critical level, and successive sizes cross near it.
 """
 
 from __future__ import annotations
@@ -193,24 +194,24 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     (replicas are independent, so any such mapper reproduces the serial
     result bit for bit).
     """
-    eu, ev = _endpoints(inst.edges)
+    adj = csr_adjacency(inst.n, inst.edges)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
-        u = rng.random(len(eu))
-        return bond_reach_threshold(inst.n, eu, ev, u, inst.core, inst.shell)
+        u = rng.random(len(inst.edges))
+        return bond_reach_threshold(*adj, u, inst.core, inst.shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
 
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
-    eu, ev = _endpoints(inst.edges)
+    adj = csr_adjacency(inst.n, inst.edges)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(inst.n)
-        return site_reach_threshold(inst.n, eu, ev, u, inst.core, inst.shell)
+        return site_reach_threshold(*adj, u, inst.core, inst.shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -244,8 +245,8 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     V, u = voronoi_replica(lam, window, master_seed, experiment, replica)
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, 0.0)
-    eu, ev = _endpoints(V.delaunay_edges)
-    return float(site_reach_threshold(V.n_nuclei, eu, ev, u, core, shell))
+    adj = csr_adjacency(V.n_nuclei, V.delaunay_edges)
+    return site_reach_threshold(*adj, u, core, shell)
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,
@@ -527,7 +528,7 @@ def _pass_counts(inst: PercInstance, eu, ev, levels, p, reverse: bool):
     if reverse:
         order = np.ascontiguousarray(order[::-1])
         cuts = len(order) - cuts
-    return filtration(inst.n, eu, ev, order, inst.core, inst.shell, cuts)[1]
+    return filtration(inst.n, eu, ev, order, inst.core, inst.shell, cuts)
 
 
 def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,

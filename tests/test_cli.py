@@ -381,3 +381,12 @@ class TestArtifacts:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("lambda,pc,ci_lo,ci_hi,upper_bound")
         assert len(lines) == 3
+
+
+def test_pu_estimate_help_says_what_the_grid_searches(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pu-estimate", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "grid on which p_c of the dual (or of the black cells) is searched" in out
+    assert "p_u is 1 minus the p_c of the dual ball" in out

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from hyperperc import _kernels as K
+from hyperperc.graphs import csr_adjacency
+from hyperperc.hypvoronoi import Window, core_cell_mask, shell_cell_mask
+from hyperperc.percolation import tiling_instance, voronoi_replica
+from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_perc import bfs_labels, reach_at_level, site_reach_at_level
 
@@ -62,38 +66,47 @@ class TestFiltration:
         for reverse in (False, True):
             o = np.ascontiguousarray(order[::-1]) if reverse else order
             c = m - cuts if reverse else cuts
-            first, counts = K.filtration(n, eu, ev, o, core, shell, c)
+            counts = K.filtration(n, eu, ev, o, core, shell, c)
             for j, pj in enumerate(p):
                 edge_open = levels >= pj if reverse else levels < pj
                 labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
                 assert counts[j] == k_proxy(labels, core, shell)
-            # first: the edge that ends the shortest prefix of the order
-            # with a positive count, looked for up to the largest cut
-            prefix = [k_proxy(bfs_labels(n, edges, np.isin(np.arange(m), o[:i]),
-                                         np.ones(n, bool)), core, shell)
-                      for i in range(c.max() + 1)]
-            positive = [i for i, k in enumerate(prefix) if k > 0]
-            assert first == (positive[0] - 1 if positive else m)
-            if (core & shell).any():
-                assert first == -1
-                assert K.bond_reach_threshold(
-                    n, eu, ev, levels, core, shell) == 0.0
+        # the threshold is the level of the edge that ends the shortest
+        # prefix of the ascending order with a positive count
+        prefix = [k_proxy(bfs_labels(n, edges, np.isin(np.arange(m), order[:i]),
+                                     np.ones(n, bool)), core, shell)
+                  for i in range(m + 1)]
+        positive = [i for i, k in enumerate(prefix) if k > 0]
+        if not positive:
+            want = 2.0
+        elif positive[0] == 0:
+            want = 0.0
+        else:
+            want = levels[order[positive[0] - 1]]
+        got = K.bond_reach_threshold(*csr_adjacency(n, edges), levels,
+                                     core, shell)
+        assert got == want
+        if (core & shell).any():
+            assert got == 0.0
 
     def test_path_by_hand(self):
         # a path 0-1-2-3 with the core at 0 and the shell at 3; the edge
         # (1, 2), third in the order, joins them
-        eu = np.array([0, 1, 2])
-        ev = np.array([1, 2, 3])
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        eu, ev = edges[:, 0], edges[:, 1]
         core = np.array([True, False, False, False])
         shell = np.array([False, False, False, True])
-        order = np.array([2, 0, 1])
-        first, counts = K.filtration(4, eu, ev, order, core, shell, K._NO_CUTS)
-        assert first == 2 and len(counts) == 0
-        first, counts = K.filtration(4, eu, ev, order, core, shell,
-                                     np.array([3, 0, 2, 1]))
-        assert first == 2 and counts.tolist() == [1, 0, 0, 0]
-        first, _ = K.filtration(4, eu, ev, order[:1], core, shell, K._NO_CUTS)
-        assert first == 1    # never joined: len(order)
+        levels = np.array([0.5, 0.75, 0.25])
+        order = np.argsort(levels)
+        assert order.tolist() == [2, 0, 1]
+        counts = K.filtration(4, eu, ev, order, core, shell,
+                              np.array([3, 0, 2, 1]))
+        assert counts.tolist() == [1, 0, 0, 0]
+        adj = csr_adjacency(4, edges)
+        assert K.bond_reach_threshold(*adj, levels, core, shell) == 0.75
+        # only the edge (2, 3): never joined
+        assert K.bond_reach_threshold(*csr_adjacency(4, edges[2:]), levels[2:],
+                                      core, shell) == 2.0
 
 
 class TestReachKernels:
@@ -119,10 +132,7 @@ class TestReachKernels:
         shell = np.zeros(n, dtype=bool)
         core[0] = True
         shell[n - 1] = True
-        got = K.bond_reach_threshold(
-            n, np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1]),
-            u, core, shell,
-        )
+        got = K.bond_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
         want = self.brute_bond_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -143,9 +153,105 @@ class TestReachKernels:
             core[k] = shell[k] = True
             if trial % 5 == 0:
                 shell |= core    # no core site outside the shell
-        got = K.site_reach_threshold(
-            n, np.ascontiguousarray(edges[:, 0]),
-            np.ascontiguousarray(edges[:, 1]), u, core, shell,
-        )
+        got = K.site_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
+
+
+def filtration_threshold(n, edges, levels, core, shell):
+    """The level at the first positive entry of a full filtration: 0.0 if
+    the count is positive before any edge, 2.0 if it never is."""
+    m = len(edges)
+    order = np.argsort(levels)
+    counts = K.filtration(n, np.ascontiguousarray(edges[:, 0]),
+                          np.ascontiguousarray(edges[:, 1]), order, core,
+                          shell, np.arange(m + 1))
+    positive = np.flatnonzero(counts > 0)
+    if len(positive) == 0:
+        return 2.0
+    if positive[0] == 0:
+        return 0.0
+    return levels[order[positive[0] - 1]]
+
+
+def site_filtration_threshold(n, edges, u, core, shell):
+    """The site threshold from the filtration on the edge levels
+    max(u_a, u_b), with a site in both core and shell reaching at u."""
+    both = core & shell
+    best = float(u[both].min()) if both.any() else 2.0
+    levels = np.maximum(u[edges[:, 0]], u[edges[:, 1]])
+    return min(best, filtration_threshold(n, edges, levels, core & ~shell,
+                                          shell))
+
+
+class TestInvasionEqualsFiltration:
+    """The invasion threshold is the filtration's first event, exactly."""
+
+    @pytest.mark.parametrize("p_gon,q_deg,dual",
+                             [(3, 7, False), (3, 7, True), (7, 3, False)])
+    def test_tiling_bond(self, p_gon, q_deg, dual):
+        ball = build_ball(p_gon, q_deg, 6)
+        inst = tiling_instance(dual_ball(ball) if dual else ball, 0)
+        adj = csr_adjacency(inst.n, inst.edges)
+        rng = np.random.default_rng(500 + 10 * p_gon + dual)
+        for _ in range(50):
+            u = rng.random(len(inst.edges))
+            want = filtration_threshold(inst.n, inst.edges, u, inst.core,
+                                        inst.shell)
+            assert K.bond_reach_threshold(*adj, u, inst.core, inst.shell) == want
+
+    @pytest.mark.parametrize("replica", range(2))
+    def test_voronoi_site(self, replica):
+        window = Window.with_margin(3.5)
+        V, u = voronoi_replica(1.0, window, 42, "invasion-test", replica)
+        core = core_cell_mask(V, 0.0)
+        shell = shell_cell_mask(V, window.R_window)
+        edges = V.delaunay_edges
+        want = site_filtration_threshold(V.n_nuclei, edges, u, core, shell)
+        got = K.site_reach_threshold(*csr_adjacency(V.n_nuclei, edges), u,
+                                     core, shell)
+        assert got == want
+        assert 0.0 < got < 1.0
+
+    def ring(self):
+        """A 6-cycle plus the isolated pair 6-7, with fixed edge levels."""
+        edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5],
+                          [6, 7]])
+        levels = np.array([0.9, 0.2, 0.4, 0.6, 0.3, 0.8, 0.1])
+        return 8, edges, levels
+
+    def masks(self, n, core_sites, shell_sites):
+        core = np.zeros(n, dtype=bool)
+        shell = np.zeros(n, dtype=bool)
+        core[core_sites] = True
+        shell[shell_sites] = True
+        return core, shell
+
+    @pytest.mark.parametrize("core_sites,shell_sites,want", [
+        ([0], [3], 0.8),           # 0-5-4-3 beats 0-1-2-3
+        ([0, 2], [3], 0.4),        # a multi-site core: the best source wins
+        ([0, 1], [1, 4], 0.0),     # core and shell overlap
+        ([0], [6, 7], 2.0),        # the shell is in another component
+        ([6], [7], 0.1),
+    ])
+    def test_bond_edge_cases(self, core_sites, shell_sites, want):
+        n, edges, levels = self.ring()
+        core, shell = self.masks(n, core_sites, shell_sites)
+        got = K.bond_reach_threshold(*csr_adjacency(n, edges), levels, core,
+                                     shell)
+        assert got == want
+        assert got == filtration_threshold(n, edges, levels, core, shell)
+
+    @pytest.mark.parametrize("core_sites,shell_sites,want", [
+        ([0], [3], 0.7),           # through 5 and 4, whose levels are lower
+        ([0, 2], [3], 0.7),        # a multi-site core: the best source wins
+        ([0, 1], [1, 4], 0.2),     # overlap: site 1 reaches when it opens
+        ([0], [6, 7], 2.0),        # the shell is in another component
+    ])
+    def test_site_edge_cases(self, core_sites, shell_sites, want):
+        n, edges, _ = self.ring()
+        u = np.array([0.3, 0.2, 0.8, 0.7, 0.4, 0.5, 0.1, 0.6])
+        core, shell = self.masks(n, core_sites, shell_sites)
+        got = K.site_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
+        assert got == want
+        assert got == site_filtration_threshold(n, edges, u, core, shell)
