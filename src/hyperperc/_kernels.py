@@ -2,10 +2,11 @@
 filtration, and cluster labels.
 
 A reach threshold is the minimax (bottleneck) level of a path from the
-core to the shell.  `bond_reach_threshold` and `site_reach_threshold`
-find it by invasion percolation from the core (Prim's algorithm over a
-CSR adjacency), so they touch only the edges around the invaded
-cluster.  `filtration` adds all edges in a given order (Newman & Ziff,
+core to the shell.  `_invade` finds it by invasion percolation from the
+core (Prim's algorithm over a CSR adjacency; Wilkinson & Willemsen,
+J. Phys. A 16, 1983), touching only the edges around the invaded
+cluster; bond and site thresholds differ only in the levels they give
+it.  `filtration` adds all edges in a given order (Newman & Ziff,
 PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
 on a whole p-grid.  Both are plain Python over numpy arrays.  Cluster
 labels come from scipy's connected components.
@@ -71,19 +72,18 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     return counts
 
 
-def _invade(indptr, indices, levels, sources, targets):
-    """Invasion percolation from the sources: the minimax level over paths
-    to a target, where levels[j] is the level of adjacency slot j, or 2.0
-    if no target is reachable.  Sources and targets are disjoint.
+def _invade(indptr, indices, levels, entry, core, shell):
+    """Invasion percolation from the core: the minimax level over paths
+    from a core site to a shell site, or 2.0 if no shell site is reachable.
 
-    The lowest boundary slot is always taken next; the running maximum of
-    the taken levels when the first target is taken is the answer.
+    levels[j] is the level of adjacency slot j and entry[v] the level at
+    which core site v enters.  The lowest boundary level is always taken
+    next; the running maximum of the taken levels when the first shell
+    site is taken is the answer.
     """
-    invaded = sources.copy()
-    heap = []
-    for v in np.flatnonzero(sources).tolist():
-        a, b = indptr[v], indptr[v + 1]
-        heap.extend(zip(levels[a:b].tolist(), indices[a:b].tolist()))
+    invaded = np.zeros(len(core), dtype=bool)
+    sites = np.flatnonzero(core)
+    heap = list(zip(entry[sites].tolist(), sites.tolist()))
     heapify(heap)
     top = 0.0
     while heap:
@@ -92,7 +92,7 @@ def _invade(indptr, indices, levels, sources, targets):
             continue
         if level > top:
             top = level
-        if targets[w]:
+        if shell[w]:
             return top
         invaded[w] = True
         a, b = indptr[w], indptr[w + 1]
@@ -103,32 +103,19 @@ def _invade(indptr, indices, levels, sources, targets):
 
 def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
-    edges open in increasing uniforms: 0.0 if core and shell already
-    share a site, 2.0 if they never join.  (indptr, indices, edge_id) is
-    the graph's CSR adjacency (graphs.csr_adjacency)."""
-    if (core & shell).any():
-        return 0.0
-    return _invade(indptr, indices, uniforms[edge_id], core, shell)
+    edges open in increasing uniforms, 2.0 if they never join; core sites
+    enter at 0.0.  (indptr, indices, edge_id) is the graph's CSR
+    adjacency (graphs.csr_adjacency)."""
+    return _invade(indptr, indices, uniforms[edge_id], np.zeros(len(core)),
+                   core, shell)
 
 
-def site_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
+def site_reach_threshold(indptr, indices, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
-    sites open in increasing uniforms, 2.0 if they never join.
-
-    A site in both core and shell reaches as soon as it opens.  The other
-    core sites reach through edges, which are usable once both of their
-    ends are open: the bond threshold on the slot levels max(u_a, u_b).
-    Slot levels come from the two ends, so edge_id is not read; it is
-    taken for the same CSR triple as bond_reach_threshold.
-    """
-    both = core & shell
-    best = float(uniforms[both].min()) if both.any() else 2.0
-    rest = core & ~shell
-    if rest.any():
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        levels = np.maximum(uniforms[rows], uniforms[indices])
-        best = min(best, _invade(indptr, indices, levels, rest, shell))
-    return best
+    sites open in increasing uniforms, 2.0 if they never join.  Each core
+    site enters at its own uniform and each step costs the uniform of the
+    site it enters, so a path costs its largest uniform."""
+    return _invade(indptr, indices, uniforms[indices], uniforms, core, shell)
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import svg
 from .densities import OriginNotInterior, density_experiment
-from .hypgeo import WORKING_RADIUS
+from .hypgeo import WORKING_RADIUS, CapExceeded
 from .hypvoronoi import DegenerateInput, Window, delaunay
 from .percolation import (
     InsufficientData,
@@ -43,7 +43,7 @@ from .percolation import (
     voronoi_pu,
     voronoi_signature_sweep,
 )
-from .pointprocess import ColoredPointSet, sample_colored
+from .pointprocess import ColoredPointSet, check_sample_size, sample_colored
 from .tilinggraph import TooLarge, build_ball
 
 PHASE_HEADER = ("model,p,lambda,pgon,qdeg,R,replicas,label,"
@@ -351,6 +351,14 @@ def _window_ladder(values):
     return windows
 
 
+def _check_samples(lams, windows):
+    """Every (lambda, sample radius) pair a command will draw stays within
+    the nuclei budget; checked before the first replica."""
+    for lam in lams:
+        for w in windows:
+            check_sample_size(lam, w.R_sample)
+
+
 def cmd_gen_tiling(args, mapper):
     p, q = parse_pq(args.pq)
     _layers([args.layers])
@@ -367,6 +375,7 @@ def cmd_voronoi_sample(args, mapper):
     _check_unit("--p", args.p)
     if args.replica < 0:
         raise ConfigError(f"--replica must be non-negative, got {args.replica}")
+    check_sample_size(args.lam, args.R)
     pts = sample_colored(args.lam, args.p, args.R, args.seed,
                          "voronoi-sample", args.replica)
     atomic_write(args.out, pts.serialize())
@@ -380,6 +389,7 @@ def cmd_densities(args, mapper):
     Rw = args.Rw if args.Rw is not None else args.R - 2.0
     if not 0 < Rw < args.R:
         raise ConfigError("window radius must satisfy 0 < Rw < R")
+    check_sample_size(args.lam, args.R)
     window = Window(R_sample=args.R, R_window=Rw)
     est = density_experiment(args.lam, window, args.replicas, args.seed,
                              mapper=mapper)
@@ -408,7 +418,9 @@ def cmd_phase_sweep(args, mapper):
             rows.extend(sw.rows)
     else:
         _check_lambda([args.lam])
-        for window in _window_ladder(parse_grid(args.R)):
+        windows = _window_ladder(parse_grid(args.R))
+        _check_samples([args.lam], windows)
+        for window in windows:
             try:
                 sw = voronoi_signature_sweep(
                     args.lam, p_values, window, args.replicas, args.seed,
@@ -467,6 +479,7 @@ def _pc_like(args, mapper, pu: bool):
         lams = parse_grid(args.lam)
         _check_lambda(lams)
         ladder = _window_ladder(_ladder(parse_grid(args.ladder), args.ladder))
+        _check_samples(lams, ladder)
         if len(lams) > 1:
             rows = estimate_pc_curve(lams, ladder, p_grid, args.replicas,
                                      args.seed, mapper=mapper)
@@ -715,7 +728,7 @@ def main(argv=None) -> int:
                       and v is not None}
             write_summary(args.json, config, results, wall)
         return 0
-    except (ConfigError, TooLarge, DegenerateInput) as e:
+    except (ConfigError, TooLarge, CapExceeded, DegenerateInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NoCrossing, InsufficientData, OriginNotInterior,

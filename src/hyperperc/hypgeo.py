@@ -26,7 +26,7 @@ class DegenerateError(ValueError):
 
 
 class CapExceeded(ValueError):
-    """Raised when a requested radius exceeds the working radius cap."""
+    """Raised when a requested radius or sample size exceeds its cap."""
 
 
 @dataclass(frozen=True)

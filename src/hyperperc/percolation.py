@@ -3,15 +3,17 @@
 Each replica draws one uniform mark per edge (or site), coupling all
 levels p.  The reach threshold p*, the level at which the core first
 joins the shell, is found by invasion from the core over the graph's CSR
-adjacency (see _kernels), built once per ball or Voronoi replica; the
-thresholds give the whole reach curve theta_hat(p) = P[p* <= p].  The
-phase signatures on a whole p-grid come from a forward and a reverse
-union-find filtration pass, which count the clusters joining the core
-to the shell.  Critical points are located where size-weighted reach
-curves of successive window sizes cross: at criticality the
-center-to-shell reach probability decays like 1/L (tree-like mean-field
-scaling), so L * theta_L(p) tends to 0 below, to a constant at, and to
-infinity above the critical level, and successive sizes cross near it.
+adjacency (see _kernels), built once per ball or Voronoi replica; every
+core site enters at its own opening level (0 for bond, its uniform for
+site).  The thresholds give the whole reach curve
+theta_hat(p) = P[p* <= p].  The phase signatures, one row per position
+of a p-grid, come from a forward and a reverse union-find filtration
+pass, which count the clusters joining the core to the shell.  Critical
+points are located where size-weighted reach curves of successive window
+sizes cross: at criticality the center-to-shell reach probability decays
+like 1/L (tree-like mean-field scaling), so L * theta_L(p) tends to 0
+below, to a constant at, and to infinity above the critical level, and
+successive sizes cross near it.
 """
 
 from __future__ import annotations
@@ -114,12 +116,6 @@ class ClusterLabeling:
         return int(len(np.intersect1d(lc, ls, assume_unique=True)))
 
 
-def _endpoints(edges):
-    """The two endpoint columns of an edge array, each contiguous."""
-    return (np.ascontiguousarray(edges[:, 0]),
-            np.ascontiguousarray(edges[:, 1]))
-
-
 def label_clusters(n: int, edges: np.ndarray, edge_open=None, site_open=None,
                    core=None, shell=None) -> ClusterLabeling:
     """Connected components of the open subgraph.
@@ -134,7 +130,8 @@ def label_clusters(n: int, edges: np.ndarray, edge_open=None, site_open=None,
         site_open = np.ones(n, dtype=bool)
     labels = label_clusters_kernel(
         n,
-        *_endpoints(edges),
+        edges[:, 0],
+        edges[:, 1],
         np.asarray(edge_open, dtype=bool),
         np.asarray(site_open, dtype=bool),
     )
@@ -206,12 +203,12 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
 
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
-    adj = csr_adjacency(inst.n, inst.edges)
+    indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(inst.n)
-        return site_reach_threshold(*adj, u, inst.core, inst.shell)
+        return site_reach_threshold(indptr, indices, u, inst.core, inst.shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -245,8 +242,8 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     V, u = voronoi_replica(lam, window, master_seed, experiment, replica)
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, 0.0)
-    adj = csr_adjacency(V.n_nuclei, V.delaunay_edges)
-    return site_reach_threshold(*adj, u, core, shell)
+    indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
+    return site_reach_threshold(indptr, indices, u, core, shell)
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,
@@ -488,39 +485,24 @@ class SweepResult:
 
 def _aggregate_rows(model, p_values, replica_pairs, meta):
     """Turn per-replica lists of (k, k_dual/black) pairs, one pair per p,
-    into SweepRows."""
-    k_pairs = {p: [] for p in p_values}
-    for rep_pairs in replica_pairs:
-        for p, pair in zip(p_values, rep_pairs):
-            k_pairs[p].append(pair)
+    into SweepRows, one per position in p_values."""
+    k = np.array(list(replica_pairs), dtype=np.int64).reshape(
+        -1, len(p_values), 2)
+    n = len(k)
     rows = []
-    for p in p_values:
-        pairs = k_pairs[p]
-        n = len(pairs)
-        kw = np.array([a for a, _ in pairs], dtype=float)
-        kb = np.array([b for _, b in pairs], dtype=float)
-        reach = int(np.count_nonzero(kw >= 1))
-        theta, lo, hi = wilson_interval(reach, n)
-        rows.append(
-            SweepRow(
-                model=model,
-                p=float(p),
-                theta=theta,
-                theta_lo=lo,
-                theta_hi=hi,
-                kw=float(kw.mean()),
-                kb=float(kb.mean()),
-                unique_freq=float(np.count_nonzero(kw == 1) / n),
-                theta_b=float(np.count_nonzero(kb >= 1) / n),
-                unique_b=float(np.count_nonzero(kb == 1) / n),
-                replicas=n,
-                **meta,
-            )
-        )
+    for p, (kw, kb) in zip(p_values, k.transpose(1, 2, 0)):
+        theta, lo, hi = wilson_interval(int(np.count_nonzero(kw >= 1)), n)
+        rows.append(SweepRow(
+            model=model, p=float(p), theta=theta, theta_lo=lo, theta_hi=hi,
+            kw=float(kw.mean()), kb=float(kb.mean()),
+            unique_freq=float(np.count_nonzero(kw == 1) / n),
+            theta_b=float(np.count_nonzero(kb >= 1) / n),
+            unique_b=float(np.count_nonzero(kb == 1) / n),
+            replicas=n, **meta))
     return rows
 
 
-def _pass_counts(inst: PercInstance, eu, ev, levels, p, reverse: bool):
+def _pass_counts(inst: PercInstance, levels, p, reverse: bool):
     """Core-to-shell cluster counts at each p, in the order of p, with the
     edges of level < p open (forward) or those of level >= p (reverse)."""
     order = np.argsort(levels)
@@ -528,7 +510,8 @@ def _pass_counts(inst: PercInstance, eu, ev, levels, p, reverse: bool):
     if reverse:
         order = np.ascontiguousarray(order[::-1])
         cuts = len(order) - cuts
-    return filtration(inst.n, eu, ev, order, inst.core, inst.shell, cuts)
+    return filtration(inst.n, inst.edges[:, 0], inst.edges[:, 1], order,
+                      inst.core, inst.shell, cuts)
 
 
 def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
@@ -541,17 +524,14 @@ def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
     dual = dual_ball(ball)
     inst = tiling_instance(ball, 2)
     dinst = tiling_instance(dual, 2)
-    eu, ev = _endpoints(inst.edges)
-    deu, dev = _endpoints(dinst.edges)
     p = np.asarray(p_values, dtype=float)
     tag = f"sweep-{p_gon}-{q_deg}-L{layers}"
 
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
-        u = rng.random(len(eu))
-        k = _pass_counts(inst, eu, ev, u, p, reverse=False)
-        kd = _pass_counts(dinst, deu, dev, u[dual.primal_edge], p,
-                          reverse=True)
+        u = rng.random(len(inst.edges))
+        k = _pass_counts(inst, u, p, reverse=False)
+        kd = _pass_counts(dinst, u[dual.primal_edge], p, reverse=True)
         return list(zip(k.tolist(), kd.tolist()))
 
     meta = dict(pgon=p_gon, qdeg=q_deg, R=float(layers), seed=master_seed)
@@ -571,11 +551,9 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
     def one(rep):
         V, u = voronoi_replica(lam, window, master_seed, tag, rep)
         inst = voronoi_instance(V, window.R_window)
-        eu, ev = _endpoints(inst.edges)
-        kw = _pass_counts(inst, eu, ev, np.maximum(u[eu], u[ev]), p,
-                          reverse=False)
-        kb = _pass_counts(inst, eu, ev, np.minimum(u[eu], u[ev]), p,
-                          reverse=True)
+        eu, ev = inst.edges[:, 0], inst.edges[:, 1]
+        kw = _pass_counts(inst, np.maximum(u[eu], u[ev]), p, reverse=False)
+        kb = _pass_counts(inst, np.minimum(u[eu], u[ev]), p, reverse=True)
         return list(zip(kw.tolist(), kb.tolist()))
 
     meta = dict(lam=lam, R=window.R_window, seed=master_seed)

@@ -16,6 +16,12 @@ import numpy as np
 
 from .hypgeo import WORKING_RADIUS, CapExceeded, ball_area
 
+# Nuclei budget of one sample, checked on the mean lam * area(R) before
+# anything is drawn.  A Voronoi threshold replica peaks at about 0.8 KB
+# per nucleus, so a sample at the budget needs about 1.6 GB; that is four
+# times lam = 1 at the working radius (5.1e5 nuclei).
+MAX_NUCLEI = 2 * 10**6
+
 
 def _experiment_tag(experiment: str) -> int:
     digest = hashlib.blake2b(experiment.encode("utf-8"), digest_size=8).digest()
@@ -101,6 +107,15 @@ class ColoredPointSet:
         )
 
 
+def check_sample_size(lam: float, R: float) -> None:
+    """Refuse a sample whose mean count lam * area(R) exceeds MAX_NUCLEI."""
+    mean = lam * ball_area(R)
+    if not mean <= MAX_NUCLEI:
+        raise CapExceeded(
+            f"nuclei budget {MAX_NUCLEI} exceeded: lambda={lam:g} in a ball "
+            f"of radius R={R:g} has a mean of {mean:.3g} nuclei")
+
+
 def sample_poisson_ball(lam: float, R: float, rng: np.random.Generator):
     """Sample a Poisson(lam * area) point set in the hyperbolic ball of radius R.
 
@@ -112,6 +127,7 @@ def sample_poisson_ball(lam: float, R: float, rng: np.random.Generator):
         raise ValueError("intensity must be positive")
     if not 0 < R <= WORKING_RADIUS:
         raise CapExceeded(f"R must lie in (0, {WORKING_RADIUS}]")
+    check_sample_size(lam, R)
     n = rng.poisson(lam * ball_area(R))
     u = rng.random(n)
     rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))

@@ -229,6 +229,14 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["pc-estimate", "--pq", "3,7", "--ladder", "6,5,4"],
     ["decay", "--pq", "3,7", "--L", "6", "--p", "0.15", "--d", "0:3:0.5"],
     ["pc-estimate", "--pq", "3,7"],
+    ["voronoi-sample", "--lambda", "1e9", "--R", "12"],
+    ["voronoi-sample", "--lambda", "1e20"],
+    ["voronoi-sample", "--lambda", "inf"],
+    ["densities", "--lambda", "1e9"],
+    ["phase-sweep", "--lambda", "1e9", "--p", "0.5"],
+    ["pc-estimate", "--lambda", "1e9"],
+    ["pc-estimate", "--lambda", "1,1e9", "--replicas", "3"],
+    ["pu-estimate", "--lambda", "1e9"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

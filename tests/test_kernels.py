@@ -153,7 +153,8 @@ class TestReachKernels:
             core[k] = shell[k] = True
             if trial % 5 == 0:
                 shell |= core    # no core site outside the shell
-        got = K.site_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
+        indptr, indices, _ = csr_adjacency(n, edges)
+        got = K.site_reach_threshold(indptr, indices, u, core, shell)
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -200,6 +201,18 @@ class TestInvasionEqualsFiltration:
                                         inst.shell)
             assert K.bond_reach_threshold(*adj, u, inst.core, inst.shell) == want
 
+    def test_tiling_site(self):
+        inst = tiling_instance(build_ball(3, 7, 6), 0)
+        indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
+        rng = np.random.default_rng(537)
+        for _ in range(50):
+            u = rng.random(inst.n)
+            want = site_filtration_threshold(inst.n, inst.edges, u, inst.core,
+                                             inst.shell)
+            got = K.site_reach_threshold(indptr, indices, u, inst.core,
+                                         inst.shell)
+            assert got == want
+
     @pytest.mark.parametrize("replica", range(2))
     def test_voronoi_site(self, replica):
         window = Window.with_margin(3.5)
@@ -208,8 +221,8 @@ class TestInvasionEqualsFiltration:
         shell = shell_cell_mask(V, window.R_window)
         edges = V.delaunay_edges
         want = site_filtration_threshold(V.n_nuclei, edges, u, core, shell)
-        got = K.site_reach_threshold(*csr_adjacency(V.n_nuclei, edges), u,
-                                     core, shell)
+        indptr, indices, _ = csr_adjacency(V.n_nuclei, edges)
+        got = K.site_reach_threshold(indptr, indices, u, core, shell)
         assert got == want
         assert 0.0 < got < 1.0
 
@@ -247,11 +260,14 @@ class TestInvasionEqualsFiltration:
         ([0, 2], [3], 0.7),        # a multi-site core: the best source wins
         ([0, 1], [1, 4], 0.2),     # overlap: site 1 reaches when it opens
         ([0], [6, 7], 2.0),        # the shell is in another component
+        ([2], [3], 0.8),           # the core site's level is the bottleneck
+        ([2, 4], [3], 0.7),        # core sites enter at different levels
     ])
     def test_site_edge_cases(self, core_sites, shell_sites, want):
         n, edges, _ = self.ring()
         u = np.array([0.3, 0.2, 0.8, 0.7, 0.4, 0.5, 0.1, 0.6])
         core, shell = self.masks(n, core_sites, shell_sites)
-        got = K.site_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
+        indptr, indices, _ = csr_adjacency(n, edges)
+        got = K.site_reach_threshold(indptr, indices, u, core, shell)
         assert got == want
         assert got == site_filtration_threshold(n, edges, u, core, shell)

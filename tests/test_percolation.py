@@ -292,6 +292,18 @@ class TestSweeps:
         b = tiling_signature_sweep(3, 7, 3, [0.3], 10, 5).to_csv()
         assert a == b
 
+    def test_repeated_p_gets_the_row_of_a_single_p_sweep(self):
+        # each position of the grid is its own row: the copies of a
+        # repeated p must not pool their replicas
+        grid = [0.1, 0.3, 0.3, 0.5]
+        rows = tiling_signature_sweep(3, 7, 5, grid, 20, 42).rows
+        for p, row in zip(grid, rows):
+            alone = tiling_signature_sweep(3, 7, 5, [p], 20, 42).rows[0]
+            assert row.replicas == 20
+            assert row.to_line() == alone.to_line()
+            assert (row.theta_b, row.unique_b) == (alone.theta_b,
+                                                   alone.unique_b)
+
     def test_voronoi_replica_reads_the_sample_colored_stream(self):
         window = Window.with_margin(3.0)
         V, u = voronoi_replica(1.0, window, 42, "stream", 3)

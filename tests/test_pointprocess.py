@@ -51,6 +51,14 @@ def test_cap_exceeded():
         sample_poisson_ball(1.0, 13.0, replica_rng(0, "cap", 0))
 
 
+def test_nuclei_budget_refuses_before_drawing():
+    rng = replica_rng(0, "budget", 0)
+    with pytest.raises(CapExceeded, match="nuclei budget"):
+        sample_poisson_ball(1e9, 12.0, rng)
+    # nothing was drawn: the stream still starts where a fresh one does
+    assert rng.random() == replica_rng(0, "budget", 0).random()
+
+
 def test_color_extremes():
     rng = replica_rng(3, "color", 0)
     rho, theta = sample_poisson_ball(1.0, 4.0, rng)
