@@ -1,12 +1,12 @@
-"""Hot Monte Carlo kernels: invasion thresholds, one union-find
+"""Hot Monte Carlo kernels: invasion from a core, one union-find
 filtration, and cluster labels.
 
-A reach threshold is the minimax (bottleneck) level of a path from the
-core to the shell.  `_invade` finds it by invasion percolation from the
-core (Prim's algorithm over a CSR adjacency; Wilkinson & Willemsen,
-J. Phys. A 16, 1983), touching only the edges around the invaded
-cluster; bond and site thresholds differ only in the levels they give
-it.  `filtration` adds all edges in a given order (Newman & Ziff,
+`_invade`, invasion percolation from the core (Prim's algorithm over a
+CSR adjacency; Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one
+cluster traversal.  It takes each site at its minimax (bottleneck)
+level from the core: the first shell site gives the reach threshold,
+and stopped at level p it has taken exactly the core's p-cluster.
+`filtration` adds all edges in a given order (Newman & Ziff,
 PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
 on a whole p-grid.  Both are plain Python over numpy arrays.  Cluster
 labels come from scipy's connected components.
@@ -72,33 +72,35 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     return counts
 
 
-def _invade(indptr, indices, levels, entry, core, shell):
-    """Invasion percolation from the core: the minimax level over paths
-    from a core site to a shell site, or 2.0 if no shell site is reachable.
+def _invade(indptr, indices, levels, entry, core, shell, stop=2.0):
+    """Invasion percolation from the core, until the first shell site or
+    the first level above `stop`.  Returns (top, taken): taken[w] is the
+    running maximum when site w was taken, its minimax level from the
+    core, and top is that of the shell site, 2.0 if none was taken.
 
     levels[j] is the level of adjacency slot j and entry[v] the level at
     which core site v enters.  The lowest boundary level is always taken
-    next; the running maximum of the taken levels when the first shell
-    site is taken is the answer.
-    """
-    invaded = np.zeros(len(core), dtype=bool)
+    next."""
+    taken = {}
     sites = np.flatnonzero(core)
     heap = list(zip(entry[sites].tolist(), sites.tolist()))
     heapify(heap)
     top = 0.0
     while heap:
         level, w = heappop(heap)
-        if invaded[w]:
+        if w in taken:
             continue
         if level > top:
+            if level > stop:
+                break
             top = level
+        taken[w] = top
         if shell[w]:
-            return top
-        invaded[w] = True
+            return top, taken
         a, b = indptr[w], indptr[w + 1]
         for slot in zip(levels[a:b].tolist(), indices[a:b].tolist()):
             heappush(heap, slot)
-    return 2.0
+    return 2.0, taken
 
 
 def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
@@ -107,7 +109,7 @@ def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     enter at 0.0.  (indptr, indices, edge_id) is the graph's CSR
     adjacency (graphs.csr_adjacency)."""
     return _invade(indptr, indices, uniforms[edge_id], np.zeros(len(core)),
-                   core, shell)
+                   core, shell)[0]
 
 
 def site_reach_threshold(indptr, indices, uniforms, core, shell):
@@ -115,7 +117,15 @@ def site_reach_threshold(indptr, indices, uniforms, core, shell):
     sites open in increasing uniforms, 2.0 if they never join.  Each core
     site enters at its own uniform and each step costs the uniform of the
     site it enters, so a path costs its largest uniform."""
-    return _invade(indptr, indices, uniforms[indices], uniforms, core, shell)
+    return _invade(indptr, indices, uniforms[indices], uniforms, core,
+                   shell)[0]
+
+
+def bond_cluster(indptr, indices, edge_id, uniforms, core, p):
+    """The core's cluster of the edges with uniform <= p: a dict from
+    each of its sites to its minimax level from the core."""
+    return _invade(indptr, indices, uniforms[edge_id], np.zeros(len(core)),
+                   core, np.zeros_like(core), p)[1]
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

@@ -25,8 +25,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import svg
+from ._kernels import BACKEND
 from .densities import OriginNotInterior, density_experiment
 from .hypgeo import WORKING_RADIUS, CapExceeded
 from .hypvoronoi import DegenerateInput, Window, delaunay
@@ -221,8 +223,10 @@ def _git_describe():
 
 def write_summary(path: str, config: dict, results, wall_time) -> None:
     doc = {
+        "backend": BACKEND,
         "config": config,
         "git_describe": _git_describe(),
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "wall_time": wall_time,
         "results": results,
     }
@@ -498,6 +502,8 @@ def _pc_like(args, mapper, pu: bool):
     meta.update({
         "value": est.value, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi,
         "crossings": list(est.crossings), "sizes": list(est.sizes),
+        "never_reached": list(est.never_reached),
+        "bootstrap_accepted": est.bootstrap_accepted,
     })
     return meta
 

@@ -13,18 +13,20 @@ points are located where size-weighted reach curves of successive window
 sizes cross: at criticality the center-to-shell reach probability decays
 like 1/L (tree-like mean-field scaling), so L * theta_L(p) tends to 0
 below, to a constant at, and to infinity above the critical level, and
-successive sizes cross near it.
+successive sizes cross near it.  The connectivity decay stops the same
+invasion at level p, where it has taken exactly the center's p-cluster.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._kernels import (
+    bond_cluster,
     bond_reach_threshold,
     filtration,
     label_clusters_kernel,
@@ -285,6 +287,8 @@ class PcEstimate:
     sizes: tuple
     p_grid: np.ndarray
     curves: tuple              # theta_hat arrays, one per size
+    never_reached: tuple       # thresholds of 2.0, one count per size
+    bootstrap_accepted: float  # share of bootstrap resamples that cross
 
 
 def _crossing(curve_small, curve_large, p_grid):
@@ -365,20 +369,16 @@ def estimate_pc(thresholds_by_size, p_grid,
         sizes=sizes,
         p_grid=p_grid,
         curves=curves,
+        never_reached=tuple(int(np.count_nonzero(t == 2.0)) for t in samples),
+        bootstrap_accepted=len(boots) / BOOTSTRAP_RESAMPLES,
     )
 
 
 def pu_from_dual_pc(pc: PcEstimate) -> PcEstimate:
     """Uniqueness level via planar duality: p_u = 1 - p_c(dual)."""
-    return PcEstimate(
-        value=1.0 - pc.value,
-        ci_lo=1.0 - pc.ci_hi,
-        ci_hi=1.0 - pc.ci_lo,
-        crossings=tuple(1.0 - c for c in pc.crossings),
-        sizes=pc.sizes,
-        p_grid=pc.p_grid,
-        curves=pc.curves,
-    )
+    return replace(pc, value=1.0 - pc.value, ci_lo=1.0 - pc.ci_hi,
+                   ci_hi=1.0 - pc.ci_lo,
+                   crossings=tuple(1.0 - c for c in pc.crossings))
 
 
 def tiling_pc(p_gon: int, q_deg: int, ladder, p_grid, replicas: int,
@@ -578,62 +578,39 @@ class DecayFit:
     r_squared: float
 
 
-DECAY_TARGETS = 8
-
-
 def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
                        master_seed: int, mapper=map) -> DecayFit:
     """Two-point connectivity tau_hat(d) and its exponential-decay fit.
 
-    Edges are sampled lazily while exploring the open cluster of vertex 0
-    (the center), so subcritical replicas cost only the cluster size.
-    For each d, up to DECAY_TARGETS vertices at graph distance d serve as
-    endpoints; the fit regresses log tau_hat on d over positive entries.
-    A d with no vertex raises ValueError before any replica runs.
+    Each replica draws one uniform per edge and invades from vertex 0 (the
+    center) up to p, which takes exactly the center's open cluster of the
+    edges with u <= p, so subcritical replicas walk only that cluster.
+    tau_hat(d) is the fraction of the sites of the sphere S_d (every ball
+    vertex at graph distance d) that the cluster holds, over all replicas;
+    the fit regresses log tau_hat on d over positive entries.  A d with no
+    vertex raises ValueError before any replica runs.
     """
     distances = np.asarray(sorted(set(int(d) for d in distances)))
     dist = bfs_distances(ball.n_vertices, ball.edges, 0)
-    far = int(dist.max())
-    targets = []
+    sphere = np.bincount(dist)
     for d in distances:
-        cand = np.flatnonzero(dist == d)
-        if len(cand) == 0:
+        if not 0 <= d < len(sphere):
             raise ValueError(f"no vertex at distance {d} from the center: "
-                             f"{far} is the largest distance in this ball")
-        targets.append(cand[:DECAY_TARGETS])
+                             f"{len(sphere) - 1} is the largest distance "
+                             f"in this ball")
 
-    indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
+    adj = csr_adjacency(ball.n_vertices, ball.edges)
+    center = np.arange(ball.n_vertices) == 0
     tag = f"decay-{ball.p_gon}-{ball.q_deg}-p{p:g}"
 
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
-        edge_state = {}
-        visited = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for j in range(indptr[v], indptr[v + 1]):
-                k = edge_id[j]
-                st = edge_state.get(k)
-                if st is None:
-                    st = bool(rng.random() < p)
-                    edge_state[k] = st
-                if not st:
-                    continue
-                w = int(indices[j])
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        return np.array(
-            [sum(1 for t in tg if int(t) in visited) for tg in targets],
-            dtype=np.int64,
-        )
+        u = rng.random(len(ball.edges))
+        cluster = bond_cluster(*adj, u, center, p)
+        return np.bincount(dist[list(cluster)], minlength=len(sphere))
 
-    counts = np.zeros(len(distances), dtype=np.int64)
-    for c in mapper(one, range(replicas)):
-        counts += c
-
-    trials = np.array([replicas * len(tg) for tg in targets], dtype=np.int64)
+    counts = sum(mapper(one, range(replicas)))[distances]
+    trials = replicas * sphere[distances]
     tau = counts / trials
     pos = tau > 0
     if int(pos.sum()) < 2:

@@ -36,6 +36,7 @@ from hyperperc.percolation import (
     voronoi_signature_sweep,
 )
 from hyperperc._kernels import label_clusters_kernel
+from hyperperc.graphs import bfs_distances
 from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
@@ -280,11 +281,22 @@ def test_criterion_6_trichotomy_and_duality(heptagonal_estimates, capfd):
 
 
 def test_criterion_7_connectivity_decay(capfd):
-    fit = connectivity_decay(build_ball(3, 7, 8), 0.15, range(1, 9), 10_000,
-                             SEED, mapper=MAPPER)
+    ball = build_ball(3, 7, 8)
+    fit = connectivity_decay(ball, 0.15, range(1, 9), 10_000, SEED,
+                             mapper=MAPPER)
+    # sharpness: below p_c the expected cluster size on S_d, |S_d| tau(d),
+    # decays exponentially, so log tau falls faster than log |S_d| grows.
+    # The growth ratio is read from the last complete sphere S_D: every
+    # site nearer than D is complete, so S_D holds all its sites.
+    dist = bfs_distances(ball.n_vertices, ball.edges, 0)
+    sphere = np.bincount(dist)
+    D = int(dist[~ball.interior_vertex_mask].min())
+    growth = sphere[D] / sphere[D - 1]
     report("criterion-7 connectivity-decay", [
         (fit.slope < 0, f"slope {fit.slope:.3f} < 0"),
         (fit.r_squared >= 0.95, f"R^2 {fit.r_squared:.4f} >= 0.95"),
+        (fit.slope < -math.log(growth),
+         f"slope < -log {growth:.4f} = {-math.log(growth):.3f}"),
     ], capfd)
 
 

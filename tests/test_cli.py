@@ -5,10 +5,12 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
 
-from hyperperc import tilinggraph
+from hyperperc import _kernels, tilinggraph
 from hyperperc.cli import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -132,6 +134,20 @@ class TestExitCodes:
                    "--seed", "42", "--json", str(tmp_path / "pc.json")])
         assert rc == 3
 
+    def test_estimate_summary_reports_never_reached_and_bootstrap(
+            self, tmp_path):
+        for cmd in ("pc-estimate", "pu-estimate"):
+            js = tmp_path / f"{cmd}.json"
+            rc = main([cmd, "--pq", "3,7", "--ladder", "3,4,5",
+                       "--p", "0.02:0.98:0.04", "--replicas", "60",
+                       "--seed", "42", "--json", str(js)])
+            assert rc == 0
+            res = json.loads(js.read_text())["results"]
+            assert res["never_reached"] == [0, 0, 0]
+            assert 0.5 <= res["bootstrap_accepted"] <= 1.0
+            assert res["bootstrap_accepted"] * 200 == round(
+                res["bootstrap_accepted"] * 200)
+
 
 class TestDeterminism:
     ARGS = ["phase-sweep", "--lambda", "1", "--p", "0.2,0.8", "--R", "3.5",
@@ -164,8 +180,16 @@ class TestDeterminism:
     def test_wall_time_null_without_timing(self, tmp_path):
         _, js = self.run(tmp_path / "a")
         doc = json.loads(js)
-        assert set(doc) == {"config", "git_describe", "wall_time", "results"}
+        assert set(doc) == {"backend", "config", "git_describe", "results",
+                            "versions", "wall_time"}
         assert doc["wall_time"] is None
+
+    def test_summary_records_backend_and_versions(self, tmp_path):
+        _, js = self.run(tmp_path / "a")
+        doc = json.loads(js)
+        assert doc["backend"] == _kernels.BACKEND
+        assert doc["versions"] == {"numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_crash_injection_leaves_no_partial_output(tmp_path):

@@ -4,7 +4,11 @@ import pytest
 from hyperperc import _kernels as K
 from hyperperc.graphs import csr_adjacency
 from hyperperc.hypvoronoi import Window, core_cell_mask, shell_cell_mask
-from hyperperc.percolation import tiling_instance, voronoi_replica
+from hyperperc.percolation import (
+    label_clusters,
+    tiling_instance,
+    voronoi_replica,
+)
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_perc import bfs_labels, reach_at_level, site_reach_at_level
@@ -271,3 +275,39 @@ class TestInvasionEqualsFiltration:
         got = K.site_reach_threshold(indptr, indices, u, core, shell)
         assert got == want
         assert got == site_filtration_threshold(n, edges, u, core, shell)
+
+
+class TestInvasionStopLevel:
+    """An invasion from vertex 0 stopped at level p takes exactly vertex
+    0's cluster of the edges with u <= p, each site at its minimax level."""
+
+    STOPS = (0.0, 0.1, 0.2, 0.35, 0.6)
+
+    @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3)])
+    def test_taken_sites_are_the_center_cluster(self, p_gon, q_deg):
+        ball = build_ball(p_gon, q_deg, 6)
+        n, edges = ball.n_vertices, ball.edges
+        indptr, indices, edge_id = csr_adjacency(n, edges)
+        center = np.arange(n) == 0
+        no_shell = np.zeros(n, dtype=bool)
+        rng = np.random.default_rng(600 + p_gon)
+        for _ in range(50):
+            u = rng.random(len(edges))
+            levels = u[edge_id]
+            _, record = K._invade(indptr, indices, levels, np.zeros(n),
+                                  center, no_shell, max(self.STOPS))
+            for p in self.STOPS:
+                top, taken = K._invade(indptr, indices, levels, np.zeros(n),
+                                       center, no_shell, p)
+                labels = label_clusters(n, edges, edge_open=u <= p).labels
+                want = set(np.flatnonzero(labels == labels[0]).tolist())
+                assert top == 2.0
+                assert set(taken) == want
+                assert all(level <= p for level in taken.values())
+                # the record of one invasion holds every lower stop's cluster
+                assert taken == {w: lv for w, lv in record.items()
+                                 if lv <= p}
+                assert K.bond_cluster(indptr, indices, edge_id, u, center,
+                                      p) == taken
+                if p == 0.0:
+                    assert taken == {0: 0.0}

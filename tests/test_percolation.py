@@ -12,6 +12,7 @@ from hyperperc.percolation import (
     dual_config,
     estimate_pc,
     label_clusters,
+    pu_from_dual_pc,
     reach_curve,
     tiling_instance,
     tiling_signature_sweep,
@@ -21,6 +22,7 @@ from hyperperc.percolation import (
     SWEEP_HEADER,
     voronoi_replica,
 )
+from hyperperc.graphs import bfs_distances
 from hyperperc.pointprocess import replica_rng, sample_colored
 from hyperperc.tilinggraph import build_ball, dual_ball
 
@@ -197,6 +199,19 @@ class TestEstimatePc:
         with pytest.raises(NoCrossing, match="87 of 200 resamples cross"):
             estimate_pc(pairs, np.linspace(0, 1, 11), bootstrap_seed=1)
 
+    def test_counts_never_reached_and_bootstrap_acceptance(self):
+        # 2.0 marks a replica whose core never reached the shell
+        pairs = [(1, np.array([0.94, 0.13, 0.78, 0.08, 0.42, 0.07, 2.0])),
+                 (2, np.array([0.55, 0.76, 0.25, 0.93, 0.74, 0.18])),
+                 (3, np.array([0.35, 0.58, 0.7, 0.88, 0.03, 0.57, 2.0, 2.0]))]
+        est = estimate_pc(pairs, np.linspace(0, 1, 11), bootstrap_seed=1)
+        assert est.never_reached == (1, 0, 2)
+        assert est.bootstrap_accepted == 107 / 200
+        pu = pu_from_dual_pc(est)
+        assert pu.value == 1.0 - est.value
+        assert pu.never_reached == est.never_reached
+        assert pu.bootstrap_accepted == est.bootstrap_accepted
+
 
 class TestPrimalDualExclusivity:
     @pytest.mark.parametrize("p", [0.15, 0.35, 0.5, 0.65, 0.85])
@@ -332,3 +347,12 @@ class TestDecay:
         assert fit.slope < 0
         assert fit.a_hat < 1
         assert fit.r_squared > 0.9
+
+    def test_trials_cover_the_whole_sphere(self):
+        b = build_ball(3, 7, 5)
+        dist = bfs_distances(b.n_vertices, b.edges, 0)
+        fit = connectivity_decay(b, 0.3, range(0, 5), 40, 7)
+        sphere = np.array([np.count_nonzero(dist == d) for d in range(5)])
+        assert fit.trials.tolist() == (40 * sphere).tolist()
+        assert (fit.counts <= fit.trials).all()
+        assert fit.counts[0] == 40
