@@ -8,8 +8,11 @@ level from the core: the first shell site gives the reach threshold,
 and stopped at level p it has taken exactly the core's p-cluster.
 `filtration` adds all edges in a given order (Newman & Ziff,
 PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
-on a whole p-grid.  Both are plain Python over numpy arrays.  Cluster
-labels come from scipy's connected components.
+on a whole p-grid.  Both are plain Python.  The filtration loop runs over
+Python lists, because in a per-edge loop the numpy scalar that each array
+access boxes costs more than the union-find step; invasion likewise turns
+each adjacency slice into a list.  Cluster labels come from scipy's
+connected components.
 """
 
 from __future__ import annotations
@@ -24,17 +27,6 @@ from scipy.sparse import coo_matrix
 BACKEND = "numpy"
 
 
-def _find(parent, i):
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        nxt = parent[i]
-        parent[i] = root
-        i = nxt
-    return root
-
-
 def filtration(n, eu, ev, order, core, shell, cuts):
     """Union-find over edges added in `order`, counting the clusters that
     meet both a core site and a shell site.
@@ -42,19 +34,29 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     Returns counts: counts[j] is the count after the first cuts[j] edges.
     The sweep stops after the largest cut.
     """
-    parent = np.arange(n)
-    has_core = core.copy()
-    has_shell = shell.copy()
+    parent = list(range(n))
+    has_core = core.tolist()
+    has_shell = shell.tolist()
+    a_of = eu[order].tolist()
+    b_of = ev[order].tolist()
     both = int(np.count_nonzero(core & shell))
     counts = np.zeros(len(cuts), dtype=np.int64)
     # segments between ascending cuts
     start = 0
-    for j in np.argsort(cuts):
-        end = cuts[j]
-        for idx in range(start, end):
-            k = order[idx]
-            ru = _find(parent, eu[k])
-            rv = _find(parent, ev[k])
+    for j in np.argsort(cuts).tolist():
+        end = int(cuts[j])
+        for a, b in zip(a_of[start:end], b_of[start:end]):
+            # find with path compression, inlined for both ends
+            ru = a
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[a] != ru:
+                parent[a], a = ru, parent[a]
+            rv = b
+            while parent[rv] != rv:
+                rv = parent[rv]
+            while parent[b] != rv:
+                parent[b], b = rv, parent[b]
             if ru == rv:
                 continue
             if rv < ru:

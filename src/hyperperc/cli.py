@@ -318,6 +318,8 @@ def estimate_pc_curve(lams, ladder, p_grid, replicas, master_seed,
             "positive_ok": est.ci_lo >= 0.02,
             "sandwich_ok": True,
             "guess_half_minus_lam23": 0.5 - lam ** (-2.0 / 3.0),
+            "never_reached": list(est.never_reached),
+            "bootstrap_accepted": est.bootstrap_accepted,
         })
     for prev, cur in zip(rows, rows[1:]):
         ratio = prev["lambda"] / cur["lambda"]

@@ -508,7 +508,7 @@ def _pass_counts(inst: PercInstance, levels, p, reverse: bool):
     order = np.argsort(levels)
     cuts = np.searchsorted(levels[order], p, side="left")
     if reverse:
-        order = np.ascontiguousarray(order[::-1])
+        order = order[::-1]
         cuts = len(order) - cuts
     return filtration(inst.n, inst.edges[:, 0], inst.edges[:, 1], order,
                       inst.core, inst.shell, cuts)

@@ -148,6 +148,20 @@ class TestExitCodes:
             assert res["bootstrap_accepted"] * 200 == round(
                 res["bootstrap_accepted"] * 200)
 
+    def test_curve_rows_report_never_reached_and_bootstrap(self, tmp_path):
+        js = tmp_path / "curve.json"
+        rc = main(["pc-estimate", "--lambda", "1,2", "--ladder", "3,3.5,4",
+                   "--p", "0.04:0.72:0.04", "--replicas", "80",
+                   "--seed", "42", "--json", str(js)])
+        assert rc == 0
+        rows = json.loads(js.read_text())["results"]["rows"]
+        assert [r["lambda"] for r in rows] == [1.0, 2.0]
+        for r in rows:
+            assert r["never_reached"] == [0, 0, 0]
+            assert 0.0 < r["bootstrap_accepted"] <= 1.0
+            assert r["bootstrap_accepted"] * 200 == round(
+                r["bootstrap_accepted"] * 200)
+
 
 class TestDeterminism:
     ARGS = ["phase-sweep", "--lambda", "1", "--p", "0.2,0.8", "--R", "3.5",

@@ -14,8 +14,8 @@ from hyperperc.tilinggraph import build_ball, dual_ball
 from oracle_perc import bfs_labels, reach_at_level, site_reach_at_level
 
 
-def random_instance(rng, max_n=60):
-    n = int(rng.integers(2, max_n))
+def random_instance(rng, max_n=60, min_n=2):
+    n = int(rng.integers(min_n, max_n))
     m = int(rng.integers(1, 3 * n))
     edges = rng.integers(0, n, size=(m, 2))
     edges = edges[edges[:, 0] != edges[:, 1]]
@@ -111,6 +111,82 @@ class TestFiltration:
         # only the edge (2, 3): never joined
         assert K.bond_reach_threshold(*csr_adjacency(4, edges[2:]), levels[2:],
                                       core, shell) == 2.0
+
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        n, edges = random_instance(rng, max_n=40, min_n=10)
+        core = rng.random(n) < 0.2
+        shell = rng.random(n) < 0.3
+        core[0] = True
+        shell[n - 1] = True
+        return rng, n, edges, core, shell
+
+    def check(self, n, edges, order, core, shell, cuts, dtype=np.int64):
+        """filtration's counts against k_proxy after opening the first
+        cut edges of `order`, per cut."""
+        eu, ev = (np.ascontiguousarray(edges[:, i], dtype=dtype)
+                  for i in (0, 1))
+        counts = K.filtration(n, eu, ev, order, core, shell, cuts)
+        for c, k in zip(cuts.tolist(), counts.tolist()):
+            edge_open = np.zeros(len(edges), dtype=bool)
+            edge_open[order[:c]] = True
+            labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
+            assert k == k_proxy(labels, core, shell)
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_duplicate_boundary_and_unsorted_cuts(self, trial):
+        rng, n, edges, core, shell = self.case(500 + trial)
+        m = len(edges)
+        inner = rng.integers(0, m + 1, size=3)
+        cuts = np.array([m, inner[0], 0, inner[1], m, 0, inner[0], inner[2]])
+        rng.shuffle(cuts)
+        self.check(n, edges, rng.permutation(m), core, shell, cuts)
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_reversed_view_order(self, trial):
+        rng, n, edges, core, shell = self.case(600 + trial)
+        m = len(edges)
+        order = np.argsort(rng.random(m))[::-1]
+        assert not order.flags.c_contiguous
+        self.check(n, edges, order, core, shell,
+                   rng.integers(0, m + 1, size=5))
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_int32_edges(self, trial):
+        rng, n, edges, core, shell = self.case(700 + trial)
+        m = len(edges)
+        self.check(n, edges, rng.permutation(m).astype(np.int32), core,
+                   shell, rng.integers(0, m + 1, size=5), dtype=np.int32)
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_tied_levels(self, trial):
+        # a cell is white iff u < p: an edge joins two white cells iff
+        # max(u_a, u_b) < p and two black cells iff min(u_a, u_b) >= p;
+        # edges through one cell share its uniform, so levels tie, and
+        # some p sit exactly on a level.  A ring plus chords has at least
+        # as many edges as sites, while max levels never take the smallest
+        # uniform and min levels never the largest, so both must tie
+        rng, n, _, core, shell = self.case(800 + trial)
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        chords = rng.integers(0, n, size=(n, 2))
+        edges = np.concatenate([ring, chords[chords[:, 0] != chords[:, 1]]])
+        edges = np.unique(np.sort(edges, axis=1), axis=0)
+        m = len(edges)
+        u = rng.random(n)
+        eu, ev = edges[:, 0], edges[:, 1]
+        p = np.concatenate([rng.random(3), rng.choice(u, 3), [0.0, 1.0]])
+        for levels, reverse in ((np.maximum(u[eu], u[ev]), False),
+                                (np.minimum(u[eu], u[ev]), True)):
+            assert len(np.unique(levels)) < m
+            order = np.argsort(levels)
+            cuts = np.searchsorted(levels[order], p, side="left")
+            if reverse:
+                order, cuts = order[::-1], m - cuts
+            counts = K.filtration(n, eu, ev, order, core, shell, cuts)
+            for j, pj in enumerate(p):
+                edge_open = levels >= pj if reverse else levels < pj
+                labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
+                assert counts[j] == k_proxy(labels, core, shell)
 
 
 class TestReachKernels:
