@@ -1,17 +1,20 @@
 """Hot Monte Carlo kernels: invasion from a core, one union-find
 filtration, and cluster labels.
 
-`_invade`, invasion percolation from the core (Prim's algorithm over a
-CSR adjacency; Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one
-cluster traversal.  It takes each site at its minimax (bottleneck)
-level from the core: the first shell site gives the reach threshold,
-and stopped at level p it has taken exactly the core's p-cluster.
+`_invade`, invasion percolation from the core (Prim's algorithm;
+Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one cluster
+traversal.  It takes each site at its minimax (bottleneck) level from the
+core: the first shell site gives the reach threshold, and stopped at
+level p it has taken exactly the core's p-cluster.  It reads its
+adjacency through a function of the site it takes, so one loop serves a
+tiling's CSR adjacency and a Voronoi replica's stars, built as the
+invasion reaches them.
 `filtration` adds all edges in a given order (Newman & Ziff,
 PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
 on a whole p-grid.  Both are plain Python.  The filtration loop runs over
 Python lists, because in a per-edge loop the numpy scalar that each array
 access boxes costs more than the union-find step; invasion likewise turns
-each adjacency slice into a list.  Cluster labels come from scipy's
+each site's adjacency into a list.  Cluster labels come from scipy's
 connected components.
 """
 
@@ -74,18 +77,18 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     return counts
 
 
-def _invade(indptr, indices, levels, entry, core, shell, stop=2.0):
+def _invade(slots, start, stop=2.0):
     """Invasion percolation from the core, until the first shell site or
     the first level above `stop`.  Returns (top, taken): taken[w] is the
     running maximum when site w was taken, its minimax level from the
     core, and top is that of the shell site, 2.0 if none was taken.
 
-    levels[j] is the level of adjacency slot j and entry[v] the level at
-    which core site v enters.  The lowest boundary level is always taken
-    next."""
+    `start` holds the (level, site) pairs of the core sites, each entering
+    at its own level, and slots(w) the (level, site) slots of site w's
+    adjacency, None if w is a shell site; it is asked once per taken site.
+    The lowest boundary level is always taken next."""
     taken = {}
-    sites = np.flatnonzero(core)
-    heap = list(zip(entry[sites].tolist(), sites.tolist()))
+    heap = list(start)
     heapify(heap)
     top = 0.0
     while heap:
@@ -97,12 +100,40 @@ def _invade(indptr, indices, levels, entry, core, shell, stop=2.0):
                 break
             top = level
         taken[w] = top
-        if shell[w]:
+        out = slots(w)
+        if out is None:
             return top, taken
-        a, b = indptr[w], indptr[w + 1]
-        for slot in zip(levels[a:b].tolist(), indices[a:b].tolist()):
-            heappush(heap, slot)
+        # a slot into a taken site would only be popped and dropped
+        for slot in out:
+            if slot[1] not in taken:
+                heappush(heap, slot)
     return 2.0, taken
+
+
+def _csr_slots(indptr, indices, levels, shell):
+    """slots for _invade over a CSR adjacency: levels[j] is the level of
+    slot j."""
+    def slots(w):
+        if shell[w]:
+            return None
+        a, b = indptr[w], indptr[w + 1]
+        return zip(levels[a:b].tolist(), indices[a:b].tolist())
+
+    return slots
+
+
+def _at_zero(core):
+    """Every core site entering at level 0."""
+    return [(0.0, w) for w in np.flatnonzero(core).tolist()]
+
+
+def csr_neighbours(indptr, indices, shell):
+    """The neighbours function of site_reach_threshold for a CSR adjacency
+    (graphs.csr_adjacency) and a shell mask."""
+    def neighbours(w):
+        return None if shell[w] else indices[indptr[w]:indptr[w + 1]]
+
+    return neighbours
 
 
 def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
@@ -110,24 +141,31 @@ def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     edges open in increasing uniforms, 2.0 if they never join; core sites
     enter at 0.0.  (indptr, indices, edge_id) is the graph's CSR
     adjacency (graphs.csr_adjacency)."""
-    return _invade(indptr, indices, uniforms[edge_id], np.zeros(len(core)),
-                   core, shell)[0]
+    return _invade(_csr_slots(indptr, indices, uniforms[edge_id], shell),
+                   _at_zero(core))[0]
 
 
-def site_reach_threshold(indptr, indices, uniforms, core, shell):
+def site_reach_threshold(neighbours, uniforms, core):
     """Level at which some core site first joins some shell site when
-    sites open in increasing uniforms, 2.0 if they never join.  Each core
-    site enters at its own uniform and each step costs the uniform of the
-    site it enters, so a path costs its largest uniform."""
-    return _invade(indptr, indices, uniforms[indices], uniforms, core,
-                   shell)[0]
+    sites open in increasing uniforms, 2.0 if they never join.
+    neighbours(w) gives the sites adjacent to site w as an index array,
+    None if w is a shell site, so an adjacency can be built as the
+    invasion reaches it.  Each core site enters at its own uniform and
+    each step costs the uniform of the site it enters, so a path costs its
+    largest uniform."""
+    def slots(w):
+        nb = neighbours(w)
+        return None if nb is None else zip(uniforms[nb].tolist(), nb.tolist())
+
+    sites = np.flatnonzero(core)
+    return _invade(slots, zip(uniforms[sites].tolist(), sites.tolist()))[0]
 
 
 def bond_cluster(indptr, indices, edge_id, uniforms, core, p):
     """The core's cluster of the edges with uniform <= p: a dict from
     each of its sites to its minimax level from the core."""
-    return _invade(indptr, indices, uniforms[edge_id], np.zeros(len(core)),
-                   core, np.zeros_like(core), p)[1]
+    return _invade(_csr_slots(indptr, indices, uniforms[edge_id],
+                              np.zeros_like(core)), _at_zero(core), p)[1]
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

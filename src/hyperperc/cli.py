@@ -59,6 +59,15 @@ class ConfigError(ValueError):
     pass
 
 
+class PartialResults(RuntimeError):
+    """A numeric failure after part of the results were made; the JSON
+    summary still records them, and the run exits 3."""
+
+    def __init__(self, message: str, results):
+        super().__init__(message)
+        self.results = results
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError (one `error:` line, exit 2);
     subparsers are built from the same class.  A token made of `-` and a
@@ -294,19 +303,25 @@ def pc_upper_bound(lam: float) -> float:
 
 
 def estimate_pc_curve(lams, ladder, p_grid, replicas, master_seed,
-                      mapper=map) -> list:
+                      mapper=map) -> tuple[list, list]:
     """p_c estimates over a lambda grid with bound/sandwich flags.
 
     Checks, CI-adjusted: (i) the upper bound 1/2 - 1/(4*lambda*pi + 2),
     (ii) positivity, (iii) for adjacent grid points lam < lam' the
     sandwich pc(lam)*lam/lam' <= pc(lam') <= 1 - (1-pc(lam))*lam/lam'.
-    The half-minus-lambda^(-2/3) column is informational only.
+    The half-minus-lambda^(-2/3) column is informational only.  Returns
+    the rows of the lambdas that cross, whose sandwich flags compare
+    adjacent rows, and one message per lambda that does not.
     """
     lams = sorted(float(x) for x in lams)
-    rows = []
+    rows, failed = [], []
     for lam in lams:
-        est = voronoi_pc(lam, ladder, p_grid, replicas, master_seed,
-                         mapper=mapper)
+        try:
+            est = voronoi_pc(lam, ladder, p_grid, replicas, master_seed,
+                             mapper=mapper)
+        except NoCrossing as e:
+            failed.append(f"lambda={lam:g}: {e}")
+            continue
         bound = pc_upper_bound(lam)
         rows.append({
             "lambda": lam,
@@ -326,7 +341,7 @@ def estimate_pc_curve(lams, ladder, p_grid, replicas, master_seed,
         lower_ok = prev["ci_lo"] * ratio <= cur["ci_hi"]
         upper_ok = cur["ci_lo"] <= 1.0 - (1.0 - prev["ci_hi"]) * ratio
         cur["sandwich_ok"] = bool(lower_ok and upper_ok)
-    return rows
+    return rows, failed
 
 
 def pc_curve_csv(rows) -> str:
@@ -487,11 +502,16 @@ def _pc_like(args, mapper, pu: bool):
         ladder = _window_ladder(_ladder(parse_grid(args.ladder), args.ladder))
         _check_samples(lams, ladder)
         if len(lams) > 1:
-            rows = estimate_pc_curve(lams, ladder, p_grid, args.replicas,
-                                     args.seed, mapper=mapper)
+            rows, failed = estimate_pc_curve(lams, ladder, p_grid,
+                                             args.replicas, args.seed,
+                                             mapper=mapper)
             if args.out:
                 atomic_write(args.out, pc_curve_csv(rows))
-            return {"model": "voronoi-curve", "rows": rows}
+            results = {"model": "voronoi-curve", "rows": rows}
+            if failed:
+                results["failed"] = failed
+                raise PartialResults("; ".join(failed), results)
+            return results
         est = (voronoi_pu if pu else voronoi_pc)(
             lams[0], ladder, p_grid, args.replicas, args.seed, mapper=mapper)
         meta = {"model": "voronoi", "lambda": lams[0]}
@@ -728,13 +748,19 @@ def main(argv=None) -> int:
             raise ConfigError("seed must fit in 64 bits")
         mapper = make_mapper(n_threads)
         t0 = time.monotonic()
-        results = args.fn(args, mapper)
+        failure = None
+        try:
+            results = args.fn(args, mapper)
+        except PartialResults as e:
+            results, failure = e.results, e
         wall = time.monotonic() - t0 if args.timing else None
         if args.json:
             config = {k: v for k, v in sorted(vars(args).items())
                       if k not in ("fn", "json", "config", "timing")
                       and v is not None}
             write_summary(args.json, config, results, wall)
+        if failure is not None:
+            raise failure
         return 0
     except (ConfigError, TooLarge, CapExceeded, DegenerateInput) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,14 +2,21 @@
 
 The hyperbolic Delaunay complex equals the sub-complex of the Euclidean
 Delaunay triangulation of the Poincare images whose circumdisks stay
-inside the open unit disk, so construction runs Euclidean Delaunay
-(Qhull) and filters faces.  Voronoi vertices are the hyperbolic
-circumcenters of the kept faces.
+inside the open unit disk.  A whole complex (`delaunay`, for the sweeps,
+the densities and the pictures) runs Euclidean Delaunay (Qhull) on the
+whole sample and filters faces.  A reach threshold needs only the stars
+of the few cells its invasion takes, so `LocalStars` builds one star at a
+time from a Qhull triangulation of the cell's nearest nuclei, verified
+against the whole sample.  Both keep faces and mark interior nuclei by
+one rule (`_filter`).  Voronoi vertices are the hyperbolic circumcenters
+of the kept faces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay as _EuclideanDelaunay
@@ -73,57 +80,42 @@ def delaunay(points: ColoredPointSet) -> VoronoiComplex:
     (no incident face was filtered, nucleus off the Euclidean hull) and
     lie within points.R - 1 of the origin.
     """
+    return _whole_complex(points, _disk_xy(points))
+
+
+def _disk_xy(points: ColoredPointSet) -> np.ndarray:
+    """Poincare coordinates of a sample Delaunay can take: at least three
+    nuclei, no two alike."""
     n = len(points)
     if n < 3:
         raise DegenerateInput(
             f"need at least 3 nuclei, got {n} at lambda={points.lam:g} in "
             f"a ball of radius R={points.R:g}")
     xy = points.disk_xy
-    # exact duplicates break the empty-disk property
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    s = xy[order]
-    if np.any(np.all(s[1:] == s[:-1], axis=1)):
-        raise DegenerateInput("duplicate nuclei")
+    # exact duplicates break the empty-disk property; nuclei whose x
+    # coordinates differ are distinct, so only a tie in x needs both
+    xs = np.sort(xy[:, 0])
+    if np.any(xs[1:] == xs[:-1]):
+        s = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+        if np.any(np.all(s[1:] == s[:-1], axis=1)):
+            raise DegenerateInput("duplicate nuclei")
+    return xy
 
+
+def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
+    n = len(points)
     tri = _EuclideanDelaunay(xy)  # Qhull; cocircular ties broken by joggle-free merge
     simplices = tri.simplices
-
-    a, b, c = xy[simplices[:, 0]], xy[simplices[:, 1]], xy[simplices[:, 2]]
-    cx, cy, r2 = _euclidean_circumcircles(a, b, c)
-    keep = np.hypot(cx, cy) + np.sqrt(r2) < 1.0
-
-    faces = simplices[keep]
-    lifts = _hyperboloid(points.rho, points.theta)
-    A, B, C = lifts[faces[:, 0]], lifts[faces[:, 1]], lifts[faces[:, 2]]
-    vr, vt, finite = circumcenters_arrays(
-        A[:, 0], A[:, 1], A[:, 2],
-        B[:, 0], B[:, 1], B[:, 2],
-        C[:, 0], C[:, 1], C[:, 2],
-    )
-    # containment of the Euclidean circumdisk implies a finite center
-    faces = faces[finite]
-    vr, vt = vr[finite], vt[finite]
-
-    faces = faces.astype(np.int64)
+    faces, vr, vt, interior = _filter(
+        points.rho, points.theta, simplices,
+        _euclidean_circumcircles(xy, simplices), _hull_mask(tri), points.R)
     corners = faces.ravel()
-
     edges = edges_of_keys(side_keys(faces, n), n)
 
     # face incidence as CSR; the stable sort keeps each nucleus's faces ascending
-    star_kept = np.bincount(corners, minlength=n)
     face_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(star_kept, out=face_ptr[1:])
+    np.cumsum(np.bincount(corners, minlength=n), out=face_ptr[1:])
     face_of = np.argsort(corners, kind="stable") // 3
-
-    # star completeness: every Euclidean incident simplex must survive
-    star_total = np.bincount(simplices.ravel(), minlength=n)
-    on_hull = np.zeros(n, dtype=bool)
-    on_hull[tri.convex_hull.ravel()] = True
-
-    interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
-    vmax = np.zeros(n)
-    np.maximum.at(vmax, corners, np.repeat(vr, 3))
-    interior &= vmax <= points.R - 1.0
 
     return VoronoiComplex(
         points=points,
@@ -137,7 +129,49 @@ def delaunay(points: ColoredPointSet) -> VoronoiComplex:
     )
 
 
-def _euclidean_circumcircles(a, b, c):
+def _hull_mask(tri) -> np.ndarray:
+    on_hull = np.zeros(len(tri.points), dtype=bool)
+    on_hull[tri.convex_hull.ravel()] = True
+    return on_hull
+
+
+def _filter(rho, theta, simplices, circles, on_hull, R):
+    """The kept faces among Euclidean Delaunay `simplices`, their Voronoi
+    vertices (rho, theta) and the interior mask of the nuclei; the one
+    rule for whole complexes and local stars.
+
+    A face is kept when its Euclidean circumdisk (`circles`) lies inside
+    the open unit disk and its hyperbolic circumcenter is finite.  A
+    nucleus is interior when it is off the hull, has a face, every face it
+    has is kept, and all its Voronoi vertices lie within R - 1 of the
+    origin.
+    """
+    n = len(rho)
+    cx, cy, r2 = circles
+    faces = simplices[np.hypot(cx, cy) + np.sqrt(r2) < 1.0]
+    lifts = _hyperboloid(rho, theta)
+    A, B, C = lifts[faces[:, 0]], lifts[faces[:, 1]], lifts[faces[:, 2]]
+    vr, vt, finite = circumcenters_arrays(
+        A[:, 0], A[:, 1], A[:, 2],
+        B[:, 0], B[:, 1], B[:, 2],
+        C[:, 0], C[:, 1], C[:, 2],
+    )
+    # containment of the Euclidean circumdisk implies a finite center
+    faces = faces[finite].astype(np.int64)
+    vr, vt = vr[finite], vt[finite]
+    corners = faces.ravel()
+    star_kept = np.bincount(corners, minlength=n)
+    star_total = np.bincount(simplices.ravel(), minlength=n)
+    interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
+    vmax = np.zeros(n)
+    np.maximum.at(vmax, corners, np.repeat(vr, 3))
+    interior &= vmax <= R - 1.0
+    return faces, vr, vt, interior
+
+
+def _euclidean_circumcircles(xy, simplices):
+    """Centres (x, y) and squared radii of the triangles' circumcircles."""
+    a, b, c = xy[simplices[:, 0]], xy[simplices[:, 1]], xy[simplices[:, 2]]
     ax, ay = a[:, 0], a[:, 1]
     bx, by = b[:, 0] - ax, b[:, 1] - ay
     cx, cy = c[:, 0] - ax, c[:, 1] - ay
@@ -147,6 +181,148 @@ def _euclidean_circumcircles(a, b, c):
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
     return ax + ux, ay + uy, ux * ux + uy * uy
+
+
+# A local star first triangulates the STAR_NUCLEI nuclei nearest its cell,
+# then STAR_GROWTH times as many after each failed check, and the whole
+# sample once that count reaches the sample size.  A sample of at most
+# WHOLE_SAMPLE nuclei is triangulated whole at once, where one Qhull call
+# costs about as much as the stars of an invasion.
+STAR_NUCLEI = 32
+STAR_GROWTH = 4
+WHOLE_SAMPLE = 256
+# relative margin of the emptiness tests, far above rounding: a nucleus
+# that close to a circumcircle counts as inside, and the star grows
+_ROUNDING = 1e-9
+
+
+class Star(NamedTuple):
+    """A cell's Delaunay star, as delaunay() of the whole sample has it."""
+
+    faces: np.ndarray      # (m, 3) kept faces, sample indices
+    vor_rho: np.ndarray    # (m,) their Voronoi vertices' polar radii
+    neighbours: np.ndarray  # the other corners of the kept faces, ascending
+    interior: bool
+
+
+class LocalStars:
+    """The Delaunay stars of single cells of a sample, computed when asked.
+
+    Cell x's star comes from a Qhull triangulation of the nuclei nearest
+    to x in hyperbolic distance, ranked by the key |z - z_x|^2 / (1 - |z|^2)
+    (plain Euclidean nearness in the disk misses neighbours far out).  x's
+    faces are accepted only if they close a fan around x (x is off the
+    local hull) and no nucleus of the whole sample lies in their open
+    circumdisks or within rounding of their circles.  Then each is a
+    Delaunay triangle of the sample, and a closed fan of them is x's whole
+    star.  Otherwise more nuclei are taken, up to the whole sample in its
+    own order, which is delaunay()'s input to Qhull.  Faces, Voronoi
+    vertices and the interior flag follow delaunay()'s rule (`_filter`);
+    the vertices agree with delaunay()'s to rounding, since Qhull may list
+    a face's corners in another order.
+    """
+
+    def __init__(self, points: ColoredPointSet):
+        self.points = points
+        self._xy = xy = _disk_xy(points)
+        self._x, self._y = xy[:, 0].copy(), xy[:, 1].copy()
+        self._w = 1.0 - (self._x * self._x + self._y * self._y)
+        self._inv_w = 1.0 / self._w
+        self._whole = None
+        if len(points) <= WHOLE_SAMPLE:
+            self._whole = _whole_complex(points, self._xy)
+        self._stars = {}
+
+    def star(self, x: int) -> Star:
+        """Cell x's star, equal to delaunay(points)'s."""
+        got = self._stars.get(x)
+        if got is None:
+            got = self._stars[x] = self._local(x) or self._from_whole(x)
+        return got
+
+    def _local(self, x):
+        if self._whole is not None:
+            return None
+        xy, n = self._xy, len(self._xy)
+        z = xy[x]
+        dx, dy = self._x - z[0], self._y - z[1]
+        d2 = (dx * dx + dy * dy) * self._inv_w
+        k = STAR_NUCLEI
+        while k < n:
+            part = np.argpartition(d2, k)
+            near, t = part[:k], d2[part[k]]
+            tri = _EuclideanDelaunay(xy[near])
+            on_hull = _hull_mask(tri)
+            here = int(np.argmin(d2[near]))    # x, the one key of 0
+            simplices = tri.simplices
+            fan = simplices[(simplices == here).any(axis=1)]
+            if len(fan) and not on_hull[here]:
+                circles = _euclidean_circumcircles(tri.points, fan)
+                if self._empty(tri.points, near, fan, circles, x, t):
+                    faces, vr, _, interior = _filter(
+                        self.points.rho[near], self.points.theta[near], fan,
+                        circles, on_hull, self.points.R)
+                    return _star(x, near[faces], vr, bool(interior[here]))
+            k *= STAR_GROWTH
+        self._whole = _whole_complex(self.points, xy)
+        return None
+
+    def _empty(self, near_xy, near, fan, circles, x, t):
+        """Whether no nucleus lies in the open circumdisks of `fan` (faces
+        over the candidates `near`, at `near_xy`), or within rounding of
+        their circles.  Every circumdisk is scanned against the
+        candidates.  One inside the candidates' ball {key < t}, t the key
+        of the nearest nucleus left out, holds no other nucleus; any other
+        is scanned against the whole sample as well."""
+        cx, cy, r2 = circles
+        if not _clear(near_xy[:, 0], near_xy[:, 1], fan, cx, cy, r2):
+            return False
+        # {key < t} is the Euclidean disk of centre z_x / (1 + t)
+        bx, by = self._xy[x] / (1.0 + t)
+        br = math.sqrt(t * (t + self._w[x])) / (1.0 + t)
+        out = np.hypot(cx - bx, cy - by) + np.sqrt(r2) >= br * (1 - _ROUNDING)
+        return not out.any() or _clear(self._x, self._y, near[fan[out]],
+                                       cx[out], cy[out], r2[out])
+
+    def _from_whole(self, x):
+        V = self._whole
+        js = V.cell_faces(x)
+        return _star(x, V.faces[js], V.vor_rho[js], bool(V.interior_mask[x]))
+
+    def neighbours(self, x: int, R_window: float):
+        """Cell x's Delaunay neighbours, None for a shell cell: beyond
+        R_window or not interior, as shell_cell_mask has it."""
+        if self.points.rho[x] > R_window:
+            return None
+        s = self.star(x)
+        return s.neighbours if s.interior else None
+
+    def core_mask(self) -> np.ndarray:
+        """core_cell_mask(delaunay(points), 0.0): the nucleus nearest the
+        origin, plus the corners of any face whose Voronoi vertex is the
+        origin, all of which lie in that nucleus's star."""
+        origin = int(np.argmin(self.points.rho))
+        s = self.star(origin)
+        mask = self.points.rho <= 0.0
+        mask[s.faces[s.vor_rho <= 0.0].ravel()] = True
+        mask[origin] = True
+        return mask
+
+
+def _clear(xs, ys, faces, cx, cy, r2):
+    """Whether none of the points (xs, ys) lies in the open circumdisk of
+    a face, or within rounding of its circle, apart from the face's own
+    corners (indices into xs, ys), which lie on it."""
+    dx = xs - cx[:, None]
+    dy = ys - cy[:, None]
+    d = dx * dx + dy * dy
+    d[np.arange(len(d))[:, None], faces] = np.inf
+    return not np.any(d < r2[:, None] * (1 + _ROUNDING))
+
+
+def _star(x, faces, vor_rho, interior):
+    corners = np.unique(faces)
+    return Star(faces, vor_rho, corners[corners != x], interior)
 
 
 def _hyperboloid(rho, theta):

@@ -2,10 +2,12 @@
 
 Each replica draws one uniform mark per edge (or site), coupling all
 levels p.  The reach threshold p*, the level at which the core first
-joins the shell, is found by invasion from the core over the graph's CSR
-adjacency (see _kernels), built once per ball or Voronoi replica; every
+joins the shell, is found by invasion from the core (see _kernels); every
 core site enters at its own opening level (0 for bond, its uniform for
-site).  The thresholds give the whole reach curve
+site).  On a tiling ball the invasion walks a CSR adjacency built once
+per ball.  On a Voronoi replica it asks for the Delaunay star of each cell
+it takes (hypvoronoi.LocalStars), so it never triangulates the whole
+sample.  The thresholds give the whole reach curve
 theta_hat(p) = P[p* <= p].  The phase signatures, one row per position
 of a p-grid, come from a forward and a reverse union-find filtration
 pass, which count the clusters joining the core to the shell.  Critical
@@ -28,12 +30,19 @@ import numpy as np
 from ._kernels import (
     bond_cluster,
     bond_reach_threshold,
+    csr_neighbours,
     filtration,
     label_clusters_kernel,
     site_reach_threshold,
 )
 from .graphs import bfs_distances, csr_adjacency
-from .hypvoronoi import Window, core_cell_mask, delaunay, shell_cell_mask
+from .hypvoronoi import (
+    LocalStars,
+    Window,
+    core_cell_mask,
+    delaunay,
+    shell_cell_mask,
+)
 from .pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
 from .tilinggraph import DualBall, TilingBall, build_ball, dual_ball
 
@@ -206,26 +215,25 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
     indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
+    neighbours = csr_neighbours(indptr, indices, inst.shell)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(inst.n)
-        return site_reach_threshold(indptr, indices, u, inst.core, inst.shell)
+        return site_reach_threshold(neighbours, u, inst.core)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
 
-def voronoi_replica(lam: float, window: Window, master_seed: int,
-                    experiment: str, replica: int):
-    """One Voronoi replica: the complex V and its per-cell uniforms u.
-
-    The one builder of a Voronoi replica, for the thresholds, the sweeps
-    and the density estimates.
+def voronoi_sample(lam: float, window: Window, master_seed: int,
+                   experiment: str, replica: int):
+    """One Voronoi replica's nuclei and per-cell uniforms u: the one
+    sampler of the thresholds, the sweeps and the density estimates.
 
     Nuclei and uniforms come from one replica stream in the order
     sample_colored draws them, so a cell is white at level p iff
-    u < p; the uniforms couple all p at once.  V carries the colouring
-    at p = 1/2.
+    u < p; the uniforms couple all p at once.  The point set carries the
+    colouring at p = 1/2.
     """
     rng = replica_rng(master_seed, experiment, replica)
     rho, theta = sample_poisson_ball(lam, window.R_sample, rng)
@@ -234,18 +242,26 @@ def voronoi_replica(lam: float, window: Window, master_seed: int,
         rho=rho, theta=theta, white=u < 0.5, lam=lam, p=0.5,
         R=window.R_sample, seed=master_seed,
     )
+    return pts, u
+
+
+def voronoi_replica(lam: float, window: Window, master_seed: int,
+                    experiment: str, replica: int):
+    """One Voronoi replica: the whole complex V of voronoi_sample's nuclei
+    and their uniforms u."""
+    pts, u = voronoi_sample(lam, window, master_seed, experiment, replica)
     return delaunay(pts), u
 
 
 def voronoi_threshold(lam: float, window: Window, master_seed: int,
                       experiment: str, replica: int) -> float:
     """One replica of the level at which the cell containing the origin
-    first joins the shell through white cells."""
-    V, u = voronoi_replica(lam, window, master_seed, experiment, replica)
-    shell = shell_cell_mask(V, window.R_window)
-    core = core_cell_mask(V, 0.0)
-    indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
-    return site_reach_threshold(indptr, indices, u, core, shell)
+    first joins the shell through white cells.  The invasion builds only
+    the stars of the cells it takes (hypvoronoi.LocalStars)."""
+    pts, u = voronoi_sample(lam, window, master_seed, experiment, replica)
+    stars = LocalStars(pts)
+    return site_reach_threshold(
+        lambda w: stars.neighbours(w, window.R_window), u, stars.core_mask())
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,

@@ -1,8 +1,14 @@
-"""Flood-fill reference implementations for the union-find kernels."""
+"""Reference implementations: flood-fill labels and reach for the
+kernels, and the whole-complex Voronoi threshold pipeline."""
 
 from collections import deque
 
 import numpy as np
+
+from hyperperc._kernels import csr_neighbours, site_reach_threshold
+from hyperperc.graphs import csr_adjacency
+from hyperperc.hypvoronoi import core_cell_mask, shell_cell_mask
+from hyperperc.percolation import voronoi_replica
 
 
 def bfs_labels(n, edges, edge_open, site_open):
@@ -50,3 +56,15 @@ def site_reach_at_level(n, edges, uniforms_sites, core, shell, p):
     core_labels = {l for l in labels[core].tolist() if l >= 0}
     shell_labels = {l for l in labels[shell].tolist() if l >= 0}
     return len(core_labels & shell_labels) > 0
+
+
+def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,
+                                    replica):
+    """voronoi_threshold from the whole complex: delaunay, the core and
+    shell masks, the CSR adjacency and the site invasion over it."""
+    V, u = voronoi_replica(lam, window, master_seed, experiment, replica)
+    shell = shell_cell_mask(V, window.R_window)
+    core = core_cell_mask(V, 0.0)
+    indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
+    return site_reach_threshold(csr_neighbours(indptr, indices, shell), u,
+                                core)

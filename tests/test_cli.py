@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from hyperperc import _kernels, tilinggraph
 from hyperperc.cli import (
     MAX_GRID_POINTS,
+    PC_CURVE_HEADER,
     ConfigError,
     atomic_write,
     classify_phase,
@@ -161,6 +163,35 @@ class TestExitCodes:
             assert 0.0 < r["bootstrap_accepted"] <= 1.0
             assert r["bootstrap_accepted"] * 200 == round(
                 r["bootstrap_accepted"] * 200)
+
+    def test_curve_writes_the_lambdas_that_cross(self, tmp_path, capsys):
+        # at 40 replicas lambda=1's bootstrap is unstable while lambda=2
+        # crosses: the run writes lambda=2's rows and still exits 3
+        args = ["pc-estimate", "--ladder", "3,3.5,4", "--p", "0.04:0.72:0.04",
+                "--replicas", "40", "--seed", "42"]
+        out, js = tmp_path / "curve.csv", tmp_path / "curve.json"
+        rc = main(args + ["--lambda", "1,2", "-o", str(out), "--json",
+                          str(js)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"numeric failure: lambda=1: crossing unstable "
+                            r"under bootstrap resampling: \d+ of 200 "
+                            r"resamples cross", err[0])
+        lines = out.read_text().splitlines()
+        assert lines[0] == PC_CURVE_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["2"]
+        res = json.loads(js.read_text())["results"]
+        assert [r["lambda"] for r in res["rows"]] == [2.0]
+        assert res["rows"][0]["sandwich_ok"] is True
+        assert res["failed"] == [err[0][len("numeric failure: "):]]
+        # the row is the one lambda=2 gives alone
+        alone = tmp_path / "alone.json"
+        assert main(args + ["--lambda", "2", "--json", str(alone)]) == 0
+        one = json.loads(alone.read_text())["results"]
+        row = res["rows"][0]
+        assert (row["pc"], row["ci_lo"], row["ci_hi"]) == (
+            one["value"], one["ci_lo"], one["ci_hi"])
 
 
 class TestDeterminism:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
+from hyperperc import hypvoronoi
 from hyperperc.hypvoronoi import (
     DegenerateInput,
+    LocalStars,
     NotInterior,
     Window,
     cell_polygon,
@@ -300,3 +302,111 @@ class TestCoreShell:
         core = core_cell_mask(V, 1.0)
         assert not (core & shell).any()
 
+
+def star_of_complex(V, x):
+    """Cell x's kept faces, neighbours and interior flag in V."""
+    e = V.delaunay_edges
+    nbrs = np.sort(np.concatenate([e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]]))
+    faces = {frozenset(f) for f in V.faces[V.cell_faces(x)].tolist()}
+    return faces, nbrs.tolist(), bool(V.interior_mask[x])
+
+
+def assert_stars_match(stars, V, cells):
+    for x in cells:
+        s = stars.star(int(x))
+        faces, nbrs, interior = star_of_complex(V, int(x))
+        assert {frozenset(f) for f in s.faces.tolist()} == faces
+        assert s.neighbours.tolist() == nbrs
+        assert s.interior == interior
+        # a face's corners may come in another order than in V, and at
+        # the sampling radius and beyond the hyperboloid circumcenter
+        # keeps only about 7 digits
+        np.testing.assert_allclose(np.sort(s.vor_rho),
+                                   np.sort(V.vor_rho[V.cell_faces(int(x))]),
+                                   rtol=1e-6)
+
+
+@pytest.fixture
+def qhull_sizes(monkeypatch):
+    """The number of nuclei of every Qhull call in hypvoronoi."""
+    sizes = []
+    qhull = hypvoronoi._EuclideanDelaunay
+
+    def counted(xy):
+        sizes.append(len(xy))
+        return qhull(xy)
+
+    monkeypatch.setattr(hypvoronoi, "_EuclideanDelaunay", counted)
+    return sizes
+
+
+class TestLocalStars:
+    """Each local star is the star of the whole complex."""
+
+    @pytest.mark.parametrize("lam,R_window,rep", [
+        (0.25, 6.5, 0), (0.25, 6.5, 1), (1.0, 4.5, 0), (1.0, 4.5, 1),
+        (2.0, 4.0, 0), (2.0, 4.0, 1)])
+    def test_every_window_cell(self, lam, R_window, rep, qhull_sizes):
+        pts = sample_colored(lam, 0.5, R_window + 2.0, 71, "local-stars", rep)
+        assert len(pts) > hypvoronoi.WHOLE_SAMPLE
+        V = delaunay(pts)
+        stars = LocalStars(pts)
+        del qhull_sizes[:]
+        assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
+        # no star needed the whole sample
+        assert max(qhull_sizes) < len(pts)
+        np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
+
+    def test_growth(self, qhull_sizes):
+        # at lambda = 1/4 the first candidates often miss a nucleus that
+        # lies in a face's circumdisk, so stars grow
+        pts = sample_colored(0.25, 0.5, 8.5, 73, "local-stars-growth", 0)
+        V = delaunay(pts)
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, np.flatnonzero(pts.rho <= 6.5))
+        grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH
+        assert grown in qhull_sizes
+        assert qhull_sizes.count(hypvoronoi.STAR_NUCLEI) > len(qhull_sizes) // 2
+
+    def test_small_sample_is_triangulated_whole(self, qhull_sizes):
+        pts = small_sample(1.0, 0, max_n=hypvoronoi.STAR_NUCLEI)
+        V = delaunay(pts)
+        del qhull_sizes[:]
+        stars = LocalStars(pts)
+        assert_stars_match(stars, V, range(len(pts)))
+        assert qhull_sizes == [len(pts)]
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_stars_that_reach_the_whole_sample(self, rep, monkeypatch,
+                                               qhull_sizes):
+        # with no shortcut for small samples, hull nuclei never close a
+        # local fan, so their stars grow to the whole sample, which is
+        # then triangulated once, in its own order
+        monkeypatch.setattr(hypvoronoi, "WHOLE_SAMPLE", 0)
+        pts = sample_colored(1.0, 0.5, 4.5, 79, "local-stars-whole", rep)
+        assert hypvoronoi.STAR_NUCLEI < len(pts) <= 400
+        V = delaunay(pts)
+        del qhull_sizes[:]
+        stars = LocalStars(pts)
+        assert_stars_match(stars, V, range(len(pts)))
+        assert qhull_sizes.count(len(pts)) == 1
+        assert not V.interior_mask.all()
+
+    def test_degenerate_input(self):
+        pts = triple_points()
+        two = ColoredPointSet(
+            rho=pts.rho[:2], theta=pts.theta[:2], white=pts.white[:2],
+            lam=1.0, p=0.5, R=3.0, seed=0,
+        )
+        dup = ColoredPointSet(
+            rho=np.concatenate([pts.rho, pts.rho[:1]]),
+            theta=np.concatenate([pts.theta, pts.theta[:1]]),
+            white=np.concatenate([pts.white, pts.white[:1]]),
+            lam=1.0, p=0.5, R=3.0, seed=0,
+        )
+        for bad in (two, dup):
+            with pytest.raises(DegenerateInput) as whole:
+                delaunay(bad)
+            with pytest.raises(DegenerateInput) as local:
+                LocalStars(bad)
+            assert str(local.value) == str(whole.value)

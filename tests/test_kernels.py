@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,17 @@ from hyperperc.percolation import (
     label_clusters,
     tiling_instance,
     voronoi_replica,
+    voronoi_threshold,
+    voronoi_thresholds,
 )
 from hyperperc.tilinggraph import build_ball, dual_ball
 
-from oracle_perc import bfs_labels, reach_at_level, site_reach_at_level
+from oracle_perc import (
+    bfs_labels,
+    reach_at_level,
+    site_reach_at_level,
+    whole_complex_voronoi_threshold,
+)
 
 
 def random_instance(rng, max_n=60, min_n=2):
@@ -234,7 +243,8 @@ class TestReachKernels:
             if trial % 5 == 0:
                 shell |= core    # no core site outside the shell
         indptr, indices, _ = csr_adjacency(n, edges)
-        got = K.site_reach_threshold(indptr, indices, u, core, shell)
+        got = K.site_reach_threshold(
+            K.csr_neighbours(indptr, indices, shell), u, core)
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -289,8 +299,8 @@ class TestInvasionEqualsFiltration:
             u = rng.random(inst.n)
             want = site_filtration_threshold(inst.n, inst.edges, u, inst.core,
                                              inst.shell)
-            got = K.site_reach_threshold(indptr, indices, u, inst.core,
-                                         inst.shell)
+            got = K.site_reach_threshold(
+                K.csr_neighbours(indptr, indices, inst.shell), u, inst.core)
             assert got == want
 
     @pytest.mark.parametrize("replica", range(2))
@@ -302,7 +312,8 @@ class TestInvasionEqualsFiltration:
         edges = V.delaunay_edges
         want = site_filtration_threshold(V.n_nuclei, edges, u, core, shell)
         indptr, indices, _ = csr_adjacency(V.n_nuclei, edges)
-        got = K.site_reach_threshold(indptr, indices, u, core, shell)
+        got = K.site_reach_threshold(
+            K.csr_neighbours(indptr, indices, shell), u, core)
         assert got == want
         assert 0.0 < got < 1.0
 
@@ -348,7 +359,8 @@ class TestInvasionEqualsFiltration:
         u = np.array([0.3, 0.2, 0.8, 0.7, 0.4, 0.5, 0.1, 0.6])
         core, shell = self.masks(n, core_sites, shell_sites)
         indptr, indices, _ = csr_adjacency(n, edges)
-        got = K.site_reach_threshold(indptr, indices, u, core, shell)
+        got = K.site_reach_threshold(
+            K.csr_neighbours(indptr, indices, shell), u, core)
         assert got == want
         assert got == site_filtration_threshold(n, edges, u, core, shell)
 
@@ -370,11 +382,10 @@ class TestInvasionStopLevel:
         for _ in range(50):
             u = rng.random(len(edges))
             levels = u[edge_id]
-            _, record = K._invade(indptr, indices, levels, np.zeros(n),
-                                  center, no_shell, max(self.STOPS))
+            slots = K._csr_slots(indptr, indices, levels, no_shell)
+            _, record = K._invade(slots, K._at_zero(center), max(self.STOPS))
             for p in self.STOPS:
-                top, taken = K._invade(indptr, indices, levels, np.zeros(n),
-                                       center, no_shell, p)
+                top, taken = K._invade(slots, K._at_zero(center), p)
                 labels = label_clusters(n, edges, edge_open=u <= p).labels
                 want = set(np.flatnonzero(labels == labels[0]).tolist())
                 assert top == 2.0
@@ -387,3 +398,41 @@ class TestInvasionStopLevel:
                                       p) == taken
                 if p == 0.0:
                     assert taken == {0: 0.0}
+
+
+# criterion 5's ladders (tests/test_acceptance.py)
+PC_LADDERS = {
+    0.25: (4.5, 5.5, 6.5),
+    0.5: (4.0, 5.0, 6.0),
+    1.0: (3.5, 4.5, 5.5),
+    2.0: (3.0, 4.0, 5.0),
+}
+
+
+class TestLocalVoronoiThreshold:
+    """voronoi_threshold, which invades over local stars, gives the
+    threshold of the whole complex."""
+
+    @pytest.mark.parametrize("lam", sorted(PC_LADDERS))
+    def test_equals_whole_complex_on_the_ladders(self, lam):
+        for R_window in PC_LADDERS[lam]:
+            window = Window.with_margin(R_window)
+            tag = f"vorpc-lam{lam:g}-Rw{R_window:g}"
+            for rep in range(20):
+                want = whole_complex_voronoi_threshold(lam, window, 42, tag,
+                                                       rep)
+                assert voronoi_threshold(lam, window, 42, tag, rep) == want
+
+    def test_thread_mapper_gives_the_serial_result(self):
+        def threaded(fn, items):
+            with ThreadPoolExecutor(max_workers=2) as ex:
+                return list(ex.map(fn, items))
+
+        window = Window.with_margin(4.5)
+        serial = voronoi_thresholds(1.0, window, 12, 7, "threads")
+        assert np.array_equal(
+            voronoi_thresholds(1.0, window, 12, 7, "threads",
+                               mapper=threaded), serial)
+        assert np.array_equal(serial, [
+            whole_complex_voronoi_threshold(1.0, window, 7, "threads", rep)
+            for rep in range(12)])
