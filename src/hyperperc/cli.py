@@ -59,15 +59,6 @@ class ConfigError(ValueError):
     pass
 
 
-class PartialResults(RuntimeError):
-    """A numeric failure after part of the results were made; the JSON
-    summary still records them, and the run exits 3."""
-
-    def __init__(self, message: str, results):
-        super().__init__(message)
-        self.results = results
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError (one `error:` line, exit 2);
     subparsers are built from the same class.  A token made of `-` and a
@@ -510,7 +501,6 @@ def _pc_like(args, mapper, pu: bool):
             results = {"model": "voronoi-curve", "rows": rows}
             if failed:
                 results["failed"] = failed
-                raise PartialResults("; ".join(failed), results)
             return results
         est = (voronoi_pu if pu else voronoi_pc)(
             lams[0], ladder, p_grid, args.replicas, args.seed, mapper=mapper)
@@ -748,19 +738,18 @@ def main(argv=None) -> int:
             raise ConfigError("seed must fit in 64 bits")
         mapper = make_mapper(n_threads)
         t0 = time.monotonic()
-        failure = None
-        try:
-            results = args.fn(args, mapper)
-        except PartialResults as e:
-            results, failure = e.results, e
+        results = args.fn(args, mapper)
         wall = time.monotonic() - t0 if args.timing else None
         if args.json:
             config = {k: v for k, v in sorted(vars(args).items())
                       if k not in ("fn", "json", "config", "timing")
                       and v is not None}
             write_summary(args.json, config, results, wall)
-        if failure is not None:
-            raise failure
+        if results.get("failed"):
+            # a lambda-curve whose other lambdas were written
+            print("numeric failure: " + "; ".join(results["failed"]),
+                  file=sys.stderr)
+            return 3
         return 0
     except (ConfigError, TooLarge, CapExceeded, DegenerateInput) as e:
         print(f"error: {e}", file=sys.stderr)

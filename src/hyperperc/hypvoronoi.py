@@ -92,13 +92,11 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
             f"need at least 3 nuclei, got {n} at lambda={points.lam:g} in "
             f"a ball of radius R={points.R:g}")
     xy = points.disk_xy
-    # exact duplicates break the empty-disk property; nuclei whose x
-    # coordinates differ are distinct, so only a tie in x needs both
-    xs = np.sort(xy[:, 0])
-    if np.any(xs[1:] == xs[:-1]):
-        s = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
-        if np.any(np.all(s[1:] == s[:-1], axis=1)):
-            raise DegenerateInput("duplicate nuclei")
+    # exact duplicates break the empty-disk property
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    s = xy[order]
+    if np.any(np.all(s[1:] == s[:-1], axis=1)):
+        raise DegenerateInput("duplicate nuclei")
     return xy
 
 
@@ -147,8 +145,7 @@ def _filter(rho, theta, simplices, circles, on_hull, R):
     origin.
     """
     n = len(rho)
-    cx, cy, r2 = circles
-    faces = simplices[np.hypot(cx, cy) + np.sqrt(r2) < 1.0]
+    faces = simplices[_reach(circles) < 1.0]
     lifts = _hyperboloid(rho, theta)
     A, B, C = lifts[faces[:, 0]], lifts[faces[:, 1]], lifts[faces[:, 2]]
     vr, vt, finite = circumcenters_arrays(
@@ -169,6 +166,12 @@ def _filter(rho, theta, simplices, circles, on_hull, R):
     return faces, vr, vt, interior
 
 
+def _reach(circles):
+    """How far from the origin the circumdisks reach, in the disk."""
+    cx, cy, r2 = circles
+    return np.hypot(cx, cy) + np.sqrt(r2)
+
+
 def _euclidean_circumcircles(xy, simplices):
     """Centres (x, y) and squared radii of the triangles' circumcircles."""
     a, b, c = xy[simplices[:, 0]], xy[simplices[:, 1]], xy[simplices[:, 2]]
@@ -185,15 +188,19 @@ def _euclidean_circumcircles(xy, simplices):
 
 # A local star first triangulates the STAR_NUCLEI nuclei nearest its cell,
 # then STAR_GROWTH times as many after each failed check, and the whole
-# sample once that count reaches the sample size.  A sample of at most
-# WHOLE_SAMPLE nuclei is triangulated whole at once, where one Qhull call
-# costs about as much as the stars of an invasion.
+# sample once that count reaches the sample size.
 STAR_NUCLEI = 32
 STAR_GROWTH = 4
-WHOLE_SAMPLE = 256
-# relative margin of the emptiness tests, far above rounding: a nucleus
-# that close to a circumcircle counts as inside, and the star grows
+# relative margin of the emptiness and keep tests, far above rounding: a
+# nucleus that close to a circumcircle counts as inside, and the star
+# grows; a face that close to the unit circle sends the star to the whole
+# complex
 _ROUNDING = 1e-9
+# relative margin of the interior test: a star with a Voronoi vertex this
+# close to R - 1 comes from the whole complex.  One face's hyperbolic
+# circumcenter, computed from its corners in another order, moved by at
+# most 2e-7 of its radius over 80 000 faces of radius up to 10.
+_VERTEX_ROUNDING = 1e-5
 
 
 class Star(NamedTuple):
@@ -217,9 +224,11 @@ class LocalStars:
     Delaunay triangle of the sample, and a closed fan of them is x's whole
     star.  Otherwise more nuclei are taken, up to the whole sample in its
     own order, which is delaunay()'s input to Qhull.  Faces, Voronoi
-    vertices and the interior flag follow delaunay()'s rule (`_filter`);
-    the vertices agree with delaunay()'s to rounding, since Qhull may list
-    a face's corners in another order.
+    vertices and the interior flag follow delaunay()'s rule (`_filter`).
+    The vertices agree with delaunay()'s to rounding, since Qhull may list
+    a face's corners in another order, so a star on which the keep or the
+    interior test is within rounding of its bound comes from the whole
+    complex as well, and so has delaunay()'s flag by construction.
     """
 
     def __init__(self, points: ColoredPointSet):
@@ -229,15 +238,18 @@ class LocalStars:
         self._w = 1.0 - (self._x * self._x + self._y * self._y)
         self._inv_w = 1.0 / self._w
         self._whole = None
-        if len(points) <= WHOLE_SAMPLE:
-            self._whole = _whole_complex(points, self._xy)
         self._stars = {}
 
     def star(self, x: int) -> Star:
         """Cell x's star, equal to delaunay(points)'s."""
         got = self._stars.get(x)
         if got is None:
-            got = self._stars[x] = self._local(x) or self._from_whole(x)
+            got = self._local(x)
+            if got is None:
+                if self._whole is None:
+                    self._whole = _whole_complex(self.points, self._xy)
+                got = self._from_whole(x)
+            self._stars[x] = got
         return got
 
     def _local(self, x):
@@ -259,12 +271,16 @@ class LocalStars:
             if len(fan) and not on_hull[here]:
                 circles = _euclidean_circumcircles(tri.points, fan)
                 if self._empty(tri.points, near, fan, circles, x, t):
+                    R = self.points.R
                     faces, vr, _, interior = _filter(
                         self.points.rho[near], self.points.theta[near], fan,
-                        circles, on_hull, self.points.R)
+                        circles, on_hull, R)
+                    if (np.any(np.abs(_reach(circles) - 1.0) <= _ROUNDING)
+                            or np.any(np.abs(vr - (R - 1.0))
+                                      <= _VERTEX_ROUNDING * R)):
+                        return None
                     return _star(x, near[faces], vr, bool(interior[here]))
             k *= STAR_GROWTH
-        self._whole = _whole_complex(self.points, xy)
         return None
 
     def _empty(self, near_xy, near, fan, circles, x, t):

@@ -1,8 +1,10 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay as _EuclideanDelaunay
 
 from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
 from hyperperc import hypvoronoi
@@ -348,7 +350,6 @@ class TestLocalStars:
         (2.0, 4.0, 0), (2.0, 4.0, 1)])
     def test_every_window_cell(self, lam, R_window, rep, qhull_sizes):
         pts = sample_colored(lam, 0.5, R_window + 2.0, 71, "local-stars", rep)
-        assert len(pts) > hypvoronoi.WHOLE_SAMPLE
         V = delaunay(pts)
         stars = LocalStars(pts)
         del qhull_sizes[:]
@@ -377,12 +378,9 @@ class TestLocalStars:
         assert qhull_sizes == [len(pts)]
 
     @pytest.mark.parametrize("rep", range(3))
-    def test_stars_that_reach_the_whole_sample(self, rep, monkeypatch,
-                                               qhull_sizes):
-        # with no shortcut for small samples, hull nuclei never close a
-        # local fan, so their stars grow to the whole sample, which is
-        # then triangulated once, in its own order
-        monkeypatch.setattr(hypvoronoi, "WHOLE_SAMPLE", 0)
+    def test_stars_that_reach_the_whole_sample(self, rep, qhull_sizes):
+        # hull nuclei never close a local fan, so their stars grow to the
+        # whole sample, which is then triangulated once, in its own order
         pts = sample_colored(1.0, 0.5, 4.5, 79, "local-stars-whole", rep)
         assert hypvoronoi.STAR_NUCLEI < len(pts) <= 400
         V = delaunay(pts)
@@ -391,6 +389,51 @@ class TestLocalStars:
         assert_stars_match(stars, V, range(len(pts)))
         assert qhull_sizes.count(len(pts)) == 1
         assert not V.interior_mask.all()
+
+    def test_vertex_at_the_interior_bound(self, qhull_sizes):
+        # give the sample the radius R at which a cell's largest Voronoi
+        # vertex lies at R - 1 exactly: the local vertices may differ from
+        # delaunay()'s by rounding there, so the star comes from the whole
+        # complex and has its interior flag
+        pts = sample_colored(1.0, 0.5, 5.5, 71, "local-stars", 1)
+        V = delaunay(pts)
+        tri = _EuclideanDelaunay(pts.disk_xy)
+        on_hull = np.zeros(len(pts), dtype=bool)
+        on_hull[tri.convex_hull.ravel()] = True
+        complete = (np.bincount(tri.simplices.ravel(), minlength=len(pts))
+                    == np.diff(V.face_ptr))
+        vmax = np.zeros(len(pts))
+        np.maximum.at(vmax, V.faces.ravel(), np.repeat(V.vor_rho, 3))
+        # off the hull with every face kept, and a radius of at least R
+        cells = np.flatnonzero(~on_hull & complete & (vmax > pts.R - 1.0))
+        assert len(cells) >= 5
+        for x in cells[:5]:
+            at = replace(pts, R=float(vmax[x]) + 1.0)
+            W = delaunay(at)
+            assert W.interior_mask[x]
+            del qhull_sizes[:]
+            assert_stars_match(LocalStars(at), W, [x])
+            assert qhull_sizes[-1] == len(pts)
+
+    def test_face_at_the_unit_circle(self, monkeypatch, qhull_sizes):
+        # two window cells have a face whose circumdisk comes within 6e-6
+        # of the unit circle: a local star, unless the keep test's margin
+        # reaches that far, when the star comes from the whole complex
+        pts = sample_colored(0.25, 0.5, 8.5, 71, "local-stars", 0)
+        V = delaunay(pts)
+        gap = 1.0 - hypvoronoi._reach(
+            hypvoronoi._euclidean_circumcircles(pts.disk_xy, V.faces))
+        gap[(pts.rho[V.faces] > 6.5).all(axis=1)] = np.inf
+        face = V.faces[np.argmin(gap)]
+        x = int(face[np.argmin(pts.rho[face])])
+        assert gap.min() < 1e-5
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, [x])
+        assert max(qhull_sizes) < len(pts)
+        monkeypatch.setattr(hypvoronoi, "_ROUNDING", 1e-5)
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, [x])
+        assert qhull_sizes[-1] == len(pts)
 
     def test_degenerate_input(self):
         pts = triple_points()
