@@ -36,16 +36,16 @@ from .percolation import (
     InsufficientData,
     NoCrossing,
     SweepResult,
-    bernoulli_bond,
     connectivity_decay,
     tiling_pc,
     tiling_pu,
     tiling_signature_sweep,
     voronoi_pc,
     voronoi_pu,
+    voronoi_sample,
     voronoi_signature_sweep,
 )
-from .pointprocess import ColoredPointSet, check_sample_size, sample_colored
+from .pointprocess import ColoredPointSet, check_sample_size, replica_rng
 from .tilinggraph import TooLarge, build_ball
 
 PHASE_HEADER = ("model,p,lambda,pgon,qdeg,R,replicas,label,"
@@ -177,8 +177,11 @@ def _ladder(values, text: str) -> list:
 
 
 def _layers(values, least: int = 1) -> list:
-    """Layer counts of at least `least`; percolation needs least=2, since
-    a one-layer ball has no interior vertex to serve as its core."""
+    """A non-empty list of layer counts of at least `least`; percolation
+    needs least=2, since a one-layer ball has no interior vertex to serve
+    as its core."""
+    if not values:
+        raise ConfigError("--L needs at least one layer count")
     for L in values:
         if L < least:
             raise ConfigError(f"layer count must be at least {least}, got {L}")
@@ -388,8 +391,8 @@ def cmd_voronoi_sample(args, mapper):
     if args.replica < 0:
         raise ConfigError(f"--replica must be non-negative, got {args.replica}")
     check_sample_size(args.lam, args.R)
-    pts = sample_colored(args.lam, args.p, args.R, args.seed,
-                         "voronoi-sample", args.replica)
+    pts, _ = voronoi_sample(args.lam, args.R, args.seed, "voronoi-sample",
+                            args.replica, args.p)
     atomic_write(args.out, pts.serialize())
     return {"n_points": len(pts), "lambda": args.lam, "p": args.p,
             "R": args.R, "replica": args.replica}
@@ -572,8 +575,10 @@ def cmd_render(args, mapper):
         if args.p is not None:
             _check_unit("--p", args.p)
         ball = build_ball(p, q, args.layers)
-        open_edges = (None if args.p is None
-                      else bernoulli_bond(ball, args.p, args.seed).open_edges)
+        open_edges = None
+        if args.p is not None:
+            u = replica_rng(args.seed, "bond", 0).random(ball.n_edges)
+            open_edges = u < args.p
         doc = svg.render_tiling(ball, open_edges)
         meta = {"kind": "tiling", "n_vertices": ball.n_vertices}
     else:
@@ -729,7 +734,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         n_threads = args.threads
         if n_threads is None:
-            n_threads = int(os.environ.get("HYPERPERC_THREADS", "1"))
+            env = os.environ.get("HYPERPERC_THREADS", "1")
+            try:
+                n_threads = int(env)
+            except ValueError:
+                raise ConfigError(
+                    f"HYPERPERC_THREADS must be an integer, got {env!r}")
         if n_threads < 1:
             raise ConfigError("thread count must be >= 1")
         if args.replicas < 1:

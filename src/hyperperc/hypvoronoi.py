@@ -91,11 +91,12 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
         raise DegenerateInput(
             f"need at least 3 nuclei, got {n} at lambda={points.lam:g} in "
             f"a ball of radius R={points.R:g}")
-    xy = points.disk_xy
-    # exact duplicates break the empty-disk property
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    s = xy[order]
-    if np.any(np.all(s[1:] == s[:-1], axis=1)):
+    # float64 rows, so that each row views as one complex number
+    xy = np.ascontiguousarray(points.disk_xy, dtype=np.float64)
+    # exact duplicates break the empty-disk property; sorted as complex
+    # numbers (x, then y), equal nuclei end up adjacent
+    z = np.sort(xy.view(np.complex128).ravel())
+    if np.any(z[1:] == z[:-1]):
         raise DegenerateInput("duplicate nuclei")
     return xy
 

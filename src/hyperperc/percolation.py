@@ -44,7 +44,7 @@ from .hypvoronoi import (
     shell_cell_mask,
 )
 from .pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
-from .tilinggraph import DualBall, TilingBall, build_ball, dual_ball
+from .tilinggraph import TilingBall, build_ball, dual_ball
 
 
 class NoCrossing(RuntimeError):
@@ -53,45 +53,6 @@ class NoCrossing(RuntimeError):
 
 class InsufficientData(RuntimeError):
     """Raised when too few positive connectivity frequencies remain to fit."""
-
-
-# ---------------------------------------------------------------------------
-# configurations
-
-
-@dataclass
-class BondConfig:
-    """One realization of Bernoulli bond percolation on a (dual) tiling ball."""
-
-    host: object               # TilingBall or DualBall
-    open_edges: np.ndarray     # bool per edge
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if len(self.open_edges) != len(self.host.edges):
-            raise ValueError("open_edges length must match host edge count")
-
-
-def bernoulli_bond(host, p: float, seed: int, experiment: str = "bond",
-                   replica: int = 0) -> BondConfig:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    rng = replica_rng(seed, experiment, replica)
-    return BondConfig(host, rng.random(len(host.edges)) < p, p, seed)
-
-
-def dual_config(c: BondConfig, dual: DualBall | None = None) -> BondConfig:
-    """Dual configuration: the dual edge is open iff its primal edge is closed."""
-    if isinstance(c.host, DualBall):
-        # back to the primal: primal edge open iff its dual (when present)
-        # is closed; edges with no dual keep their mark unset (closed)
-        primal = c.host.primal
-        open_primal = np.zeros(len(primal.edges), dtype=bool)
-        open_primal[c.host.primal_edge] = ~c.open_edges
-        return BondConfig(primal, open_primal, 1.0 - c.p, c.seed)
-    d = dual if dual is not None else dual_ball(c.host)
-    return BondConfig(d, ~c.open_edges[d.primal_edge], 1.0 - c.p, c.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +186,24 @@ def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
 
-def voronoi_sample(lam: float, window: Window, master_seed: int,
-                   experiment: str, replica: int):
-    """One Voronoi replica's nuclei and per-cell uniforms u: the one
-    sampler of the thresholds, the sweeps and the density estimates.
+def voronoi_sample(lam: float, R: float, master_seed: int, experiment: str,
+                   replica: int, p: float = 0.5):
+    """The one Voronoi sampler: Poisson nuclei in the ball of radius R,
+    then one uniform u per cell, both from the replica stream.
 
-    Nuclei and uniforms come from one replica stream in the order
-    sample_colored draws them, so a cell is white at level p iff
-    u < p; the uniforms couple all p at once.  The point set carries the
-    colouring at p = 1/2.
+    A cell is white at level p iff u < p, so the uniforms couple all p at
+    once; the returned point set carries the colouring at the given p.
+    Returns (points, u).
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     rng = replica_rng(master_seed, experiment, replica)
-    rho, theta = sample_poisson_ball(lam, window.R_sample, rng)
+    # sample_poisson_ball is looked up in this module, where perfbench
+    # traces it
+    rho, theta = sample_poisson_ball(lam, R, rng)
     u = rng.random(len(rho))
-    pts = ColoredPointSet(
-        rho=rho, theta=theta, white=u < 0.5, lam=lam, p=0.5,
-        R=window.R_sample, seed=master_seed,
-    )
+    pts = ColoredPointSet(rho=rho, theta=theta, white=u < p, lam=lam, p=p,
+                          R=R, seed=master_seed)
     return pts, u
 
 
@@ -249,7 +211,8 @@ def voronoi_replica(lam: float, window: Window, master_seed: int,
                     experiment: str, replica: int):
     """One Voronoi replica: the whole complex V of voronoi_sample's nuclei
     and their uniforms u."""
-    pts, u = voronoi_sample(lam, window, master_seed, experiment, replica)
+    pts, u = voronoi_sample(lam, window.R_sample, master_seed, experiment,
+                            replica)
     return delaunay(pts), u
 
 
@@ -258,7 +221,8 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     """One replica of the level at which the cell containing the origin
     first joins the shell through white cells.  The invasion builds only
     the stars of the cells it takes (hypvoronoi.LocalStars)."""
-    pts, u = voronoi_sample(lam, window, master_seed, experiment, replica)
+    pts, u = voronoi_sample(lam, window.R_sample, master_seed, experiment,
+                            replica)
     stars = LocalStars(pts)
     return site_reach_threshold(
         lambda w: stars.neighbours(w, window.R_window), u, stars.core_mask())

@@ -1,8 +1,11 @@
-"""Poisson point processes with hyperbolic area measure, plus Bernoulli coloring.
+"""Poisson point processes with hyperbolic area measure, and the point-set
+container that carries a sample's colours.
 
 Every replica draws from its own counter-based Philox stream derived from
 (master seed, experiment id, replica index), so sweeps can be farmed out
-to workers in any order without losing reproducibility.
+to workers in any order without losing reproducibility.  The colours are
+drawn by percolation.voronoi_sample, from the same stream right after
+the nuclei.
 """
 
 from __future__ import annotations
@@ -133,28 +136,3 @@ def sample_poisson_ball(lam: float, R: float, rng: np.random.Generator):
     rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
     theta = rng.random(n) * 2.0 * math.pi
     return rho, theta
-
-
-def color(rho, theta, p: float, rng: np.random.Generator, *, lam: float, R: float,
-          seed: int = 0) -> ColoredPointSet:
-    """Mark each point white independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    white = rng.random(len(rho)) < p
-    return ColoredPointSet(
-        rho=np.asarray(rho, dtype=float),
-        theta=np.asarray(theta, dtype=float),
-        white=white,
-        lam=lam,
-        p=p,
-        R=R,
-        seed=seed,
-    )
-
-
-def sample_colored(lam: float, p: float, R: float, master_seed: int,
-                   experiment: str = "sample", replica: int = 0) -> ColoredPointSet:
-    """One-stop sampler: Poisson nuclei plus Bernoulli coloring, one stream."""
-    rng = replica_rng(master_seed, experiment, replica)
-    rho, theta = sample_poisson_ball(lam, R, rng)
-    return color(rho, theta, p, rng, lam=lam, R=R, seed=master_seed)

@@ -97,10 +97,10 @@ def _bisector_ideal_point(zi: complex, zj: complex, toward: complex) -> complex:
     return e1 if abs(e1 - toward) < abs(e2 - toward) else e2
 
 
-def _cell_outline(V: VoronoiComplex, i: int) -> list:
+def _cell_outline(V: VoronoiComplex, xy: np.ndarray, i: int) -> list:
     """Disk coordinates of cell i's boundary, ccw; unbounded edges are
-    closed through their ideal endpoints."""
-    xy = V.points.disk_xy
+    closed through their ideal endpoints.  xy holds the nuclei's disk
+    coordinates."""
     zn = complex(*xy[i])
     verts = []
     js = V.cell_faces(i)
@@ -151,9 +151,10 @@ def render_voronoi(V: VoronoiComplex | None,
             nxt += 1
             for cell in np.flatnonzero(labels == lab).tolist():
                 stroke[cell] = stroke_color
+    xy = V.points.disk_xy
     body = []
     for i in range(V.n_nuclei):
-        outline = _cell_outline(V, i)
+        outline = _cell_outline(V, xy, i)
         if not outline:
             continue
         fill = "#ffffff" if white[i] else "#404040"

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from hyperperc.cli import (
     PC_CURVE_HEADER,
     ConfigError,
     atomic_write,
+    build_parser,
     classify_phase,
     main,
     parse_config,
@@ -306,6 +308,8 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["pc-estimate", "--lambda", "1e9"],
     ["pc-estimate", "--lambda", "1,1e9", "--replicas", "3"],
     ["pu-estimate", "--lambda", "1e9"],
+    ["phase-sweep", "--pq", "3,7", "--L", ",", "--p", "0.3"],
+    ["graph-perc", "--pq", "3,7", "--L", ",", "--p", "0.3"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")
@@ -349,6 +353,36 @@ def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
         "error: vertex budget 50 exceeded: round 2 of the {3,7} ball may "
         "need up to 60 vertices"]
     assert not out.exists()
+
+
+def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("HYPERPERC_THREADS", "two")
+    out = tmp_path / "out"
+    assert main(["gen-tiling", "--pq", "3,7", "--L", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: HYPERPERC_THREADS must be an integer, got 'two'"]
+    assert not out.exists()
+
+
+def _readme_commands():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hyperperc ")]
+
+
+def test_readme_commands_parse():
+    # a flag renamed or dropped in the CLI must not linger in README
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.fn.__name__ == "cmd_" + argv[0].replace("-", "_")
 
 
 def test_concurrent_atomic_writes_both_complete(tmp_path):

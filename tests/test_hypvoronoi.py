@@ -18,8 +18,8 @@ from hyperperc.hypvoronoi import (
     delaunay,
     shell_cell_mask,
 )
-from hyperperc.percolation import label_clusters
-from hyperperc.pointprocess import ColoredPointSet, replica_rng, sample_colored
+from hyperperc.percolation import label_clusters, voronoi_sample
+from hyperperc.pointprocess import ColoredPointSet
 
 
 def brute_force_delaunay_faces(xy):
@@ -54,7 +54,8 @@ def brute_force_delaunay_faces(xy):
 
 def small_sample(lam, replica, max_n=30, min_n=4):
     for shift in range(50):
-        pts = sample_colored(lam, 0.5, 2.2, 17, "voronoi-small", replica + 1000 * shift)
+        pts, _ = voronoi_sample(lam, 2.2, 17, "voronoi-small",
+                                replica + 1000 * shift)
         if min_n <= len(pts) <= max_n:
             return pts
     raise RuntimeError("no sample of suitable size found")
@@ -125,7 +126,7 @@ class TestDelaunayConstruction:
 
     @pytest.mark.parametrize("replica", range(4))
     def test_empty_circumdisk_invariant(self, replica):
-        pts = sample_colored(1.0, 0.5, 4.0, 23, "voronoi-mid", replica)
+        pts, _ = voronoi_sample(1.0, 4.0, 23, "voronoi-mid", replica)
         V = delaunay(pts)
         assert len(V.vor_rho) > 0
         for j in range(len(V.vor_rho)):
@@ -139,7 +140,7 @@ class TestDelaunayConstruction:
             assert d_all.min() > r_face.mean() - 1e-8
 
     def test_interior_nuclei_stay_clear_of_rim(self):
-        pts = sample_colored(1.0, 0.5, 6.0, 31, "voronoi-rim", 0)
+        pts, _ = voronoi_sample(1.0, 6.0, 31, "voronoi-rim", 0)
         V = delaunay(pts)
         interior = V.interior_mask
         assert interior.any()
@@ -152,7 +153,7 @@ class TestDelaunayConstruction:
 
 class TestCells:
     def test_cell_polygon_properties(self):
-        pts = sample_colored(1.0, 0.5, 6.0, 37, "voronoi-cells", 0)
+        pts, _ = voronoi_sample(1.0, 6.0, 37, "voronoi-cells", 0)
         V = delaunay(pts)
         ids = np.flatnonzero(V.interior_mask)[:15]
         assert len(ids) > 0
@@ -181,7 +182,7 @@ class TestCells:
         lam = 1.0
         areas = []
         for rep in range(5):
-            pts = sample_colored(lam, 0.5, 7.0, 41, "voronoi-area", rep)
+            pts, _ = voronoi_sample(lam, 7.0, 41, "voronoi-area", rep)
             V = delaunay(pts)
             for i in np.flatnonzero(V.interior_mask):
                 areas.append(polygon_area(cell_polygon(V, int(i))))
@@ -193,7 +194,7 @@ class TestCells:
         R_window = 5.0
         counts = []
         for rep in range(30):
-            pts = sample_colored(lam, 0.5, 7.0, 43, "voronoi-count", rep)
+            pts, _ = voronoi_sample(lam, 7.0, 43, "voronoi-count", rep)
             V = delaunay(pts)
             counts.append(int((V.interior_mask & (pts.rho <= R_window)).sum()))
         expected = lam * ball_area(R_window)
@@ -202,7 +203,7 @@ class TestCells:
 
 class TestAdjacency:
     def test_color_filters_partition_edges(self):
-        pts = sample_colored(1.0, 0.5, 5.0, 47, "voronoi-adj", 0)
+        pts, _ = voronoi_sample(1.0, 5.0, 47, "voronoi-adj", 0)
         V = delaunay(pts)
         n, e, white = V.n_nuclei, V.delaunay_edges, pts.white
         lw = label_clusters(n, e, site_open=white).labels
@@ -223,7 +224,7 @@ class TestAdjacency:
     def test_adjacency_matches_raster_oracle(self):
         # rasterize nearest-nucleus ownership on a fine grid and read off
         # which interior cells share a positive-length border
-        pts = sample_colored(0.8, 0.5, 4.5, 53, "voronoi-raster", 1)
+        pts, _ = voronoi_sample(0.8, 4.5, 53, "voronoi-raster", 1)
         V = delaunay(pts)
         interior = V.interior_mask
         assert interior.sum() >= 3
@@ -266,7 +267,7 @@ class TestFaceIncidence:
     @pytest.mark.parametrize("lam,R,rep", [(1.0, 5.0, 0), (0.25, 4.0, 1),
                                            (2.0, 4.5, 2)])
     def test_csr_matches_per_nucleus_lists(self, lam, R, rep):
-        V = delaunay(sample_colored(lam, 0.5, R, 67, "voronoi-csr", rep))
+        V = delaunay(voronoi_sample(lam, R, 67, "voronoi-csr", rep)[0])
         lists = [[] for _ in range(V.n_nuclei)]
         for j, face in enumerate(V.faces):
             for v in face:
@@ -279,7 +280,7 @@ class TestFaceIncidence:
 class TestCoreShell:
     @pytest.mark.parametrize("r_core", [0.0, 1.0, 2.0])
     def test_core_mask_matches_vertex_loop(self, r_core):
-        pts = sample_colored(1.0, 0.5, 5.0, 59, "voronoi-core", 1)
+        pts, _ = voronoi_sample(1.0, 5.0, 59, "voronoi-core", 1)
         V = delaunay(pts)
         want = pts.rho <= r_core
         for j in range(len(V.vor_rho)):
@@ -290,14 +291,14 @@ class TestCoreShell:
         np.testing.assert_array_equal(core_cell_mask(V, r_core), want)
 
     def test_core_contains_origin_cell(self):
-        pts = sample_colored(1.0, 0.5, 6.0, 59, "voronoi-core", 0)
+        pts, _ = voronoi_sample(1.0, 6.0, 59, "voronoi-core", 0)
         V = delaunay(pts)
         core = core_cell_mask(V, 1.0)
         assert core[int(np.argmin(pts.rho))]
         assert 0 < core.sum() < len(pts)
 
     def test_shell_is_outer(self):
-        pts = sample_colored(1.0, 0.5, 6.0, 59, "voronoi-core", 0)
+        pts, _ = voronoi_sample(1.0, 6.0, 59, "voronoi-core", 0)
         V = delaunay(pts)
         shell = shell_cell_mask(V, 4.0)
         assert shell[pts.rho > 5.9].all()
@@ -349,7 +350,7 @@ class TestLocalStars:
         (0.25, 6.5, 0), (0.25, 6.5, 1), (1.0, 4.5, 0), (1.0, 4.5, 1),
         (2.0, 4.0, 0), (2.0, 4.0, 1)])
     def test_every_window_cell(self, lam, R_window, rep, qhull_sizes):
-        pts = sample_colored(lam, 0.5, R_window + 2.0, 71, "local-stars", rep)
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
         V = delaunay(pts)
         stars = LocalStars(pts)
         del qhull_sizes[:]
@@ -361,7 +362,7 @@ class TestLocalStars:
     def test_growth(self, qhull_sizes):
         # at lambda = 1/4 the first candidates often miss a nucleus that
         # lies in a face's circumdisk, so stars grow
-        pts = sample_colored(0.25, 0.5, 8.5, 73, "local-stars-growth", 0)
+        pts, _ = voronoi_sample(0.25, 8.5, 73, "local-stars-growth", 0)
         V = delaunay(pts)
         del qhull_sizes[:]
         assert_stars_match(LocalStars(pts), V, np.flatnonzero(pts.rho <= 6.5))
@@ -381,7 +382,7 @@ class TestLocalStars:
     def test_stars_that_reach_the_whole_sample(self, rep, qhull_sizes):
         # hull nuclei never close a local fan, so their stars grow to the
         # whole sample, which is then triangulated once, in its own order
-        pts = sample_colored(1.0, 0.5, 4.5, 79, "local-stars-whole", rep)
+        pts, _ = voronoi_sample(1.0, 4.5, 79, "local-stars-whole", rep)
         assert hypvoronoi.STAR_NUCLEI < len(pts) <= 400
         V = delaunay(pts)
         del qhull_sizes[:]
@@ -395,7 +396,7 @@ class TestLocalStars:
         # vertex lies at R - 1 exactly: the local vertices may differ from
         # delaunay()'s by rounding there, so the star comes from the whole
         # complex and has its interior flag
-        pts = sample_colored(1.0, 0.5, 5.5, 71, "local-stars", 1)
+        pts, _ = voronoi_sample(1.0, 5.5, 71, "local-stars", 1)
         V = delaunay(pts)
         tri = _EuclideanDelaunay(pts.disk_xy)
         on_hull = np.zeros(len(pts), dtype=bool)
@@ -419,7 +420,7 @@ class TestLocalStars:
         # two window cells have a face whose circumdisk comes within 6e-6
         # of the unit circle: a local star, unless the keep test's margin
         # reaches that far, when the star comes from the whole complex
-        pts = sample_colored(0.25, 0.5, 8.5, 71, "local-stars", 0)
+        pts, _ = voronoi_sample(0.25, 8.5, 71, "local-stars", 0)
         V = delaunay(pts)
         gap = 1.0 - hypvoronoi._reach(
             hypvoronoi._euclidean_circumcircles(pts.disk_xy, V.faces))

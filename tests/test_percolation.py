@@ -3,13 +3,10 @@ import pytest
 
 from hyperperc.hypvoronoi import Window
 from hyperperc.percolation import (
-    BondConfig,
     InsufficientData,
     NoCrossing,
-    bernoulli_bond,
     bond_thresholds,
     connectivity_decay,
-    dual_config,
     estimate_pc,
     label_clusters,
     pu_from_dual_pc,
@@ -23,62 +20,11 @@ from hyperperc.percolation import (
     voronoi_replica,
 )
 from hyperperc.graphs import bfs_distances
-from hyperperc.pointprocess import replica_rng, sample_colored
+from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_duality import center_to_boundary_cut, winding_dual_cycle_exists
 from oracle_perc import bfs_labels
-
-
-class TestBernoulli:
-    def test_extremes(self):
-        b = build_ball(3, 7, 3)
-        assert bernoulli_bond(b, 1.0, 1).open_edges.all()
-        assert not bernoulli_bond(b, 0.0, 1).open_edges.any()
-
-    def test_open_fraction_concentrates(self):
-        b = build_ball(3, 7, 5)
-        c = bernoulli_bond(b, 0.3, 123)
-        m = b.n_edges
-        sd = np.sqrt(0.3 * 0.7 / m)
-        assert abs(c.open_edges.mean() - 0.3) < 3 * sd
-
-    def test_deterministic(self):
-        b = build_ball(3, 7, 4)
-        a = bernoulli_bond(b, 0.4, 9, replica=3)
-        c = bernoulli_bond(b, 0.4, 9, replica=3)
-        assert np.array_equal(a.open_edges, c.open_edges)
-
-    def test_bad_p(self):
-        b = build_ball(3, 7, 3)
-        with pytest.raises(ValueError):
-            bernoulli_bond(b, 1.5, 1)
-
-
-class TestDualConfig:
-    def test_empty_primal_gives_full_dual(self):
-        b = build_ball(3, 7, 3)
-        c = BondConfig(b, np.zeros(b.n_edges, dtype=bool), 0.0, 0)
-        dc = dual_config(c)
-        assert dc.open_edges.all()
-        assert dc.p == 1.0
-
-    def test_involution_on_dualizable_edges(self):
-        b = build_ball(4, 5, 3)
-        d = dual_ball(b)
-        c = bernoulli_bond(b, 0.4, 7)
-        back = dual_config(dual_config(c, d))
-        has_dual = d.dual_edge_of >= 0
-        assert np.array_equal(back.open_edges[has_dual], c.open_edges[has_dual])
-
-    def test_dual_open_fraction(self):
-        b = build_ball(3, 7, 5)
-        d = dual_ball(b)
-        c = bernoulli_bond(b, 0.3, 11)
-        dc = dual_config(c, d)
-        m = len(dc.open_edges)
-        sd = np.sqrt(0.3 * 0.7 / m)
-        assert abs(dc.open_edges.mean() - 0.7) < 3 * sd
 
 
 class TestLabelClusters:
@@ -223,12 +169,14 @@ class TestPrimalDualExclusivity:
         inst = tiling_instance(ball, core_radius=0)
         cut = center_to_boundary_cut(ball)
         for rep in range(120):
-            c = bernoulli_bond(ball, p, 321, "exclusivity", rep)
-            lab = label_clusters(inst.n, inst.edges, edge_open=c.open_edges,
+            u = replica_rng(321, "exclusivity", rep).random(ball.n_edges)
+            open_edges = u < p
+            lab = label_clusters(inst.n, inst.edges, edge_open=open_edges,
                                  core=inst.core, shell=inst.shell)
             primal_reach = lab.k_proxy >= 1
-            dc = dual_config(c, dual)
-            winding = winding_dual_cycle_exists(ball, dual, dc.open_edges, cut)
+            # a dual edge is open iff its primal edge is closed
+            dual_open = ~open_edges[dual.primal_edge]
+            winding = winding_dual_cycle_exists(ball, dual, dual_open, cut)
             assert not (primal_reach and winding)
 
 
@@ -318,16 +266,6 @@ class TestSweeps:
             assert row.to_line() == alone.to_line()
             assert (row.theta_b, row.unique_b) == (alone.theta_b,
                                                    alone.unique_b)
-
-    def test_voronoi_replica_reads_the_sample_colored_stream(self):
-        window = Window.with_margin(3.0)
-        V, u = voronoi_replica(1.0, window, 42, "stream", 3)
-        assert len(u) == V.n_nuclei
-        for p in (0.3, 0.5, 1.0):
-            pts = sample_colored(1.0, p, window.R_sample, 42, "stream", 3)
-            assert np.array_equal(V.points.rho, pts.rho)
-            assert np.array_equal(V.points.theta, pts.theta)
-            assert np.array_equal(pts.white, u < p)
 
 
 class TestDecay:

@@ -5,11 +5,10 @@ import pytest
 from scipy.stats import kstest
 
 from hyperperc.hypgeo import CapExceeded, ball_area
+from hyperperc.percolation import voronoi_sample
 from hyperperc.pointprocess import (
     ColoredPointSet,
-    color,
     replica_rng,
-    sample_colored,
     sample_poisson_ball,
 )
 
@@ -59,33 +58,34 @@ def test_nuclei_budget_refuses_before_drawing():
     assert rng.random() == replica_rng(0, "budget", 0).random()
 
 
-def test_color_extremes():
-    rng = replica_rng(3, "color", 0)
-    rho, theta = sample_poisson_ball(1.0, 4.0, rng)
-    all_white = color(rho, theta, 1.0, rng, lam=1.0, R=4.0)
-    assert all_white.white.all()
-    all_black = color(rho, theta, 0.0, rng, lam=1.0, R=4.0)
-    assert not all_black.white.any()
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_voronoi_sample_whites_are_the_uniforms_below_p(p):
+    pts, u = voronoi_sample(1.0, 9.0, 5, "color-frac", 0, p)
+    assert len(u) == len(pts) > 10**4
+    assert np.array_equal(pts.white, u < p)
+    assert pts.p == p
+    # the marks are independent uniforms, so the white share concentrates
+    assert abs(pts.white.mean() - p) <= 3 * math.sqrt(p * (1 - p) / len(u))
+    # every p reads the same nuclei and uniforms
+    same, v = voronoi_sample(1.0, 9.0, 5, "color-frac", 0)
+    assert np.array_equal(same.rho, pts.rho) and np.array_equal(v, u)
 
 
-def test_color_binomial_concentration():
-    n = 10**5
-    rng = replica_rng(5, "color-frac", 0)
-    cps = color(np.zeros(n), np.zeros(n), 0.5, rng, lam=1.0, R=1.0)
-    frac = cps.white.mean()
-    assert abs(frac - 0.5) < 3 * 0.5 / math.sqrt(n)
+def test_voronoi_sample_refuses_p_outside_unit_interval():
+    with pytest.raises(ValueError, match="p must lie"):
+        voronoi_sample(1.0, 4.0, 5, "color-frac", 0, 1.5)
 
 
 def test_determinism_byte_identical():
-    a = sample_colored(1.0, 0.4, 5.0, master_seed=42, experiment="det", replica=3)
-    b = sample_colored(1.0, 0.4, 5.0, master_seed=42, experiment="det", replica=3)
+    a, _ = voronoi_sample(1.0, 5.0, 42, "det", 3, 0.4)
+    b, _ = voronoi_sample(1.0, 5.0, 42, "det", 3, 0.4)
     assert a.serialize() == b.serialize()
-    c = sample_colored(1.0, 0.4, 5.0, master_seed=42, experiment="det", replica=4)
+    c, _ = voronoi_sample(1.0, 5.0, 42, "det", 4, 0.4)
     assert a.serialize() != c.serialize()
 
 
 def test_serialize_roundtrip():
-    a = sample_colored(0.7, 0.3, 4.0, master_seed=9, experiment="ser", replica=0)
+    a, _ = voronoi_sample(0.7, 4.0, 9, "ser", 0, 0.3)
     b = ColoredPointSet.deserialize(a.serialize())
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.theta, b.theta)
@@ -101,7 +101,7 @@ def test_thinning_consistency():
     thinned_counts, direct_counts = [], []
     thinned_rho, direct_rho = [], []
     for i in range(200):
-        cps = sample_colored(lam, p, R, master_seed=123, experiment="thin-a", replica=i)
+        cps, _ = voronoi_sample(lam, R, 123, "thin-a", i, p)
         thinned_counts.append(int(cps.white.sum()))
         thinned_rho.append(cps.rho[cps.white])
         rng = replica_rng(123, "thin-b", i)
@@ -117,5 +117,5 @@ def test_thinning_consistency():
 
 
 def test_nucleus_inside_ball_invariant():
-    cps = sample_colored(1.0, 0.5, 6.0, master_seed=1, experiment="inv", replica=0)
+    cps, _ = voronoi_sample(1.0, 6.0, 1, "inv", 0, 0.5)
     assert np.all(cps.rho <= 6.0)

@@ -7,8 +7,8 @@ import pytest
 from hyperperc import svg
 from hyperperc.hypgeo import HPoint, dist
 from hyperperc.hypvoronoi import delaunay
-from hyperperc.percolation import bernoulli_bond
-from hyperperc.pointprocess import ColoredPointSet, sample_colored
+from hyperperc.percolation import voronoi_sample
+from hyperperc.pointprocess import ColoredPointSet, replica_rng
 from hyperperc.tilinggraph import build_ball
 
 
@@ -44,7 +44,7 @@ def test_symmetric_triple_gives_three_sectors():
 
 
 def test_random_sample_parses_and_partitions():
-    pts = sample_colored(1.0, 0.5, 6.0, 31, "svg-test", 0)
+    pts, _ = voronoi_sample(1.0, 6.0, 31, "svg-test", 0)
     V = delaunay(pts)
     doc = svg.render_voronoi(V, R_window=4.0)
     cells = paths_of(doc)
@@ -55,6 +55,22 @@ def test_random_sample_parses_and_partitions():
     # boundary-reaching clusters of both colors exist at p = 1/2, so some
     # cells carry distinct highlight strokes on top of the default
     assert len(strokes) > 1
+
+
+def test_render_voronoi_reads_the_disk_coordinates_once(monkeypatch):
+    # each cell's outline reads the nuclei's disk coordinates; computing
+    # them once per cell made a render quadratic in the sample size
+    V = delaunay(voronoi_sample(1.0, 5.0, 31, "svg-test", 0)[0])
+    calls = []
+    disk_xy = ColoredPointSet.disk_xy.fget
+
+    def counted(points):
+        calls.append(1)
+        return disk_xy(points)
+
+    monkeypatch.setattr(ColoredPointSet, "disk_xy", property(counted))
+    svg.render_voronoi(V, R_window=3.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("pq", [(3, 7), (7, 3), (4, 5)])
@@ -73,10 +89,10 @@ def test_tiling_layout_is_isometric(pq):
 
 def test_render_tiling_styles_by_state():
     ball = build_ball(3, 7, 3)
-    c = bernoulli_bond(ball, 0.4, 5)
-    doc = svg.render_tiling(ball, c.open_edges)
+    open_edges = replica_rng(5, "bond", 0).random(ball.n_edges) < 0.4
+    doc = svg.render_tiling(ball, open_edges)
     edges = paths_of(doc)
     assert len(edges) == ball.n_edges
     bold = sum(1 for e in edges if e.get("stroke") == "#d62728")
-    assert bold == int(c.open_edges.sum())
+    assert bold == int(open_edges.sum())
 
