@@ -5,10 +5,11 @@ filtration, and cluster labels.
 Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one cluster
 traversal.  It takes each site at its minimax (bottleneck) level from the
 core: the first shell site gives the reach threshold, and stopped at
-level p it has taken exactly the core's p-cluster.  It reads its
-adjacency through a function of the site it takes, so one loop serves a
-tiling's CSR adjacency and a Voronoi replica's stars, built as the
-invasion reaches them.
+level p it has taken exactly the core's p-cluster.  It reads each taken
+site's adjacency and mark ids (edge ids for bond, the sites for site)
+through one protocol, so one loop serves a tiling's CSR adjacency and a
+Voronoi replica's stars, built as the invasion reaches them, and gathers
+the marks of the sites it takes only.
 `filtration` adds all edges in a given order (Newman & Ziff,
 PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
 on a whole p-grid.  Both are plain Python.  The filtration loop runs over
@@ -77,16 +78,16 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     return counts
 
 
-def _invade(slots, start, stop=2.0):
+def _invade(neighbours, marks, start, stop=2.0):
     """Invasion percolation from the core, until the first shell site or
     the first level above `stop`.  Returns (top, taken): taken[w] is the
     running maximum when site w was taken, its minimax level from the
     core, and top is that of the shell site, 2.0 if none was taken.
 
     `start` holds the (level, site) pairs of the core sites, each entering
-    at its own level, and slots(w) the (level, site) slots of site w's
-    adjacency, None if w is a shell site; it is asked once per taken site.
-    The lowest boundary level is always taken next."""
+    at its own level.  neighbours(w) gives site w's adjacency as index
+    arrays (sites, ids), the slot into sites[j] costing marks[ids[j]], or
+    None if w is a shell site.  The lowest boundary level is taken next."""
     taken = {}
     heap = list(start)
     heapify(heap)
@@ -100,26 +101,27 @@ def _invade(slots, start, stop=2.0):
                 break
             top = level
         taken[w] = top
-        out = slots(w)
-        if out is None:
+        adjacency = neighbours(w)
+        if adjacency is None:
             return top, taken
+        sites, ids = adjacency
         # a slot into a taken site would only be popped and dropped
-        for slot in out:
+        for slot in zip(marks[ids].tolist(), sites.tolist()):
             if slot[1] not in taken:
                 heappush(heap, slot)
     return 2.0, taken
 
 
-def _csr_slots(indptr, indices, levels, shell):
-    """slots for _invade over a CSR adjacency: levels[j] is the level of
-    slot j."""
-    def slots(w):
+def csr_neighbours(indptr, indices, ids, shell):
+    """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
+    ids is its edge_id for bond marks and its indices for site marks."""
+    def neighbours(w):
         if shell[w]:
             return None
         a, b = indptr[w], indptr[w + 1]
-        return zip(levels[a:b].tolist(), indices[a:b].tolist())
+        return indices[a:b], ids[a:b]
 
-    return slots
+    return neighbours
 
 
 def _at_zero(core):
@@ -127,45 +129,33 @@ def _at_zero(core):
     return [(0.0, w) for w in np.flatnonzero(core).tolist()]
 
 
-def csr_neighbours(indptr, indices, shell):
-    """The neighbours function of site_reach_threshold for a CSR adjacency
-    (graphs.csr_adjacency) and a shell mask."""
-    def neighbours(w):
-        return None if shell[w] else indices[indptr[w]:indptr[w + 1]]
-
-    return neighbours
-
-
 def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
     edges open in increasing uniforms, 2.0 if they never join; core sites
     enter at 0.0.  (indptr, indices, edge_id) is the graph's CSR
     adjacency (graphs.csr_adjacency)."""
-    return _invade(_csr_slots(indptr, indices, uniforms[edge_id], shell),
+    return _invade(csr_neighbours(indptr, indices, edge_id, shell), uniforms,
                    _at_zero(core))[0]
 
 
 def site_reach_threshold(neighbours, uniforms, core):
     """Level at which some core site first joins some shell site when
     sites open in increasing uniforms, 2.0 if they never join.
-    neighbours(w) gives the sites adjacent to site w as an index array,
-    None if w is a shell site, so an adjacency can be built as the
-    invasion reaches it.  Each core site enters at its own uniform and
+    neighbours(w) is _invade's with ids = sites, built as the invasion
+    reaches w if need be.  Each core site enters at its own uniform and
     each step costs the uniform of the site it enters, so a path costs its
     largest uniform."""
-    def slots(w):
-        nb = neighbours(w)
-        return None if nb is None else zip(uniforms[nb].tolist(), nb.tolist())
-
     sites = np.flatnonzero(core)
-    return _invade(slots, zip(uniforms[sites].tolist(), sites.tolist()))[0]
+    return _invade(neighbours, uniforms,
+                   zip(uniforms[sites].tolist(), sites.tolist()))[0]
 
 
 def bond_cluster(indptr, indices, edge_id, uniforms, core, p):
     """The core's cluster of the edges with uniform <= p: a dict from
     each of its sites to its minimax level from the core."""
-    return _invade(_csr_slots(indptr, indices, uniforms[edge_id],
-                              np.zeros_like(core)), _at_zero(core), p)[1]
+    return _invade(csr_neighbours(indptr, indices, edge_id,
+                                  np.zeros_like(core)), uniforms,
+                   _at_zero(core), p)[1]
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

@@ -402,8 +402,9 @@ def cmd_densities(args, mapper):
     _check_lambda([args.lam])
     _check_radius("--R", args.R)
     Rw = args.Rw if args.Rw is not None else args.R - 2.0
-    if not 0 < Rw < args.R:
-        raise ConfigError("window radius must satisfy 0 < Rw < R")
+    if not 0 < Rw <= args.R - 2.0:    # Window.with_margin's margin
+        raise ConfigError(f"window radius must satisfy 0 < Rw <= R - 2, a "
+                          f"margin of 2 to the sampling edge; got Rw={Rw:g}")
     check_sample_size(args.lam, args.R)
     window = Window(R_sample=args.R, R_window=Rw)
     est = density_experiment(args.lam, window, args.replicas, args.seed,
@@ -472,6 +473,8 @@ def _pc_like(args, mapper, pu: bool):
     """Shared body of pc-estimate and pu-estimate (pu=True)."""
     p_grid = np.asarray(parse_grid(args.p))
     _check_unit("--p", *p_grid)
+    if np.any(np.diff(p_grid) <= 0):
+        raise ConfigError(f"--p must be strictly increasing, got {args.p!r}")
     if args.pq:
         p, q = parse_pq(args.pq)
         try:

@@ -307,23 +307,20 @@ class LocalStars:
         return _star(x, V.faces[js], V.vor_rho[js], bool(V.interior_mask[x]))
 
     def neighbours(self, x: int, R_window: float):
-        """Cell x's Delaunay neighbours, None for a shell cell: beyond
-        R_window or not interior, as shell_cell_mask has it."""
+        """Cell x's Delaunay neighbours as _kernels._invade reads site
+        marks, twice, None for a shell cell: beyond R_window or not
+        interior, as shell_cell_mask has it."""
         if self.points.rho[x] > R_window:
             return None
         s = self.star(x)
-        return s.neighbours if s.interior else None
+        return (s.neighbours, s.neighbours) if s.interior else None
 
     def core_mask(self) -> np.ndarray:
-        """core_cell_mask(delaunay(points), 0.0): the nucleus nearest the
-        origin, plus the corners of any face whose Voronoi vertex is the
-        origin, all of which lie in that nucleus's star."""
-        origin = int(np.argmin(self.points.rho))
-        s = self.star(origin)
-        mask = self.points.rho <= 0.0
-        mask[s.faces[s.vor_rho <= 0.0].ravel()] = True
-        mask[origin] = True
-        return mask
+        """core_cell_mask(delaunay(points), 0.0): every face whose Voronoi
+        vertex is the origin lies in the star of the nucleus nearest the
+        origin."""
+        s = self.star(int(np.argmin(self.points.rho)))
+        return _core_rule(self.points.rho, s.faces, s.vor_rho, 0.0)
 
 
 def _clear(xs, ys, faces, cx, cy, r2):
@@ -373,9 +370,13 @@ def core_cell_mask(V: VoronoiComplex, r_core: float) -> np.ndarray:
     vertices lies within r_core; the cell containing the origin (nearest
     nucleus) is always included.
     """
-    mask = V.points.rho <= r_core
-    mask[V.faces[V.vor_rho <= r_core].ravel()] = True
-    mask[int(np.argmin(V.points.rho))] = True
+    return _core_rule(V.points.rho, V.faces, V.vor_rho, r_core)
+
+
+def _core_rule(rho, faces, vor_rho, r_core):
+    mask = rho <= r_core
+    mask[faces[vor_rho <= r_core].ravel()] = True
+    mask[int(np.argmin(rho))] = True
     return mask
 
 

@@ -176,7 +176,7 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
     indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
-    neighbours = csr_neighbours(indptr, indices, inst.shell)
+    neighbours = csr_neighbours(indptr, indices, indices, inst.shell)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
@@ -299,14 +299,17 @@ def estimate_pc(thresholds_by_size, p_grid,
     """Critical level from crossings of size-weighted reach curves.
 
     thresholds_by_size: list of (size, thresholds array), ordered by
-    increasing window size; needs at least 3 sizes.  Curves are weighted
-    by their size before intersecting (see module docstring).  The
-    estimate is the median pairwise crossing; the CI is a bootstrap
-    percentile interval over replica resampling.
+    increasing window size; needs at least 3 sizes, and a strictly
+    increasing p_grid.  Curves are weighted by their size before
+    intersecting (see module docstring).  The estimate is the median
+    pairwise crossing; the CI is a bootstrap percentile interval over
+    replica resampling.
     """
     if len(thresholds_by_size) < 3:
         raise ValueError("need a ladder of at least 3 window sizes")
     p_grid = np.asarray(p_grid, dtype=float)
+    if np.any(np.diff(p_grid) <= 0):
+        raise ValueError("the p-grid must be strictly increasing")
     sizes = tuple(float(s) for s, _ in thresholds_by_size)
     samples = [np.asarray(t, dtype=float) for _, t in thresholds_by_size]
     curves = tuple(reach_curve(t, p_grid) for t in samples)

@@ -66,5 +66,5 @@ def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, 0.0)
     indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
-    return site_reach_threshold(csr_neighbours(indptr, indices, shell), u,
-                                core)
+    return site_reach_threshold(csr_neighbours(indptr, indices, indices,
+                                               shell), u, core)

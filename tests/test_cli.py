@@ -310,6 +310,14 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["pu-estimate", "--lambda", "1e9"],
     ["phase-sweep", "--pq", "3,7", "--L", ",", "--p", "0.3"],
     ["graph-perc", "--pq", "3,7", "--L", ",", "--p", "0.3"],
+    ["pc-estimate", "--pq", "3,7", "--ladder", "2,3,4", "--replicas", "5",
+     "--p", "0.3,0.1,0.2"],
+    ["pu-estimate", "--pq", "3,7", "--ladder", "2,3,4", "--replicas", "5",
+     "--p", "0.1,0.2,0.2,0.3"],
+    ["pc-estimate", "--lambda", "1,2", "--ladder", "3,3.5,4", "--replicas",
+     "2", "--p", "0.6,0.4"],
+    ["densities", "--lambda", "1", "--R", "6", "--Rw", "5.9", "--replicas",
+     "2"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

@@ -244,7 +244,7 @@ class TestReachKernels:
                 shell |= core    # no core site outside the shell
         indptr, indices, _ = csr_adjacency(n, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices, shell), u, core)
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -300,7 +300,8 @@ class TestInvasionEqualsFiltration:
             want = site_filtration_threshold(inst.n, inst.edges, u, inst.core,
                                              inst.shell)
             got = K.site_reach_threshold(
-                K.csr_neighbours(indptr, indices, inst.shell), u, inst.core)
+                K.csr_neighbours(indptr, indices, indices, inst.shell), u,
+                inst.core)
             assert got == want
 
     @pytest.mark.parametrize("replica", range(2))
@@ -313,7 +314,7 @@ class TestInvasionEqualsFiltration:
         want = site_filtration_threshold(V.n_nuclei, edges, u, core, shell)
         indptr, indices, _ = csr_adjacency(V.n_nuclei, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices, shell), u, core)
         assert got == want
         assert 0.0 < got < 1.0
 
@@ -360,7 +361,7 @@ class TestInvasionEqualsFiltration:
         core, shell = self.masks(n, core_sites, shell_sites)
         indptr, indices, _ = csr_adjacency(n, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices, shell), u, core)
         assert got == want
         assert got == site_filtration_threshold(n, edges, u, core, shell)
 
@@ -381,11 +382,11 @@ class TestInvasionStopLevel:
         rng = np.random.default_rng(600 + p_gon)
         for _ in range(50):
             u = rng.random(len(edges))
-            levels = u[edge_id]
-            slots = K._csr_slots(indptr, indices, levels, no_shell)
-            _, record = K._invade(slots, K._at_zero(center), max(self.STOPS))
+            neighbours = K.csr_neighbours(indptr, indices, edge_id, no_shell)
+            _, record = K._invade(neighbours, u, K._at_zero(center),
+                                  max(self.STOPS))
             for p in self.STOPS:
-                top, taken = K._invade(slots, K._at_zero(center), p)
+                top, taken = K._invade(neighbours, u, K._at_zero(center), p)
                 labels = label_clusters(n, edges, edge_open=u <= p).labels
                 want = set(np.flatnonzero(labels == labels[0]).tolist())
                 assert top == 2.0
@@ -398,6 +399,46 @@ class TestInvasionStopLevel:
                                       p) == taken
                 if p == 0.0:
                     assert taken == {0: 0.0}
+
+
+class CountingMarks(np.ndarray):
+    """Marks that count the elements fetched through __getitem__."""
+
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.reads += out.size
+        return out
+
+
+def counting(marks):
+    out = marks.view(CountingMarks)
+    out.reads = 0
+    return out
+
+
+class TestMarkReads:
+    """A bond invasion gathers the marks of the sites it takes only, not
+    one mark per slot of the whole adjacency."""
+
+    def test_reads_at_most_the_degrees_of_the_taken_sites(self):
+        ball = build_ball(3, 7, 6)
+        inst = tiling_instance(ball, 0)
+        adj = csr_adjacency(inst.n, inst.edges)
+        degree = np.diff(adj[0])
+        center = np.arange(inst.n) == 0
+        rng = np.random.default_rng(610)
+        for _ in range(20):
+            u = rng.random(len(inst.edges))
+            marks = counting(u)
+            taken = K.bond_cluster(*adj, marks, center, 0.2)
+            assert 0 < marks.reads <= degree[list(taken)].sum()
+            # every site of the threshold invasion is in the core's
+            # cluster at the threshold
+            marks = counting(u)
+            top = K.bond_reach_threshold(*adj, marks, inst.core, inst.shell)
+            cluster = K.bond_cluster(*adj, u, inst.core, top)
+            assert 0 < marks.reads <= degree[list(cluster)].sum()
+            assert marks.reads < 2 * len(inst.edges)
 
 
 # criterion 5's ladders (tests/test_acceptance.py)

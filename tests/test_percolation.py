@@ -5,6 +5,7 @@ from hyperperc.hypvoronoi import Window
 from hyperperc.percolation import (
     InsufficientData,
     NoCrossing,
+    _crossing,
     bond_thresholds,
     connectivity_decay,
     estimate_pc,
@@ -24,7 +25,8 @@ from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_duality import center_to_boundary_cut, winding_dual_cycle_exists
-from oracle_perc import bfs_labels
+from oracle_perc import bfs_labels, reach_at_level
+from oracle_tree import tree_theta
 
 
 class TestLabelClusters:
@@ -157,6 +159,73 @@ class TestEstimatePc:
         assert pu.value == 1.0 - est.value
         assert pu.never_reached == est.never_reached
         assert pu.bootstrap_accepted == est.bootstrap_accepted
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
+    def test_refuses_a_grid_that_is_not_strictly_increasing(self, order):
+        # the crossing interpolates between neighbouring grid points
+        pairs = [(1, np.array([0.94, 0.13, 0.78, 0.08, 0.42, 0.07])),
+                 (2, np.array([0.55, 0.76, 0.25, 0.93, 0.74, 0.18])),
+                 (3, np.array([0.35, 0.58, 0.7, 0.88, 0.03, 0.57]))]
+        grid = np.linspace(0, 1, 11)
+        bad = {"reversed": grid[::-1],
+               "shuffled": np.random.default_rng(1).permutation(grid),
+               "repeated": np.concatenate([grid[:5], grid[4:]])}[order]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            estimate_pc(pairs, bad, bootstrap_seed=1)
+
+
+def tree_edges(d, L):
+    """The d-regular tree to depth L: the root 0 has d children, every
+    other vertex d - 1.  Returns (n, edges, depth)."""
+    edges, depth, frontier = [], [0], [0]
+    for k in range(1, L + 1):
+        nxt = []
+        for v in frontier:
+            for _ in range(d if v == 0 else d - 1):
+                edges.append((v, len(depth)))
+                nxt.append(len(depth))
+                depth.append(k)
+        frontier = nxt
+    return len(depth), np.array(edges), np.array(depth)
+
+
+class TestTreeOracle:
+    """Exact reach curves of the d-regular tree (tests/oracle_tree.py)
+    and the bias of the L * theta_L crossing on them."""
+
+    # 0.05:0.95:0.005
+    GRID = np.linspace(0.05, 0.95, 181)
+
+    @pytest.mark.parametrize("d,L", [(3, 1), (3, 2), (4, 1)])
+    def test_recursion_equals_enumeration(self, d, L):
+        # sum over every open/closed configuration of the tree's edges
+        n, edges, depth = tree_edges(d, L)
+        core, shell = depth == 0, depth == L
+        m = len(edges)
+        p = np.array([0.2, 0.5, 0.7])
+        want = np.zeros_like(p)
+        for bits in range(2 ** m):
+            closed = (bits >> np.arange(m)) & 1
+            if reach_at_level(n, edges, closed.astype(float), core, shell,
+                              0.5):
+                k = m - int(closed.sum())
+                want += p ** k * (1 - p) ** (m - k)
+        np.testing.assert_allclose(tree_theta(d, L, p), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("d,want", [
+        (3, [0.4171, 0.4352, 0.4477, 0.4567, 0.4635, 0.4687]),
+        (4, [0.2844, 0.2957, 0.3033, 0.3088, 0.3128, 0.3159]),
+    ])
+    def test_crossing_is_biased_low(self, d, want):
+        # pairs (4, 5) ... (9, 10): every crossing lies below the tree's
+        # p_c = 1/(d - 1) and rises towards it with L
+        grid = self.GRID
+        got = [_crossing(L * tree_theta(d, L, grid),
+                         (L + 1) * tree_theta(d, L + 1, grid), grid)
+               for L in range(4, 10)]
+        assert got == pytest.approx(want, abs=5e-5)
+        assert all(c < 1.0 / (d - 1) for c in got)
+        assert all(a < b for a, b in zip(got, got[1:]))
 
 
 class TestPrimalDualExclusivity:
