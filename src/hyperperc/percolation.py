@@ -238,9 +238,18 @@ def voronoi_thresholds(lam: float, window: Window, replicas: int,
 
 
 def reach_curve(thresholds: np.ndarray, p_grid: np.ndarray) -> np.ndarray:
-    """Empirical reach probability theta_hat(p) = fraction of p* <= p."""
-    t = np.sort(np.asarray(thresholds))
-    return np.searchsorted(t, np.asarray(p_grid), side="right") / len(t)
+    """Empirical reach probability theta_hat(p) = fraction of p* <= p; one
+    curve per row of a 2-D thresholds array."""
+    t = np.atleast_2d(thresholds)
+    p_grid = np.asarray(p_grid)
+    g = len(p_grid) + 1
+    # p* <= p_grid[k] exactly for k from p*'s bin on; row r counts its
+    # thresholds in bins r*g .. r*g + g - 1
+    bins = (np.searchsorted(p_grid, t, side="left")
+            + g * np.arange(len(t))[:, None])
+    counts = np.bincount(bins.ravel(), minlength=len(t) * g).reshape(-1, g)
+    curves = counts[:, :-1].cumsum(axis=1) / t.shape[1]
+    return curves if np.ndim(thresholds) == 2 else curves[0]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96):
@@ -271,24 +280,40 @@ class PcEstimate:
     bootstrap_accepted: float  # share of bootstrap resamples that cross
 
 
-def _crossing(curve_small, curve_large, p_grid):
-    """First upward zero of curve_large - curve_small after its minimum.
+def _crossings(d, p_grid):
+    """First upward zero of each row of d after the row's minimum, nan
+    where the row has none.
 
-    With size-weighted curves the difference is negative in the
-    subcritical stretch and positive past the critical level.
+    A row is curve_large - curve_small of size-weighted curves: negative
+    in the subcritical stretch and positive past the critical level.  The
+    zero lies between the first entry d1 >= 0 after the minimum and the
+    entry d0 < 0 before it, linearly interpolated.
     """
+    i0 = d.argmin(axis=1)
+    up = (d >= 0) & (np.arange(d.shape[1]) > i0[:, None])
+    rows = np.flatnonzero((d[np.arange(len(d)), i0] < 0) & up.any(axis=1))
+    i = up[rows].argmax(axis=1)
+    d0, d1 = d[rows, i - 1], d[rows, i]
+    t = -d0 / (d1 - d0)
+    x = np.full(len(d), np.nan)
+    x[rows] = p_grid[i - 1] + t * (p_grid[i] - p_grid[i - 1])
+    return x
+
+
+def _crossing(curve_small, curve_large, p_grid):
+    """First upward zero of curve_large - curve_small after its minimum
+    (see _crossings), or None."""
     d = np.asarray(curve_large) - np.asarray(curve_small)
-    i0 = int(np.argmin(d))
-    if d[i0] >= 0:
-        return None
-    for i in range(i0 + 1, len(d)):
-        if d[i] >= 0:
-            d0, d1 = d[i - 1], d[i]
-            if d1 == d0:
-                return float(p_grid[i])
-            t = -d0 / (d1 - d0)
-            return float(p_grid[i - 1] + t * (p_grid[i] - p_grid[i - 1]))
-    return None
+    x = _crossings(d[None], np.asarray(p_grid))[0]
+    return None if np.isnan(x) else float(x)
+
+
+def _ladder_crossings(sizes, curves, p_grid):
+    """Crossings of the size-weighted curves of successive sizes: one
+    column per pair, one row per row of the curves, nan where none."""
+    scaled = [s * c for s, c in zip(sizes, curves)]
+    return np.stack([_crossings(large - small, p_grid)
+                     for small, large in zip(scaled, scaled[1:])], axis=1)
 
 
 BOOTSTRAP_RESAMPLES = 200
@@ -313,15 +338,10 @@ def estimate_pc(thresholds_by_size, p_grid,
     sizes = tuple(float(s) for s, _ in thresholds_by_size)
     samples = [np.asarray(t, dtype=float) for _, t in thresholds_by_size]
     curves = tuple(reach_curve(t, p_grid) for t in samples)
-
-    def crossings_of(curve_list):
-        scaled = [s * c for s, c in zip(sizes, curve_list)]
-        return [_crossing(small, large, p_grid)
-                for small, large in zip(scaled, scaled[1:])]
-
-    crossings = crossings_of(curves)
-    if None in crossings:
-        i = crossings.index(None)
+    crossings = _ladder_crossings(sizes, [c[None] for c in curves], p_grid)[0]
+    missing = np.flatnonzero(np.isnan(crossings))
+    if len(missing):
+        i = missing[0]
         d = sizes[i + 1] * curves[i + 1] - sizes[i] * curves[i]
         raise NoCrossing(
             f"reach curves of sizes {sizes[i]:g} and {sizes[i + 1]:g} do not "
@@ -331,13 +351,16 @@ def estimate_pc(thresholds_by_size, p_grid,
         )
     value = float(np.median(crossings))
 
+    # one draw per resample and size, resample by resample: the stream of
+    # a loop over resamples (one batched draw would discard the generator's
+    # leftover bits at other places)
     rng = np.random.default_rng(bootstrap_seed)
-    boots = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        resampled = [t[rng.integers(0, len(t), len(t))] for t in samples]
-        cs = crossings_of([reach_curve(t, p_grid) for t in resampled])
-        if None not in cs:
-            boots.append(np.median(cs))
+    draws = [[rng.integers(0, len(t), len(t)) for t in samples]
+             for _ in range(BOOTSTRAP_RESAMPLES)]
+    cs = _ladder_crossings(
+        sizes, [reach_curve(t[np.array(idx)], p_grid)
+                for t, idx in zip(samples, zip(*draws))], p_grid)
+    boots = np.median(cs[~np.isnan(cs).any(axis=1)], axis=1)
     if len(boots) < BOOTSTRAP_RESAMPLES // 2:
         raise NoCrossing(
             "crossing unstable under bootstrap resampling: "
@@ -348,7 +371,7 @@ def estimate_pc(thresholds_by_size, p_grid,
         value=value,
         ci_lo=float(min(lo, value)),
         ci_hi=float(max(hi, value)),
-        crossings=tuple(crossings),
+        crossings=tuple(crossings.tolist()),
         sizes=sizes,
         p_grid=p_grid,
         curves=curves,

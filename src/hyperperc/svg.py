@@ -179,16 +179,16 @@ def tiling_layout(ball) -> dict:
     p, q = ball.p_gon, ball.q_deg
     rv = math.acosh(1.0 / (math.tan(math.pi / p) * math.tan(math.pi / q)))
     rd = math.tanh(rv / 2.0)
+    faces = ball.faces.tolist()
     coords = {}
-    f0 = ball.faces[0]
-    for k, v in enumerate(f0):
+    for k, v in enumerate(faces[0]):
         coords[v] = rd * cmath.exp(2j * math.pi * (k + 0.5) / p)
     left = left_face_of(ball)
     placed = {0}
     queue = [0]
     while queue:
         f = queue.pop(0)
-        cyc = ball.faces[f]
+        cyc = faces[f]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             g = left.get((b, a))
             if g is None or g in placed:
@@ -198,7 +198,7 @@ def tiling_layout(ball) -> dict:
             refl = Isometry.reflection_across(
                 HPoint.from_disk(coords[a]), HPoint.from_disk(coords[b])
             )
-            gcyc = list(ball.faces[g])
+            gcyc = faces[g]
             ib = gcyc.index(b)
             gcyc = gcyc[ib:] + gcyc[:ib]
             assert gcyc[1] == a, "shared edge not consecutive in neighbor face"

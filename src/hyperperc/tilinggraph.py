@@ -34,14 +34,19 @@ class TooLarge(ValueError):
 
 @dataclass
 class TilingBall:
-    """A finite ball of the {p,q} tiling with its faces and boundary."""
+    """A finite ball of the {p,q} tiling with its faces and boundary.
+
+    faces is one (F, p) int64 array, a row per face in the order the
+    faces were attached, so its sides give the edge keys with no
+    conversion; read a row's vertices as Python ints through .tolist().
+    """
 
     p_gon: int
     q_deg: int
     layers: int
     n_vertices: int
     edges: np.ndarray          # (m, 2), u < v
-    faces: list                # tuples of vertex ids, ccw
+    faces: np.ndarray          # (F, p) int64, one face per row, ccw
     boundary: list             # final boundary cycle, ccw
     vertex_layer: np.ndarray   # round at which each vertex appeared
 
@@ -69,7 +74,7 @@ class TilingBall:
         for u, v in self.edges:
             buf.write(f"{u} {v}\n")
         buf.write(f"FACES {len(self.faces)}\n")
-        for f in self.faces:
+        for f in self.faces.tolist():
             buf.write(" ".join(str(v) for v in f) + "\n")
         buf.write(f"DUAL {len(dual.edges)}\n")
         for k, (f1, f2) in enumerate(dual.edges):
@@ -111,48 +116,36 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         raise ValueError("need at least one layer")
 
     p, q = p_gon, q_deg
+    # nxt/prv walk the boundary cycle ccw/cw; -1 once a vertex has left it
+    # for good.  faces holds every face's p vertex ids back to back.
     deg = [2] * p
-    nxt = {i: (i + 1) % p for i in range(p)}
-    prv = {i: (i - 1) % p for i in range(p)}
-    faces = [tuple(range(p))]
-    vertex_layer = [0] * p
+    nxt = [*range(1, p), 0]
+    prv = [p - 1, *range(p - 1)]
+    faces = list(range(p))
+    round_start = [0]
     n = p
+    start = 0
 
-    def attach(chain):
-        """Glue a new p-gon along the boundary chain; return nothing.
-
-        chain is a boundary path c_0..c_j (j >= 1 edges) whose inner
-        vertices are saturated; the face cycle is the reversed chain
-        followed by p-j-1 fresh vertices.
-        """
-        nonlocal n
-        j = len(chain) - 1
-        assert 1 <= j <= p - 1, "chain too long for one face"
-        m = p - j - 1
-        new = list(range(n, n + m))
-        n += m
-        deg.extend([2] * m)
-        vertex_layer.extend([round_no] * m)
-        faces.append(tuple(reversed(chain)) + tuple(new))
-        # chain endpoints gain one edge; inner chain vertices leave the boundary
-        deg[chain[0]] += 1
-        deg[chain[-1]] += 1
-        for v in chain[1:-1]:
-            del nxt[v], prv[v]
-        path = [chain[0]] + new + [chain[-1]]
-        for a, b in zip(path, path[1:]):
-            nxt[a] = b
-            prv[b] = a
-
-    for round_no in range(1, layers):
-        old = set(nxt.keys())
-        saturated_old = lambda v: v in old and v in nxt and deg[v] == q
-        start = min(old)
-        order = [start]
+    def boundary_cycle():
+        """The boundary cycle ccw from its least vertex.  A vertex that
+        leaves the boundary never comes back and new vertices take higher
+        ids, so the least boundary vertex only grows."""
+        nonlocal start
+        while nxt[start] < 0:
+            start += 1
+        cycle = [start]
         v = nxt[start]
         while v != start:
-            order.append(v)
+            cycle.append(v)
             v = nxt[v]
+        return cycle
+
+    for round_no in range(1, layers):
+        # this round's fresh vertices get ids from n0 on, so the boundary
+        # vertices below n0 are those of the round's start
+        n0 = n
+        round_start.append(n0)
+        order = boundary_cycle()
         # A boundary vertex of degree d lies on d - 1 faces and ends the
         # round on q, so the new faces hold sum(q - d + 1) old vertices.
         # Each boundary edge ends in one new face, and a face holding k of
@@ -166,23 +159,45 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
                 f"the {{{p},{q}}} ball may need up to {bound} vertices"
             )
         for v in order:
-            while v in nxt:  # still on the boundary
-                chain = [prv[v], v]
-                while saturated_old(chain[0]):
-                    chain.insert(0, prv[chain[0]])
-                while saturated_old(chain[-1]):
-                    chain.append(nxt[chain[-1]])
-                attach(chain)
+            while nxt[v] >= 0:  # still on the boundary
+                # Glue a new p-gon along the boundary chain a .. v .. b,
+                # grown both ways from the edge (prv[v], v) while its ends
+                # are old and saturated; the face cycle is the reversed
+                # chain followed by m fresh vertices.
+                left = [prv[v]]
+                while left[-1] < n0 and deg[left[-1]] == q:
+                    left.append(prv[left[-1]])
+                right = [v]
+                while right[-1] < n0 and deg[right[-1]] == q:
+                    right.append(nxt[right[-1]])
+                a, b = left.pop(), right.pop()
+                m = p - len(left) - len(right) - 2
+                assert m >= 0, "chain too long for one face"
+                faces.append(b)
+                faces.extend(reversed(right))
+                faces.extend(left)
+                faces.append(a)
+                faces.extend(range(n, n + m))
+                # chain endpoints gain one edge; inner chain vertices leave
+                # the boundary
+                deg[a] += 1
+                deg[b] += 1
+                for w in left + right:
+                    nxt[w] = prv[w] = -1
+                if m:
+                    deg.extend([2] * m)
+                    nxt[a] = n
+                    nxt.extend(range(n + 1, n + m))
+                    nxt.append(b)
+                    prv.append(a)
+                    prv.extend(range(n, n + m - 1))
+                    prv[b] = n + m - 1
+                    n += m
+                else:
+                    nxt[a] = b
+                    prv[b] = a
 
-    boundary = []
-    if nxt:
-        start = min(nxt.keys())
-        boundary.append(start)
-        v = nxt[start]
-        while v != start:
-            boundary.append(v)
-            v = nxt[v]
-
+    faces = np.array(faces, dtype=np.int64).reshape(-1, p)
     return TilingBall(
         p_gon=p,
         q_deg=q,
@@ -190,8 +205,9 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         n_vertices=n,
         edges=edges_of_keys(side_keys(faces, n), n),
         faces=faces,
-        boundary=boundary,
-        vertex_layer=np.array(vertex_layer, dtype=np.int64),
+        boundary=boundary_cycle(),
+        vertex_layer=np.repeat(np.arange(layers, dtype=np.int64),
+                               np.diff(round_start + [n])),
     )
 
 
@@ -225,7 +241,7 @@ def left_face_of(ball: TilingBall):
     cycle contains consecutive (u, v) is left of u->v.
     """
     left = {}
-    for fi, f in enumerate(ball.faces):
+    for fi, f in enumerate(ball.faces.tolist()):
         for a, b in zip(f, f[1:] + f[:1]):
             left[(a, b)] = fi
     return left

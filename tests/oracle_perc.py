@@ -1,5 +1,6 @@
 """Reference implementations: flood-fill labels and reach for the
-kernels, and the whole-complex Voronoi threshold pipeline."""
+kernels, the whole-complex Voronoi threshold pipeline, and the crossing
+estimate with its bootstrap as one loop over resamples."""
 
 from collections import deque
 
@@ -8,7 +9,11 @@ import numpy as np
 from hyperperc._kernels import csr_neighbours, site_reach_threshold
 from hyperperc.graphs import csr_adjacency
 from hyperperc.hypvoronoi import core_cell_mask, shell_cell_mask
-from hyperperc.percolation import voronoi_replica
+from hyperperc.percolation import (
+    BOOTSTRAP_RESAMPLES,
+    NoCrossing,
+    voronoi_replica,
+)
 
 
 def bfs_labels(n, edges, edge_open, site_open):
@@ -68,3 +73,64 @@ def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,
     indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
     return site_reach_threshold(csr_neighbours(indptr, indices, indices,
                                                shell), u, core)
+
+
+def crossing_loop(curve_small, curve_large, p_grid):
+    """First upward zero of curve_large - curve_small after its minimum,
+    by a scan from the minimum; None if there is none."""
+    d = np.asarray(curve_large) - np.asarray(curve_small)
+    i0 = int(np.argmin(d))
+    if d[i0] >= 0:
+        return None
+    for i in range(i0 + 1, len(d)):
+        if d[i] >= 0:
+            d0, d1 = d[i - 1], d[i]
+            if d1 == d0:
+                return float(p_grid[i])
+            t = -d0 / (d1 - d0)
+            return float(p_grid[i - 1] + t * (p_grid[i] - p_grid[i - 1]))
+    return None
+
+
+def estimate_pc_loop(thresholds_by_size, p_grid, bootstrap_seed=0):
+    """estimate_pc one resample at a time: returns (value, ci_lo, ci_hi,
+    crossings, bootstrap_accepted) or raises the same NoCrossing."""
+    p_grid = np.asarray(p_grid, dtype=float)
+    sizes = [float(s) for s, _ in thresholds_by_size]
+    samples = [np.asarray(t, dtype=float) for _, t in thresholds_by_size]
+
+    def curve(t):
+        return np.searchsorted(np.sort(t), p_grid, side="right") / len(t)
+
+    def crossings_of(curve_list):
+        scaled = [s * c for s, c in zip(sizes, curve_list)]
+        return [crossing_loop(small, large, p_grid)
+                for small, large in zip(scaled, scaled[1:])]
+
+    curves = [curve(t) for t in samples]
+    crossings = crossings_of(curves)
+    if None in crossings:
+        i = crossings.index(None)
+        d = sizes[i + 1] * curves[i + 1] - sizes[i] * curves[i]
+        raise NoCrossing(
+            f"reach curves of sizes {sizes[i]:g} and {sizes[i + 1]:g} do not "
+            f"cross within the p-grid [{p_grid[0]:g}, {p_grid[-1]:g}]: their "
+            f"size-weighted difference runs from {d.min():.4g} to "
+            f"{d.max():.4g}; widen the grid or the ladder"
+        )
+    value = float(np.median(crossings))
+    rng = np.random.default_rng(bootstrap_seed)
+    boots = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        resampled = [t[rng.integers(0, len(t), len(t))] for t in samples]
+        cs = crossings_of([curve(t) for t in resampled])
+        if None not in cs:
+            boots.append(np.median(cs))
+    if len(boots) < BOOTSTRAP_RESAMPLES // 2:
+        raise NoCrossing(
+            "crossing unstable under bootstrap resampling: "
+            f"{len(boots)} of {BOOTSTRAP_RESAMPLES} resamples cross"
+        )
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return (value, float(min(lo, value)), float(max(hi, value)),
+            tuple(crossings), len(boots) / BOOTSTRAP_RESAMPLES)

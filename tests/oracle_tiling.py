@@ -10,6 +10,10 @@ hyperperc.tilinggraph.build_ball.
 edges_and_dual reads the edges and the interior dual off a face list
 with Python sets and dicts, the reference for the array code of
 build_ball and dual_ball.
+
+build_ball_dicts is build_ball's attach loop on a dict boundary and a
+tuple per face, the reference for the flat lists and the (F, p) face
+array of build_ball.
 """
 
 import cmath
@@ -152,3 +156,63 @@ def edges_and_dual(faces):
             dual_edges.append((min(fs), max(fs)))
             primal_edge.append(k)
     return edges, dual_edges, primal_edge, dual_edge_of
+
+
+def build_ball_dicts(p, q, layers):
+    """Faces, boundary and vertex_layer of the layered {p,q} ball.
+
+    The same attach loop as build_ball, on dicts nxt/prv keyed by the
+    boundary vertices, a set of the round's old boundary and one tuple per
+    face: returns (faces, boundary, vertex_layer) as lists, with no
+    vertex budget.
+    """
+    deg = [2] * p
+    nxt = {i: (i + 1) % p for i in range(p)}
+    prv = {i: (i - 1) % p for i in range(p)}
+    faces = [tuple(range(p))]
+    vertex_layer = [0] * p
+    n = p
+
+    def attach(chain, round_no):
+        nonlocal n
+        j = len(chain) - 1
+        assert 1 <= j <= p - 1, "chain too long for one face"
+        m = p - j - 1
+        new = list(range(n, n + m))
+        n += m
+        deg.extend([2] * m)
+        vertex_layer.extend([round_no] * m)
+        faces.append(tuple(reversed(chain)) + tuple(new))
+        deg[chain[0]] += 1
+        deg[chain[-1]] += 1
+        for v in chain[1:-1]:
+            del nxt[v], prv[v]
+        path = [chain[0]] + new + [chain[-1]]
+        for a, b in zip(path, path[1:]):
+            nxt[a] = b
+            prv[b] = a
+
+    def cycle():
+        start = min(nxt)
+        order = [start]
+        v = nxt[start]
+        while v != start:
+            order.append(v)
+            v = nxt[v]
+        return order
+
+    for round_no in range(1, layers):
+        old = set(nxt)
+
+        def saturated_old(v):
+            return v in old and v in nxt and deg[v] == q
+
+        for v in cycle():
+            while v in nxt:
+                chain = [prv[v], v]
+                while saturated_old(chain[0]):
+                    chain.insert(0, prv[chain[0]])
+                while saturated_old(chain[-1]):
+                    chain.append(nxt[chain[-1]])
+                attach(chain, round_no)
+    return faces, cycle(), vertex_layer

@@ -25,7 +25,12 @@ from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_duality import center_to_boundary_cut, winding_dual_cycle_exists
-from oracle_perc import bfs_labels, reach_at_level
+from oracle_perc import (
+    bfs_labels,
+    crossing_loop,
+    estimate_pc_loop,
+    reach_at_level,
+)
 from oracle_tree import tree_theta
 
 
@@ -172,6 +177,75 @@ class TestEstimatePc:
                "repeated": np.concatenate([grid[:5], grid[4:]])}[order]
         with pytest.raises(ValueError, match="strictly increasing"):
             estimate_pc(pairs, bad, bootstrap_seed=1)
+
+
+class TestBootstrapOracle:
+    """estimate_pc against the loop over resamples of
+    tests/oracle_perc.py: same draws, same crossings, same floats."""
+
+    GRID = np.round(np.arange(0.02, 0.98, 0.02), 2)
+
+    @staticmethod
+    def outcome(estimate, pairs, grid, seed):
+        try:
+            e = estimate(pairs, grid, seed)
+        except NoCrossing as exc:
+            return str(exc)
+        if isinstance(e, tuple):
+            return e
+        return (e.value, e.ci_lo, e.ci_hi, e.crossings, e.bootstrap_accepted)
+
+    @staticmethod
+    def ladder(rng):
+        # 3-5 sizes with their own replica counts; thresholds rounded to
+        # the grid's step (ties with grid points) and some never reached
+        sizes = np.sort(rng.choice(np.arange(2, 12), rng.integers(3, 6),
+                                   replace=False))
+        pairs = []
+        for j, size in enumerate(sizes):
+            n = int(rng.integers(20, 121))
+            t = np.round(rng.beta(1.5 + 0.5 * j, 4.0, n), 2)
+            t[rng.random(n) < 0.05] = 2.0
+            pairs.append((int(size), t))
+        return pairs
+
+    def test_equals_loop_on_random_ladders(self):
+        rng = np.random.default_rng(2024)
+        kinds = []
+        for _ in range(40):
+            pairs = self.ladder(rng)
+            seed = int(rng.integers(1000))
+            got = self.outcome(estimate_pc, pairs, self.GRID, seed)
+            assert got == self.outcome(estimate_pc_loop, pairs, self.GRID,
+                                       seed)
+            kinds.append(got[4] if isinstance(got, tuple) else "raised")
+        # crossing ladders with and without rejected resamples, and
+        # ladders that raise
+        assert 1.0 in kinds and "raised" in kinds
+        assert sum(0.5 <= k < 0.9 for k in kinds if k != "raised") >= 5
+
+    @pytest.mark.parametrize("pairs,grid,message", [
+        ([(4, np.full(30, 0.05)), (5, np.full(40, 0.05)),
+          (6, np.full(50, 0.05))],
+         np.arange(0.7, 0.96, 0.05), "sizes 4 and 5 do not cross"),
+        ([(1, np.array([0.64, 0.27, 0.04])),
+          (2, np.array([0.02, 0.81, 0.91])),
+          (3, np.array([0.61, 0.73, 0.54]))],
+         np.linspace(0, 1, 11), "87 of 200 resamples cross"),
+    ])
+    def test_each_no_crossing_message_equals_loop(self, pairs, grid,
+                                                  message):
+        got = self.outcome(estimate_pc, pairs, grid, 1)
+        assert message in got
+        assert got == self.outcome(estimate_pc_loop, pairs, grid, 1)
+
+    def test_one_pair_crossing_equals_loop(self):
+        rng = np.random.default_rng(5)
+        grid = self.GRID
+        for _ in range(200):
+            small, large = np.round(rng.random((2, len(grid))), 1)
+            assert (_crossing(small, large, grid)
+                    == crossing_loop(small, large, grid))
 
 
 def tree_edges(d, L):

@@ -1,10 +1,18 @@
+import gc
+import platform
+
 import numpy as np
 import pytest
 
 from hyperperc import tilinggraph
+from hyperperc.graphs import edges_of_keys, side_keys
 from hyperperc.tilinggraph import NotHyperbolic, TooLarge, build_ball, dual_ball
 
-from oracle_tiling import edges_and_dual, generate_geometric_ball
+from oracle_tiling import (
+    build_ball_dicts,
+    edges_and_dual,
+    generate_geometric_ball,
+)
 
 
 class TestBuildBall:
@@ -138,6 +146,59 @@ class TestBuildBall:
         assert any(l.startswith("DUAL ") for l in lines)
 
 
+class TestFlatBuilder:
+    """build_ball keeps the boundary in int lists and the faces in one
+    (F, p) int64 array; tests/oracle_tiling.py keeps the dict-and-tuple
+    builder it replaced."""
+
+    def test_matches_dict_builder(self, monkeypatch):
+        # every hyperbolic {p,q} with 3 <= p, q <= 9 and L <= 6 under
+        # 60 000 vertices; the budget refuses the far larger next balls
+        # before they are built
+        monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 120_000)
+        checked = 0
+        for p in range(3, 10):
+            for q in range(3, 10):
+                if (p - 2) * (q - 2) <= 4:
+                    continue
+                for L in range(1, 7):
+                    try:
+                        b = build_ball(p, q, L)
+                    except TooLarge:
+                        break
+                    if b.n_vertices >= 60_000:
+                        break
+                    faces, boundary, vertex_layer = build_ball_dicts(p, q, L)
+                    faces = np.array(faces)
+                    n = b.n_vertices
+                    assert b.faces.dtype == np.int64
+                    assert b.faces.shape == (len(faces), p)
+                    assert np.array_equal(b.faces, faces)
+                    assert np.array_equal(
+                        b.edges, edges_of_keys(side_keys(faces, n), n))
+                    assert b.boundary == boundary
+                    assert b.vertex_layer.tolist() == vertex_layer
+                    checked += 1
+        assert checked == 175
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="reads CPython's gc allocation counter")
+    def test_allocates_nothing_per_face(self):
+        # gen-0 count = tracked allocations minus deallocations; a tuple
+        # per face would add one per face (1 000s here)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            b = build_ball(3, 7, 7)
+            grown = gc.get_count()[0] - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(b.faces) > 1000
+        assert grown < 100
+
+
 class TestDual:
     def test_dual_of_37_is_73_like(self):
         b = build_ball(3, 7, 4)
@@ -156,7 +217,7 @@ class TestDual:
         b = build_ball(3, 7, 3)
         d = dual_ball(b)
         edge_face_count = {}
-        for f in b.faces:
+        for f in b.faces.tolist():
             for a, c in zip(f, f[1:] + f[:1]):
                 key = (min(a, c), max(a, c))
                 edge_face_count[key] = edge_face_count.get(key, 0) + 1
@@ -169,7 +230,8 @@ class TestDual:
         for L in range(1, 6):
             b = build_ball(p, q, L)
             d = dual_ball(b)
-            edges, dual_edges, primal_edge, dual_edge_of = edges_and_dual(b.faces)
+            edges, dual_edges, primal_edge, dual_edge_of = edges_and_dual(
+                b.faces.tolist())
             assert b.edges.tolist() == [list(e) for e in edges]
             assert d.edges.tolist() == [list(e) for e in dual_edges]
             assert d.primal_edge.tolist() == primal_edge
