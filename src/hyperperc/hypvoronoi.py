@@ -5,11 +5,12 @@ Delaunay triangulation of the Poincare images whose circumdisks stay
 inside the open unit disk.  A whole complex (`delaunay`, for the sweeps,
 the densities and the pictures) runs Euclidean Delaunay (Qhull) on the
 whole sample and filters faces.  A reach threshold needs only the stars
-of the few cells its invasion takes, so `LocalStars` builds one star at a
-time from a Qhull triangulation of the cell's nearest nuclei, verified
-against the whole sample.  Both keep faces and mark interior nuclei by
-one rule (`_filter`).  Voronoi vertices are the hyperbolic circumcenters
-of the kept faces.
+of the few cells its invasion takes, so `LocalStars` builds them when
+asked from Qhull triangulations of a cell's nearest nuclei, verified
+against the whole sample; one such patch serves every cell whose fan of
+faces it proves.  Both keep faces and mark interior nuclei by one rule
+(`_filter`).  Voronoi vertices are the hyperbolic circumcenters of the
+kept faces.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
     simplices = tri.simplices
     faces, vr, vt, interior = _filter(
         points.rho, points.theta, simplices,
-        _euclidean_circumcircles(xy, simplices), _hull_mask(tri), points.R)
+        _reach(_euclidean_circumcircles(xy, simplices)), _hull_mask(tri),
+        points.R)
     corners = faces.ravel()
     edges = edges_of_keys(side_keys(faces, n), n)
 
@@ -134,19 +136,19 @@ def _hull_mask(tri) -> np.ndarray:
     return on_hull
 
 
-def _filter(rho, theta, simplices, circles, on_hull, R):
+def _filter(rho, theta, simplices, reach, on_hull, R):
     """The kept faces among Euclidean Delaunay `simplices`, their Voronoi
     vertices (rho, theta) and the interior mask of the nuclei; the one
     rule for whole complexes and local stars.
 
-    A face is kept when its Euclidean circumdisk (`circles`) lies inside
-    the open unit disk and its hyperbolic circumcenter is finite.  A
-    nucleus is interior when it is off the hull, has a face, every face it
-    has is kept, and all its Voronoi vertices lie within R - 1 of the
-    origin.
+    A face is kept when its Euclidean circumdisk, which reaches `reach`
+    from the origin, lies inside the open unit disk and its hyperbolic
+    circumcenter is finite.  A nucleus is interior when it is off the
+    hull, has a face, every face it has is kept, and all its Voronoi
+    vertices lie within R - 1 of the origin.
     """
     n = len(rho)
-    faces = simplices[_reach(circles) < 1.0]
+    faces = simplices[reach < 1.0]
     lifts = _hyperboloid(rho, theta)
     A, B, C = lifts[faces[:, 0]], lifts[faces[:, 1]], lifts[faces[:, 2]]
     vr, vt, finite = circumcenters_arrays(
@@ -190,7 +192,7 @@ def _euclidean_circumcircles(xy, simplices):
 # A local star first triangulates the STAR_NUCLEI nuclei nearest its cell,
 # then STAR_GROWTH times as many after each failed check, and the whole
 # sample once that count reaches the sample size.
-STAR_NUCLEI = 32
+STAR_NUCLEI = 64
 STAR_GROWTH = 4
 # relative margin of the emptiness and keep tests, far above rounding: a
 # nucleus that close to a circumcircle counts as inside, and the star
@@ -213,23 +215,39 @@ class Star(NamedTuple):
     interior: bool
 
 
+class _Patch(NamedTuple):
+    """The proven faces of one local triangulation, kept for its cells."""
+
+    near: np.ndarray       # (k,) the candidates' sample indices
+    faces: np.ndarray      # (m, 3) kept proven faces, candidate indices
+    vor_rho: np.ndarray    # (m,) their Voronoi vertices' polar radii
+    interior: np.ndarray   # (k,) _filter's interior flag per candidate
+
+
 class LocalStars:
     """The Delaunay stars of single cells of a sample, computed when asked.
 
     Cell x's star comes from a Qhull triangulation of the nuclei nearest
     to x in hyperbolic distance, ranked by the key |z - z_x|^2 / (1 - |z|^2)
-    (plain Euclidean nearness in the disk misses neighbours far out).  x's
-    faces are accepted only if they close a fan around x (x is off the
-    local hull) and no nucleus of the whole sample lies in their open
-    circumdisks or within rounding of their circles.  Then each is a
-    Delaunay triangle of the sample, and a closed fan of them is x's whole
-    star.  Otherwise more nuclei are taken, up to the whole sample in its
-    own order, which is delaunay()'s input to Qhull.  Faces, Voronoi
-    vertices and the interior flag follow delaunay()'s rule (`_filter`).
-    The vertices agree with delaunay()'s to rounding, since Qhull may list
-    a face's corners in another order, so a star on which the keep or the
-    interior test is within rounding of its bound comes from the whole
-    complex as well, and so has delaunay()'s flag by construction.
+    (plain Euclidean nearness in the disk misses neighbours far out).  A
+    face of this patch is proven a Delaunay triangle of the sample when no
+    nucleus lies in its open circumdisk or within rounding of its circle:
+    a circumdisk inside the candidates' ball {key < t}, t the key of the
+    nearest nucleus left out, is checked against the candidates, and one
+    of x's faces that leaves the ball against the whole sample.  A cell
+    off the patch hull whose faces are all proven has a closed fan of
+    Delaunay triangles, its whole star, so one patch serves x and every
+    such cell among the candidates.  On the voronoi-pc benchmark 531
+    stars took 270 Qhull calls, about 4.5 per replica and rung, where one
+    patch per star took 564.  If x's own faces are not all proven, more
+    nuclei are taken, up to the whole sample in its own order, which is
+    delaunay()'s input to Qhull; a grown patch serves x only.  Faces,
+    Voronoi vertices and the interior flag follow delaunay()'s rule
+    (`_filter`).  The vertices agree with delaunay()'s to rounding, since
+    Qhull may list a face's corners in another order, so a star on which
+    the keep or the interior test is within rounding of its bound comes
+    from the whole complex as well, and so has delaunay()'s flag by
+    construction.
     """
 
     def __init__(self, points: ColoredPointSet):
@@ -240,13 +258,18 @@ class LocalStars:
         self._inv_w = 1.0 / self._w
         self._whole = None
         self._stars = {}
+        self._served = {}    # cell -> (patch, its candidate index)
 
     def star(self, x: int) -> Star:
         """Cell x's star, equal to delaunay(points)'s."""
         got = self._stars.get(x)
         if got is None:
-            got = self._local(x)
-            if got is None:
+            if x not in self._served:
+                self._local(x)
+            served = self._served.pop(x, None)
+            if served is not None:
+                got = _patch_star(x, *served)
+            else:
                 if self._whole is None:
                     self._whole = _whole_complex(self.points, self._xy)
                 got = self._from_whole(x)
@@ -254,8 +277,12 @@ class LocalStars:
         return got
 
     def _local(self, x):
+        """Triangulate ever more of x's nearest nuclei until a patch proves
+        x's faces and serves x, unless a rounding guard fires.  x stays
+        unserved, for the whole complex, if no patch short of the whole
+        sample proves them."""
         if self._whole is not None:
-            return None
+            return
         xy, n = self._xy, len(self._xy)
         z = xy[x]
         dx, dy = self._x - z[0], self._y - z[1]
@@ -263,43 +290,57 @@ class LocalStars:
         k = STAR_NUCLEI
         while k < n:
             part = np.argpartition(d2, k)
-            near, t = part[:k], d2[part[k]]
+            # a copy, so that a kept patch does not hold all n ranks
+            near, t = part[:k].copy(), d2[part[k]]
             tri = _EuclideanDelaunay(xy[near])
             on_hull = _hull_mask(tri)
             here = int(np.argmin(d2[near]))    # x, the one key of 0
-            simplices = tri.simplices
-            fan = simplices[(simplices == here).any(axis=1)]
-            if len(fan) and not on_hull[here]:
-                circles = _euclidean_circumcircles(tri.points, fan)
-                if self._empty(tri.points, near, fan, circles, x, t):
-                    R = self.points.R
-                    faces, vr, _, interior = _filter(
-                        self.points.rho[near], self.points.theta[near], fan,
-                        circles, on_hull, R)
-                    if (np.any(np.abs(_reach(circles) - 1.0) <= _ROUNDING)
-                            or np.any(np.abs(vr - (R - 1.0))
-                                      <= _VERTEX_ROUNDING * R)):
-                        return None
-                    return _star(x, near[faces], vr, bool(interior[here]))
+            at_x = (tri.simplices == here).any(axis=1)
+            if (at_x.any() and not on_hull[here]
+                    and self._serve(x, near, t, tri, at_x, on_hull,
+                                    share=k == STAR_NUCLEI)):
+                return
             k *= STAR_GROWTH
-        return None
 
-    def _empty(self, near_xy, near, fan, circles, x, t):
-        """Whether no nucleus lies in the open circumdisks of `fan` (faces
-        over the candidates `near`, at `near_xy`), or within rounding of
-        their circles.  Every circumdisk is scanned against the
-        candidates.  One inside the candidates' ball {key < t}, t the key
-        of the nearest nucleus left out, holds no other nucleus; any other
-        is scanned against the whole sample as well."""
-        cx, cy, r2 = circles
-        if not _clear(near_xy[:, 0], near_xy[:, 1], fan, cx, cy, r2):
-            return False
+    def _serve(self, x, near, t, tri, at_x, on_hull, share):
+        """Prove the faces of the patch `tri` over the candidates `near`,
+        x's (`at_x`) and, when `share`, those inside the candidates' ball;
+        serve every cell whose faces are all proven; return whether x's
+        are."""
+        pxy, faces = tri.points, tri.simplices
+        cx, cy, r2 = _euclidean_circumcircles(pxy, faces)
         # {key < t} is the Euclidean disk of centre z_x / (1 + t)
         bx, by = self._xy[x] / (1.0 + t)
         br = math.sqrt(t * (t + self._w[x])) / (1.0 + t)
-        out = np.hypot(cx - bx, cy - by) + np.sqrt(r2) >= br * (1 - _ROUNDING)
-        return not out.any() or _clear(self._x, self._y, near[fan[out]],
-                                       cx[out], cy[out], r2[out])
+        inside = (np.hypot(cx - bx, cy - by) + np.sqrt(r2)
+                  < br * (1 - _ROUNDING))
+        proven = at_x | (inside & share)
+        proven[proven] = _clear(pxy[:, 0], pxy[:, 1], faces[proven],
+                                cx[proven], cy[proven], r2[proven])
+        # x's faces that leave the ball are checked against the whole
+        # sample, once the candidates clear all of x's faces
+        out = at_x & ~inside
+        if out.any():
+            proven[out] = proven[at_x].all() and _clear(
+                self._x, self._y, near[faces[out]], cx[out], cy[out], r2[out])
+        R = self.points.R
+        reach = _reach((cx, cy, r2))
+        proven_faces = faces[proven]
+        kept, vr, _, interior = _filter(
+            self.points.rho[near], self.points.theta[near], proven_faces,
+            reach[proven], on_hull, R)
+        risky = np.zeros(len(near), dtype=bool)
+        risky[faces[proven & (np.abs(reach - 1.0) <= _ROUNDING)]] = True
+        risky[kept[np.abs(vr - (R - 1.0)) <= _VERTEX_ROUNDING * R]] = True
+        total = np.bincount(faces.ravel(), minlength=len(near))
+        counted = np.bincount(proven_faces.ravel(), minlength=len(near))
+        served = (counted == total) & (total > 0) & ~on_hull & ~risky
+        patch = _Patch(near, kept, vr, interior)
+        js = np.flatnonzero(served)
+        for j, y in zip(js.tolist(), near[js].tolist()):
+            if y not in self._stars:
+                self._served[y] = (patch, j)
+        return bool(proven[at_x].all())
 
     def _from_whole(self, x):
         V = self._whole
@@ -324,14 +365,21 @@ class LocalStars:
 
 
 def _clear(xs, ys, faces, cx, cy, r2):
-    """Whether none of the points (xs, ys) lies in the open circumdisk of
-    a face, or within rounding of its circle, apart from the face's own
-    corners (indices into xs, ys), which lie on it."""
+    """Per face, whether none of the points (xs, ys) lies in its open
+    circumdisk, or within rounding of its circle, apart from the face's
+    own corners (indices into xs, ys), which lie on it."""
     dx = xs - cx[:, None]
     dy = ys - cy[:, None]
     d = dx * dx + dy * dy
     d[np.arange(len(d))[:, None], faces] = np.inf
-    return not np.any(d < r2[:, None] * (1 + _ROUNDING))
+    return ~np.any(d < r2[:, None] * (1 + _ROUNDING), axis=1)
+
+
+def _patch_star(x, patch, j):
+    """Cell x's star, read from a patch that serves it as candidate j."""
+    mine = (patch.faces == j).any(axis=1)
+    return _star(x, patch.near[patch.faces[mine]], patch.vor_rho[mine],
+                 bool(patch.interior[j]))
 
 
 def _star(x, faces, vor_rho, interior):

@@ -330,6 +330,22 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_python_dash_m_runs_the_cli():
+    # python -m hyperperc runs from a checkout with src on PYTHONPATH
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hyperperc", *argv],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=300)
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "pc-estimate" in proc.stdout
+    proc = run("pc-estimate", "--lambda", "1", "--replicas", "0")
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("grid", ["-0.1,0.5", "-0.1:0.5:0.1"])
 def test_negative_p_reaches_the_range_check(grid, tmp_path, capsys):
     out = tmp_path / "out"

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
 from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
-from hyperperc import hypvoronoi
+from hyperperc import _kernels, hypvoronoi
 from hyperperc.hypvoronoi import (
     DegenerateInput,
     LocalStars,
@@ -18,7 +18,11 @@ from hyperperc.hypvoronoi import (
     delaunay,
     shell_cell_mask,
 )
-from hyperperc.percolation import label_clusters, voronoi_sample
+from hyperperc.percolation import (
+    label_clusters,
+    site_reach_threshold,
+    voronoi_sample,
+)
 from hyperperc.pointprocess import ColoredPointSet
 
 
@@ -329,6 +333,14 @@ def assert_stars_match(stars, V, cells):
                                    rtol=1e-6)
 
 
+def neighbours_off(V, x, faces):
+    """x's Delaunay neighbours in V that are corners of none of `faces`
+    and lie off the Euclidean hull, so that their stars are local."""
+    nbrs = np.setdiff1d(star_of_complex(V, x)[1], faces)
+    hull = _EuclideanDelaunay(V.points.disk_xy).convex_hull
+    return nbrs[~np.isin(nbrs, hull)]
+
+
 @pytest.fixture
 def qhull_sizes(monkeypatch):
     """The number of nuclei of every Qhull call in hypvoronoi."""
@@ -346,9 +358,10 @@ def qhull_sizes(monkeypatch):
 class TestLocalStars:
     """Each local star is the star of the whole complex."""
 
-    @pytest.mark.parametrize("lam,R_window,rep", [
-        (0.25, 6.5, 0), (0.25, 6.5, 1), (1.0, 4.5, 0), (1.0, 4.5, 1),
-        (2.0, 4.0, 0), (2.0, 4.0, 1)])
+    WINDOWS = [(0.25, 6.5, 0), (0.25, 6.5, 1), (1.0, 4.5, 0), (1.0, 4.5, 1),
+               (2.0, 4.0, 0), (2.0, 4.0, 1)]
+
+    @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
     def test_every_window_cell(self, lam, R_window, rep, qhull_sizes):
         pts, _ = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
         V = delaunay(pts)
@@ -358,6 +371,51 @@ class TestLocalStars:
         # no star needed the whole sample
         assert max(qhull_sizes) < len(pts)
         np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
+
+    @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
+    def test_one_triangulation_serves_several_stars(self, lam, R_window, rep,
+                                                    qhull_sizes):
+        # a patch serves every cell whose faces it proves, so the window's
+        # stars take fewer Qhull calls than there are stars, whether asked
+        # for in shuffled order or as an invasion takes the cells
+        pts, u = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
+        V = delaunay(pts)
+        inside = pts.rho <= R_window
+        shuffled = np.random.default_rng(rep).permutation(
+            np.flatnonzero(inside))
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, shuffled)
+        assert len(qhull_sizes) < len(shuffled)
+
+        stars = LocalStars(pts)
+        taken = []
+        leaf = np.empty(0, dtype=np.int64)
+
+        def neighbours(w):
+            # every window cell is expanded, every other cell is a leaf
+            if not inside[w]:
+                return leaf, leaf
+            taken.append(w)
+            nb = stars.star(w).neighbours
+            return nb, nb
+
+        del qhull_sizes[:]
+        _kernels._invade(neighbours, u, [(0.0, int(np.argmin(pts.rho)))])
+        assert len(taken) > len(shuffled) // 2
+        assert len(qhull_sizes) < len(taken)
+        assert_stars_match(stars, V, taken)
+
+    def test_patches_own_their_arrays(self):
+        # a patch kept for the cells it serves holds O(k) arrays, not views
+        # of the n-long ranking of the sample
+        pts, u = voronoi_sample(1.0, 7.5, 71, "local-stars", 0)
+        stars = LocalStars(pts)
+        site_reach_threshold(lambda w: stars.neighbours(w, 5.5), u,
+                             stars.core_mask())
+        patches = [patch for patch, _ in stars._served.values()]
+        assert patches
+        for patch in patches:
+            assert all(a.base is None for a in patch)
 
     def test_growth(self, qhull_sizes):
         # at lambda = 1/4 the first candidates often miss a nucleus that
@@ -415,6 +473,16 @@ class TestLocalStars:
             del qhull_sizes[:]
             assert_stars_match(LocalStars(at), W, [x])
             assert qhull_sizes[-1] == len(pts)
+            # the same after x's neighbours off its faces at the bound,
+            # whose patches can prove all of x's faces
+            at_bound = W.faces[np.abs(W.vor_rho - (at.R - 1.0))
+                               <= hypvoronoi._VERTEX_ROUNDING * at.R]
+            stars = LocalStars(at)
+            del qhull_sizes[:]
+            assert_stars_match(stars, W, neighbours_off(W, x, at_bound))
+            assert max(qhull_sizes) < len(pts)
+            assert_stars_match(stars, W, [x])
+            assert qhull_sizes[-1] == len(pts)
 
     def test_face_at_the_unit_circle(self, monkeypatch, qhull_sizes):
         # two window cells have a face whose circumdisk comes within 6e-6
@@ -435,6 +503,40 @@ class TestLocalStars:
         del qhull_sizes[:]
         assert_stars_match(LocalStars(pts), V, [x])
         assert qhull_sizes[-1] == len(pts)
+        # the same after x's neighbours off the faces within the margin
+        stars = LocalStars(pts)
+        del qhull_sizes[:]
+        assert_stars_match(stars, V,
+                           neighbours_off(V, x, V.faces[gap <= 1e-5]))
+        assert max(qhull_sizes) < len(pts)
+        assert_stars_match(stars, V, [x])
+        assert qhull_sizes[-1] == len(pts)
+
+    def test_no_cell_near_the_unit_circle_is_served(self, monkeypatch):
+        # with the keep test's margin at 1e-5, every cell with a face
+        # within it of the unit circle comes from the whole complex, also
+        # when a neighbour's patch proves all its faces first (cell 723
+        # here, when the cells come in this order)
+        pts, _ = voronoi_sample(0.25, 8.5, 71, "local-stars", 5)
+        V = delaunay(pts)
+        monkeypatch.setattr(hypvoronoi, "_ROUNDING", 1e-5)
+        tri = _EuclideanDelaunay(pts.disk_xy)
+        reach = hypvoronoi._reach(
+            hypvoronoi._euclidean_circumcircles(pts.disk_xy, tri.simplices))
+        rim = np.unique(tri.simplices[np.abs(reach - 1.0) <= 1e-5])
+        cells = np.random.default_rng(0).permutation(
+            np.flatnonzero(pts.rho <= 6.5))
+        assert 723 in rim and 723 in cells
+        whole = []
+        from_whole = LocalStars._from_whole
+
+        def spied(self, x):
+            whole.append(x)
+            return from_whole(self, x)
+
+        monkeypatch.setattr(LocalStars, "_from_whole", spied)
+        assert_stars_match(LocalStars(pts), V, cells)
+        assert set(np.intersect1d(rim, cells).tolist()) <= set(whole)
 
     def test_degenerate_input(self):
         pts = triple_points()
