@@ -114,12 +114,23 @@ def _invade(neighbours, marks, start, stop=2.0):
 
 def csr_neighbours(indptr, indices, ids, shell):
     """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
-    ids is its edge_id for bond marks and its indices for site marks."""
+    ids is its edge_id for bond marks and its indices for site marks.
+
+    Built once per graph and shared by its replicas: each site's slices
+    are kept after the first invasion that takes it, so the memo holds
+    only sites some replica has taken."""
+    indptr = indptr.tolist()
+    shell = shell.tolist()
+    memo = {}
+
     def neighbours(w):
-        if shell[w]:
-            return None
-        a, b = indptr[w], indptr[w + 1]
-        return indices[a:b], ids[a:b]
+        got = memo.get(w)
+        if got is None:
+            if shell[w]:
+                return None
+            a, b = indptr[w], indptr[w + 1]
+            got = memo[w] = indices[a:b], ids[a:b]
+        return got
 
     return neighbours
 
@@ -129,13 +140,12 @@ def _at_zero(core):
     return [(0.0, w) for w in np.flatnonzero(core).tolist()]
 
 
-def bond_reach_threshold(indptr, indices, edge_id, uniforms, core, shell):
+def bond_reach_threshold(neighbours, uniforms, core):
     """Level at which some core site first joins some shell site when
     edges open in increasing uniforms, 2.0 if they never join; core sites
-    enter at 0.0.  (indptr, indices, edge_id) is the graph's CSR
-    adjacency (graphs.csr_adjacency)."""
-    return _invade(csr_neighbours(indptr, indices, edge_id, shell), uniforms,
-                   _at_zero(core))[0]
+    enter at 0.0.  neighbours(w) is _invade's with ids = edge ids, as
+    csr_neighbours(indptr, indices, edge_id, shell) gives it."""
+    return _invade(neighbours, uniforms, _at_zero(core))[0]
 
 
 def site_reach_threshold(neighbours, uniforms, core):
@@ -150,12 +160,12 @@ def site_reach_threshold(neighbours, uniforms, core):
                    zip(uniforms[sites].tolist(), sites.tolist()))[0]
 
 
-def bond_cluster(indptr, indices, edge_id, uniforms, core, p):
+def bond_cluster(neighbours, uniforms, core, p):
     """The core's cluster of the edges with uniform <= p: a dict from
-    each of its sites to its minimax level from the core."""
-    return _invade(csr_neighbours(indptr, indices, edge_id,
-                                  np.zeros_like(core)), uniforms,
-                   _at_zero(core), p)[1]
+    each of its sites to its minimax level from the core.  neighbours is
+    bond_reach_threshold's; a shell site stops the invasion, so a whole
+    cluster needs neighbours without one."""
+    return _invade(neighbours, uniforms, _at_zero(core), p)[1]
 
 
 def label_clusters_kernel(n, eu, ev, edge_open, site_open):

@@ -42,14 +42,16 @@ def csr_adjacency(n: int, edges: np.ndarray):
     return indptr, indices, slots // 2
 
 
-def bfs_distances(n: int, edges: np.ndarray, source: int) -> np.ndarray:
-    """Unweighted shortest-path distances from source; -1 if unreachable."""
+def bfs_distances(n: int, edges: np.ndarray, source: int,
+                  depth: int | None = None) -> np.ndarray:
+    """Unweighted shortest-path distances from source; -1 if unreachable,
+    or, given a depth, farther than depth."""
     indptr, indices, _ = csr_adjacency(n, edges)
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     d = 0
-    while len(frontier):
+    while len(frontier) and (depth is None or d < depth):
         d += 1
         start = indptr[frontier]
         count = indptr[frontier + 1] - start

@@ -94,11 +94,18 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
             f"a ball of radius R={points.R:g}")
     # float64 rows, so that each row views as one complex number
     xy = np.ascontiguousarray(points.disk_xy, dtype=np.float64)
-    # exact duplicates break the empty-disk property; sorted as complex
-    # numbers (x, then y), equal nuclei end up adjacent
-    z = np.sort(xy.view(np.complex128).ravel())
-    if np.any(z[1:] == z[:-1]):
-        raise DegenerateInput("duplicate nuclei")
+    # exact duplicates break the empty-disk property.  Equal nuclei share
+    # x, so only the runs of tied x in x order need their y compared: the
+    # nuclei of those runs, sorted as complex numbers (x, then y), put
+    # equal ones side by side
+    order = np.argsort(xy[:, 0])
+    x = xy[order, 0]
+    tied = np.flatnonzero(x[1:] == x[:-1])
+    if len(tied):
+        runs = order[np.union1d(tied, tied + 1)]
+        z = np.sort(xy[runs].view(np.complex128).ravel())
+        if np.any(z[1:] == z[:-1]):
+            raise DegenerateInput("duplicate nuclei")
     return xy
 
 

@@ -137,9 +137,9 @@ def tiling_instance(ball, core_radius: int) -> PercInstance:
     of vertex 0; the shell is the set of combinatorially incomplete
     vertices (degree below the regular value).
     """
-    dist = bfs_distances(ball.n_vertices, ball.edges, 0)
+    dist = bfs_distances(ball.n_vertices, ball.edges, 0, core_radius)
     shell = ~ball.interior_vertex_mask
-    core = (dist >= 0) & (dist <= core_radius) & ~shell
+    core = (dist >= 0) & ~shell
     return PercInstance(ball.n_vertices, ball.edges, core, shell)
 
 
@@ -163,12 +163,13 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     (replicas are independent, so any such mapper reproduces the serial
     result bit for bit).
     """
-    adj = csr_adjacency(inst.n, inst.edges)
+    indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
+    neighbours = csr_neighbours(indptr, indices, edge_id, inst.shell)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(len(inst.edges))
-        return bond_reach_threshold(*adj, u, inst.core, inst.shell)
+        return bond_reach_threshold(neighbours, u, inst.core)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -319,6 +320,22 @@ def _ladder_crossings(sizes, curves, p_grid):
 BOOTSTRAP_RESAMPLES = 200
 
 
+def _bootstrap_draws(seed, samples):
+    """Replica indices of every resample, one (resamples, n) array per
+    sample of n replicas.
+
+    One integers call gives the stream of a loop that draws each sample's
+    n indices resample by resample: a bound below 2**32 draws 32-bit
+    halves from the generator, which keeps an unused half between calls,
+    so the loop and the batch read the same bits.  A 1-D bound, one entry
+    per column, serves samples of unequal sizes."""
+    ns = [len(t) for t in samples]
+    high = ns[0] if len(set(ns)) == 1 else np.repeat(ns, ns)
+    draws = np.random.default_rng(seed).integers(
+        0, high, size=(BOOTSTRAP_RESAMPLES, sum(ns)))
+    return np.split(draws, np.cumsum(ns)[:-1], axis=1)
+
+
 def estimate_pc(thresholds_by_size, p_grid,
                 bootstrap_seed: int = 0) -> PcEstimate:
     """Critical level from crossings of size-weighted reach curves.
@@ -351,15 +368,10 @@ def estimate_pc(thresholds_by_size, p_grid,
         )
     value = float(np.median(crossings))
 
-    # one draw per resample and size, resample by resample: the stream of
-    # a loop over resamples (one batched draw would discard the generator's
-    # leftover bits at other places)
-    rng = np.random.default_rng(bootstrap_seed)
-    draws = [[rng.integers(0, len(t), len(t)) for t in samples]
-             for _ in range(BOOTSTRAP_RESAMPLES)]
     cs = _ladder_crossings(
-        sizes, [reach_curve(t[np.array(idx)], p_grid)
-                for t, idx in zip(samples, zip(*draws))], p_grid)
+        sizes, [reach_curve(t[idx], p_grid) for t, idx in
+                zip(samples, _bootstrap_draws(bootstrap_seed, samples))],
+        p_grid)
     boots = np.median(cs[~np.isnan(cs).any(axis=1)], axis=1)
     if len(boots) < BOOTSTRAP_RESAMPLES // 2:
         raise NoCrossing(
@@ -605,14 +617,17 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
                              f"{len(sphere) - 1} is the largest distance "
                              f"in this ball")
 
-    adj = csr_adjacency(ball.n_vertices, ball.edges)
+    indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
+    # no shell: the invasion stops at level p only
+    neighbours = csr_neighbours(indptr, indices, edge_id,
+                                np.zeros(ball.n_vertices, dtype=bool))
     center = np.arange(ball.n_vertices) == 0
     tag = f"decay-{ball.p_gon}-{ball.q_deg}-p{p:g}"
 
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
         u = rng.random(len(ball.edges))
-        cluster = bond_cluster(*adj, u, center, p)
+        cluster = bond_cluster(neighbours, u, center, p)
         return np.bincount(dist[list(cluster)], minlength=len(sphere))
 
     counts = sum(mapper(one, range(replicas)))[distances]

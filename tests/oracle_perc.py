@@ -92,6 +92,15 @@ def crossing_loop(curve_small, curve_large, p_grid):
     return None
 
 
+def bootstrap_draws_loop(seed, ns):
+    """The bootstrap's replica indices drawn one resample at a time, and
+    within a resample one size at a time: draws[r][s] holds resample r's
+    ns[s] indices into size s."""
+    rng = np.random.default_rng(seed)
+    return [[rng.integers(0, n, n) for n in ns]
+            for _ in range(BOOTSTRAP_RESAMPLES)]
+
+
 def estimate_pc_loop(thresholds_by_size, p_grid, bootstrap_seed=0):
     """estimate_pc one resample at a time: returns (value, ci_lo, ci_hi,
     crossings, bootstrap_accepted) or raises the same NoCrossing."""
@@ -119,10 +128,10 @@ def estimate_pc_loop(thresholds_by_size, p_grid, bootstrap_seed=0):
             f"{d.max():.4g}; widen the grid or the ladder"
         )
     value = float(np.median(crossings))
-    rng = np.random.default_rng(bootstrap_seed)
     boots = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        resampled = [t[rng.integers(0, len(t), len(t))] for t in samples]
+    for draw in bootstrap_draws_loop(bootstrap_seed,
+                                     [len(t) for t in samples]):
+        resampled = [t[idx] for t, idx in zip(samples, draw)]
         cs = crossings_of([curve(t) for t in resampled])
         if None not in cs:
             boots.append(np.median(cs))

@@ -82,6 +82,17 @@ def test_bfs_matches_queue_bfs(cases, case):
         np.testing.assert_array_equal(dist >= 0, labels == labels[source])
 
 
+@pytest.mark.parametrize("case", range(6))
+def test_bfs_depth_stops_at_the_depth(cases, case):
+    n, edges = cases[case]
+    for source in (0, n // 2, n - 1):
+        full = bfs_distances(n, edges, source)
+        for depth in range(max(full.max(), 0) + 2):
+            want = np.where(full <= depth, full, -1)
+            np.testing.assert_array_equal(
+                bfs_distances(n, edges, source, depth), want)
+
+
 def test_bfs_disconnected_gives_minus_one():
     # a path 0-1-2, a triangle 3-4-5 and the isolated vertex 6
     edges = np.array([[0, 1], [1, 2], [3, 4], [4, 5], [3, 5]])

@@ -112,6 +112,30 @@ class TestDelaunayConstruction:
         with pytest.raises(DegenerateInput):
             delaunay(dup)
 
+    def test_tied_x_is_a_duplicate_only_with_equal_y(self):
+        # nuclei mirrored in the x axis, (x, y) and (x, -y), share x
+        # exactly and are distinct; a third nucleus on that x which
+        # repeats one of them makes a run of three tied x with a duplicate
+        pts = triple_points()
+
+        def with_extra(rho, theta):
+            return ColoredPointSet(
+                rho=np.concatenate([pts.rho, rho]),
+                theta=np.concatenate([pts.theta, theta]),
+                white=np.concatenate([pts.white, np.ones(len(rho), bool)]),
+                lam=1.0, p=0.5, R=3.0, seed=0,
+            )
+
+        mirrored = with_extra(np.full(2, 1.5), np.array([1.0, -1.0]))
+        xy = mirrored.disk_xy
+        assert xy[3, 0] == xy[4, 0] and xy[3, 1] == -xy[4, 1] != 0.0
+        assert len(delaunay(mirrored).faces) > 0
+        LocalStars(mirrored)
+        three = with_extra(np.full(3, 1.5), np.array([1.0, -1.0, 1.0]))
+        for build in (delaunay, LocalStars):
+            with pytest.raises(DegenerateInput, match="^duplicate nuclei$"):
+                build(three)
+
     def test_symmetric_triple(self):
         V = delaunay(triple_points())
         assert len(V.vor_rho) == 1

@@ -35,6 +35,12 @@ def random_instance(rng, max_n=60, min_n=2):
     return n, edges
 
 
+def bond_neighbours(n, edges, shell):
+    """The bond invasion's neighbours over the CSR adjacency of edges."""
+    indptr, indices, edge_id = csr_adjacency(n, edges)
+    return K.csr_neighbours(indptr, indices, edge_id, shell)
+
+
 class TestLabelKernel:
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_bfs_oracle(self, trial):
@@ -96,8 +102,8 @@ class TestFiltration:
             want = 0.0
         else:
             want = levels[order[positive[0] - 1]]
-        got = K.bond_reach_threshold(*csr_adjacency(n, edges), levels,
-                                     core, shell)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), levels,
+                                     core)
         assert got == want
         if (core & shell).any():
             assert got == 0.0
@@ -115,11 +121,11 @@ class TestFiltration:
         counts = K.filtration(4, eu, ev, order, core, shell,
                               np.array([3, 0, 2, 1]))
         assert counts.tolist() == [1, 0, 0, 0]
-        adj = csr_adjacency(4, edges)
-        assert K.bond_reach_threshold(*adj, levels, core, shell) == 0.75
+        assert K.bond_reach_threshold(bond_neighbours(4, edges, shell),
+                                      levels, core) == 0.75
         # only the edge (2, 3): never joined
-        assert K.bond_reach_threshold(*csr_adjacency(4, edges[2:]), levels[2:],
-                                      core, shell) == 2.0
+        assert K.bond_reach_threshold(bond_neighbours(4, edges[2:], shell),
+                                      levels[2:], core) == 2.0
 
     def case(self, seed):
         rng = np.random.default_rng(seed)
@@ -221,7 +227,7 @@ class TestReachKernels:
         shell = np.zeros(n, dtype=bool)
         core[0] = True
         shell[n - 1] = True
-        got = K.bond_reach_threshold(*csr_adjacency(n, edges), u, core, shell)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), u, core)
         want = self.brute_bond_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -283,13 +289,13 @@ class TestInvasionEqualsFiltration:
     def test_tiling_bond(self, p_gon, q_deg, dual):
         ball = build_ball(p_gon, q_deg, 6)
         inst = tiling_instance(dual_ball(ball) if dual else ball, 0)
-        adj = csr_adjacency(inst.n, inst.edges)
+        neighbours = bond_neighbours(inst.n, inst.edges, inst.shell)
         rng = np.random.default_rng(500 + 10 * p_gon + dual)
         for _ in range(50):
             u = rng.random(len(inst.edges))
             want = filtration_threshold(inst.n, inst.edges, u, inst.core,
                                         inst.shell)
-            assert K.bond_reach_threshold(*adj, u, inst.core, inst.shell) == want
+            assert K.bond_reach_threshold(neighbours, u, inst.core) == want
 
     def test_tiling_site(self):
         inst = tiling_instance(build_ball(3, 7, 6), 0)
@@ -342,8 +348,8 @@ class TestInvasionEqualsFiltration:
     def test_bond_edge_cases(self, core_sites, shell_sites, want):
         n, edges, levels = self.ring()
         core, shell = self.masks(n, core_sites, shell_sites)
-        got = K.bond_reach_threshold(*csr_adjacency(n, edges), levels, core,
-                                     shell)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), levels,
+                                     core)
         assert got == want
         assert got == filtration_threshold(n, edges, levels, core, shell)
 
@@ -395,10 +401,35 @@ class TestInvasionStopLevel:
                 # the record of one invasion holds every lower stop's cluster
                 assert taken == {w: lv for w, lv in record.items()
                                  if lv <= p}
-                assert K.bond_cluster(indptr, indices, edge_id, u, center,
-                                      p) == taken
+                assert K.bond_cluster(neighbours, u, center, p) == taken
                 if p == 0.0:
                     assert taken == {0: 0.0}
+
+
+class TestSharedAdapter:
+    """One csr_neighbours serving every replica of a ball, as in
+    bond_thresholds and site_thresholds, gives the thresholds of a fresh
+    adapter per replica."""
+
+    @pytest.mark.parametrize("mode,dual", [("bond", False), ("site", False),
+                                           ("bond", True)])
+    def test_equals_a_fresh_adapter_per_replica(self, mode, dual):
+        ball = build_ball(3, 7, 6)
+        inst = tiling_instance(dual_ball(ball) if dual else ball, 0)
+        indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
+        if mode == "bond":
+            reach, ids, m = K.bond_reach_threshold, edge_id, len(inst.edges)
+        else:
+            reach, ids, m = K.site_reach_threshold, indices, inst.n
+        shared = K.csr_neighbours(indptr, indices, ids, inst.shell)
+        rng = np.random.default_rng(620 + dual)
+        got = []
+        for _ in range(100):
+            u = rng.random(m)
+            fresh = K.csr_neighbours(indptr, indices, ids, inst.shell)
+            got.append(reach(shared, u, inst.core))
+            assert got[-1] == reach(fresh, u, inst.core)
+        assert 0.0 < min(got) and max(got) < 1.0
 
 
 class CountingMarks(np.ndarray):
@@ -423,20 +454,23 @@ class TestMarkReads:
     def test_reads_at_most_the_degrees_of_the_taken_sites(self):
         ball = build_ball(3, 7, 6)
         inst = tiling_instance(ball, 0)
-        adj = csr_adjacency(inst.n, inst.edges)
-        degree = np.diff(adj[0])
+        degree = np.diff(csr_adjacency(inst.n, inst.edges)[0])
         center = np.arange(inst.n) == 0
+        # one adapter of each kind serves every replica, as in
+        # bond_thresholds and connectivity_decay
+        reach = bond_neighbours(inst.n, inst.edges, inst.shell)
+        whole = bond_neighbours(inst.n, inst.edges, np.zeros(inst.n, bool))
         rng = np.random.default_rng(610)
         for _ in range(20):
             u = rng.random(len(inst.edges))
             marks = counting(u)
-            taken = K.bond_cluster(*adj, marks, center, 0.2)
+            taken = K.bond_cluster(whole, marks, center, 0.2)
             assert 0 < marks.reads <= degree[list(taken)].sum()
             # every site of the threshold invasion is in the core's
             # cluster at the threshold
             marks = counting(u)
-            top = K.bond_reach_threshold(*adj, marks, inst.core, inst.shell)
-            cluster = K.bond_cluster(*adj, u, inst.core, top)
+            top = K.bond_reach_threshold(reach, marks, inst.core)
+            cluster = K.bond_cluster(whole, u, inst.core, top)
             assert 0 < marks.reads <= degree[list(cluster)].sum()
             assert marks.reads < 2 * len(inst.edges)
 

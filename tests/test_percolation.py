@@ -5,6 +5,7 @@ from hyperperc.hypvoronoi import Window
 from hyperperc.percolation import (
     InsufficientData,
     NoCrossing,
+    _bootstrap_draws,
     _crossing,
     bond_thresholds,
     connectivity_decay,
@@ -27,6 +28,7 @@ from hyperperc.tilinggraph import build_ball, dual_ball
 from oracle_duality import center_to_boundary_cut, winding_dual_cycle_exists
 from oracle_perc import (
     bfs_labels,
+    bootstrap_draws_loop,
     crossing_loop,
     estimate_pc_loop,
     reach_at_level,
@@ -92,6 +94,22 @@ class TestPhaseSignature:
         voronoi_signature_sweep(1.0, [0.0, 1.0], Window.with_margin(4.0), 3, 3,
                                 mapper=TestSweeps.recording(outputs))
         assert outputs == [[(0, 1), (1, 0)]] * 3
+
+
+class TestTilingInstance:
+    @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3), (4, 5)])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_masks_equal_the_full_bfs(self, p_gon, q_deg, dual):
+        # the BFS stops at the core radius; a full one gives the same core
+        ball = build_ball(p_gon, q_deg, 5)
+        host = dual_ball(ball) if dual else ball
+        dist = bfs_distances(host.n_vertices, host.edges, 0)
+        shell = ~host.interior_vertex_mask
+        for radius in range(4):
+            inst = tiling_instance(host, radius)
+            core = (dist >= 0) & (dist <= radius) & ~shell
+            np.testing.assert_array_equal(inst.core, core)
+            np.testing.assert_array_equal(inst.shell, shell)
 
 
 class TestReach:
@@ -223,6 +241,23 @@ class TestBootstrapOracle:
         # ladders that raise
         assert 1.0 in kinds and "raised" in kinds
         assert sum(0.5 <= k < 0.9 for k in kinds if k != "raised") >= 5
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("counts", [(100, 100, 100), (20, 20, 20),
+                                        (20, 37, 64), (3, 7, 101)])
+    def test_one_draw_equals_the_loop_draws(self, seed, counts):
+        # one integers call for all resamples and sizes reads the stream
+        # of the loop that draws resample by resample, size by size
+        rng = np.random.default_rng(seed + sum(counts))
+        pairs = [(j + 2, np.round(rng.beta(1.5 + 0.5 * j, 4.0, n), 2))
+                 for j, n in enumerate(counts)]
+        draws = _bootstrap_draws(seed, [t for _, t in pairs])
+        loop = bootstrap_draws_loop(seed, counts)
+        assert [d.shape for d in draws] == [(200, n) for n in counts]
+        for s, d in enumerate(draws):
+            np.testing.assert_array_equal(d, [draw[s] for draw in loop])
+        assert (self.outcome(estimate_pc, pairs, self.GRID, seed)
+                == self.outcome(estimate_pc_loop, pairs, self.GRID, seed))
 
     @pytest.mark.parametrize("pairs,grid,message", [
         ([(4, np.full(30, 0.05)), (5, np.full(40, 0.05)),
