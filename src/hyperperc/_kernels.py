@@ -10,13 +10,17 @@ site's adjacency and mark ids (edge ids for bond, the sites for site)
 through one protocol, so one loop serves a tiling's CSR adjacency and a
 Voronoi replica's stars, built as the invasion reaches them, and gathers
 the marks of the sites it takes only.
-`filtration` adds all edges in a given order (Newman & Ziff,
-PRL 85:4104, 2000) and gives the phase sweeps their core-to-shell counts
-on a whole p-grid.  Both are plain Python.  The filtration loop runs over
-Python lists, because in a per-edge loop the numpy scalar that each array
-access boxes costs more than the union-find step; invasion likewise turns
-each site's adjacency into a list.  Cluster labels come from scipy's
-connected components.
+`filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
+2000) and gives the phase sweeps their core-to-shell counts on a whole
+p-grid.  Each edge end is found with path halving, and each root keeps
+one flag (1 core, 2 shell, 3 both).  The pass counts the clusters that
+hold a core site too: once that count is 1 and the one such cluster meets
+the shell, every later count is 1, so the pass stops there, and it reads
+edge ends only up to its largest cut.  Both kernels are plain Python.
+The filtration loop runs over Python lists, because in a per-edge loop
+the numpy scalar that each array access boxes costs more than the
+union-find step; invasion likewise turns each site's adjacency into a
+list.  Cluster labels come from scipy's connected components.
 """
 
 from __future__ import annotations
@@ -36,46 +40,49 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     meet both a core site and a shell site.
 
     Returns counts: counts[j] is the count after the first cuts[j] edges.
-    The sweep stops after the largest cut.
+    The sweep reads the edges up to the largest cut only, and stops early
+    once one cluster holds every core site and meets the shell.
     """
+    counts = [0] * len(cuts)
+    top = int(cuts.max(initial=0))
+    a_of = eu[order[:top]].tolist()
+    b_of = ev[order[:top]].tolist()
     parent = list(range(n))
-    has_core = core.tolist()
-    has_shell = shell.tolist()
-    a_of = eu[order].tolist()
-    b_of = ev[order].tolist()
+    # one flag per root: 1 if its cluster holds a core site, 2 a shell site
+    flag = (2 * shell + core).tolist()
     both = int(np.count_nonzero(core & shell))
-    counts = np.zeros(len(cuts), dtype=np.int64)
+    cores = int(np.count_nonzero(core))
     # segments between ascending cuts
     start = 0
-    for j in np.argsort(cuts).tolist():
+    segments = np.argsort(cuts).tolist()
+    for i, j in enumerate(segments):
+        if cores == 1 and both == 1:
+            # the one cluster with a core site meets the shell: a later
+            # merge can neither split it nor add a second
+            for j in segments[i:]:
+                counts[j] = 1
+            break
         end = int(cuts[j])
         for a, b in zip(a_of[start:end], b_of[start:end]):
-            # find with path compression, inlined for both ends
-            ru = a
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[a] != ru:
-                parent[a], a = ru, parent[a]
-            rv = b
-            while parent[rv] != rv:
-                rv = parent[rv]
-            while parent[b] != rv:
-                parent[b], b = rv, parent[b]
-            if ru == rv:
+            # find with path halving, inlined for both ends
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
                 continue
-            if rv < ru:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            hc = has_core[ru] or has_core[rv]
-            hs = has_shell[ru] or has_shell[rv]
-            if hc and hs:
-                both += (1 - (has_core[ru] and has_shell[ru])
-                         - (has_core[rv] and has_shell[rv]))
-            has_core[ru] = hc
-            has_shell[ru] = hs
+            parent[a] = b
+            fa = flag[a]
+            if fa:
+                fb = flag[b]
+                f = flag[b] = fa | fb
+                if fa & fb & 1:
+                    cores -= 1
+                if f == 3:
+                    both += 1 - (fa == 3) - (fb == 3)
         counts[j] = both
         start = end
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def _invade(neighbours, marks, start, stop=2.0):

@@ -13,10 +13,21 @@ def side_keys(faces, n: int) -> np.ndarray:
     return (np.minimum(f, g) * n + np.maximum(f, g)).ravel()
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, by one sort and a neighbour mask: on
+    integers, numpy 2's np.unique takes a hash path that is several times
+    slower."""
+    s = np.sort(values)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def edges_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """The distinct edges (u, v), u < v, of edge keys; sorted keys are the
     pairs in lexicographic order."""
-    return np.stack(np.divmod(np.unique(keys), n), axis=1)
+    return np.stack(np.divmod(sorted_distinct(keys), n), axis=1)
 
 
 def vertex_degrees(n: int, edges: np.ndarray) -> np.ndarray:
@@ -46,9 +57,11 @@ def bfs_distances(n: int, edges: np.ndarray, source: int,
                   depth: int | None = None) -> np.ndarray:
     """Unweighted shortest-path distances from source; -1 if unreachable,
     or, given a depth, farther than depth."""
-    indptr, indices, _ = csr_adjacency(n, edges)
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
+    if depth == 0:
+        return dist
+    indptr, indices, _ = csr_adjacency(n, edges)
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while len(frontier) and (depth is None or d < depth):
@@ -59,6 +72,6 @@ def bfs_distances(n: int, edges: np.ndarray, source: int,
         first = np.cumsum(count) - count
         slots = np.repeat(start - first, count) + np.arange(int(count.sum()))
         nbrs = indices[slots]
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        frontier = sorted_distinct(nbrs[dist[nbrs] < 0])
         dist[frontier] = d
     return dist

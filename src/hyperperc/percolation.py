@@ -520,11 +520,12 @@ def _aggregate_rows(model, p_values, replica_pairs, meta):
     return rows
 
 
-def _pass_counts(inst: PercInstance, levels, p, reverse: bool):
+def _pass_counts(inst: PercInstance, order, levels, p, reverse: bool):
     """Core-to-shell cluster counts at each p, in the order of p, with the
-    edges of level < p open (forward) or those of level >= p (reverse)."""
-    order = np.argsort(levels)
-    cuts = np.searchsorted(levels[order], p, side="left")
+    edges of level < p open (forward) or those of level >= p (reverse).
+    order lists the edges in ascending level and levels holds their levels
+    in that order."""
+    cuts = np.searchsorted(levels, p, side="left")
     if reverse:
         order = order[::-1]
         cuts = len(order) - cuts
@@ -548,8 +549,16 @@ def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
     def one(rep):
         rng = replica_rng(master_seed, tag, rep)
         u = rng.random(len(inst.edges))
-        k = _pass_counts(inst, u, p, reverse=False)
-        kd = _pass_counts(dinst, u[dual.primal_edge], p, reverse=True)
+        # one sort serves both passes: a cut's count depends only on the
+        # set of edges before it, and the dual edges in ascending primal
+        # level are in ascending dual level
+        order = np.argsort(u)
+        levels = u[order]
+        k = _pass_counts(inst, order, levels, p, reverse=False)
+        dual_order = dual.dual_edge_of[order]
+        crossed = dual_order >= 0
+        kd = _pass_counts(dinst, dual_order[crossed], levels[crossed], p,
+                          reverse=True)
         return list(zip(k.tolist(), kd.tolist()))
 
     meta = dict(pgon=p_gon, qdeg=q_deg, R=float(layers), seed=master_seed)
@@ -570,8 +579,10 @@ def voronoi_signature_sweep(lam: float, p_values, window: Window,
         V, u = voronoi_replica(lam, window, master_seed, tag, rep)
         inst = voronoi_instance(V, window.R_window)
         eu, ev = inst.edges[:, 0], inst.edges[:, 1]
-        kw = _pass_counts(inst, np.maximum(u[eu], u[ev]), p, reverse=False)
-        kb = _pass_counts(inst, np.minimum(u[eu], u[ev]), p, reverse=True)
+        white, black = np.maximum(u[eu], u[ev]), np.minimum(u[eu], u[ev])
+        ow, ob = np.argsort(white), np.argsort(black)
+        kw = _pass_counts(inst, ow, white[ow], p, reverse=False)
+        kb = _pass_counts(inst, ob, black[ob], p, reverse=True)
         return list(zip(kw.tolist(), kb.tolist()))
 
     meta = dict(lam=lam, R=window.R_window, seed=master_seed)

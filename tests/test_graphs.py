@@ -3,7 +3,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hyperperc.graphs import bfs_distances, csr_adjacency
+from hyperperc.graphs import (
+    bfs_distances,
+    csr_adjacency,
+    side_keys,
+    sorted_distinct,
+)
 from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_perc import bfs_labels
@@ -91,6 +96,37 @@ def test_bfs_depth_stops_at_the_depth(cases, case):
             want = np.where(full <= depth, full, -1)
             np.testing.assert_array_equal(
                 bfs_distances(n, edges, source, depth), want)
+
+
+def test_bfs_depth_zero_builds_no_adjacency(cases, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("depth 0 built a CSR adjacency")
+
+    monkeypatch.setattr("hyperperc.graphs.csr_adjacency", refuse)
+    for n, edges in cases:
+        for source in (0, n // 2, n - 1):
+            want = np.full(n, -1)
+            want[source] = 0
+            np.testing.assert_array_equal(
+                bfs_distances(n, edges, source, 0), want)
+
+
+def distinct_cases():
+    rng = np.random.default_rng(11)
+    for size in (0, 1, 10_000):
+        yield np.arange(size, dtype=np.int64)[::-1].copy()  # no duplicates
+        yield rng.integers(0, max(size // 3, 1), size=size)
+    for p_gon, q_deg, layers in ((3, 7, 6), (7, 3, 6), (4, 5, 6)):
+        ball = build_ball(p_gon, q_deg, layers)
+        yield side_keys(ball.faces, ball.n_vertices)
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_sorted_distinct_equals_unique(case):
+    values = list(distinct_cases())[case]
+    got = sorted_distinct(values)
+    assert got.dtype == values.dtype
+    np.testing.assert_array_equal(got, np.unique(values))
 
 
 def test_bfs_disconnected_gives_minus_one():

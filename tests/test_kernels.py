@@ -203,6 +203,92 @@ class TestFiltration:
                 labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
                 assert counts[j] == k_proxy(labels, core, shell)
 
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("p_gon, q_deg", [(3, 7), (7, 3)])
+    def test_shuffle_within_segments_keeps_the_counts(self, p_gon, q_deg,
+                                                      trial):
+        # a count depends only on the set of edges before its cut
+        inst = tiling_instance(build_ball(p_gon, q_deg, 4), 1)
+        m = len(inst.edges)
+        eu, ev = inst.edges[:, 0], inst.edges[:, 1]
+        rng = np.random.default_rng(900 + trial)
+        order = rng.permutation(m)
+        cuts = rng.integers(0, m + 1, size=6)
+        shuffled = order.copy()
+        bounds = [0, *np.sort(cuts).tolist(), m]
+        for a, b in zip(bounds, bounds[1:]):
+            rng.shuffle(shuffled[a:b])
+        assert not np.array_equal(shuffled, order)
+        np.testing.assert_array_equal(
+            K.filtration(inst.n, eu, ev, shuffled, inst.core, inst.shell,
+                         cuts),
+            K.filtration(inst.n, eu, ev, order, inst.core, inst.shell, cuts))
+
+
+def oracle_prefix(n, edges, order, core, shell, c):
+    """(count, joined) after opening the first c edges of order: joined
+    when one cluster holds every core site and meets the shell."""
+    edge_open = np.zeros(len(edges), dtype=bool)
+    edge_open[order[:c]] = True
+    labels = bfs_labels(n, edges, edge_open, np.ones(n, bool))
+    k = k_proxy(labels, core, shell)
+    return k, k == 1 and len(set(labels[core].tolist())) == 1
+
+
+class TestEarlyStop:
+    """Once one cluster holds the whole core and meets the shell, every
+    later count is 1 and the filtration reads no further edge."""
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        return tiling_instance(build_ball(3, 7, 4), 2)
+
+    def masks(self, inst, kind):
+        core, shell = inst.core.copy(), inst.shell.copy()
+        if kind == "one-site":
+            core[:] = False
+            core[0] = True
+        elif kind == "overlap":
+            core[np.flatnonzero(shell)[:3]] = True
+        elif kind == "one-site-in-shell":
+            core[:] = False
+            core[np.flatnonzero(shell)[0]] = True
+        return core, shell
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "kind", ["radius-2", "one-site", "overlap", "one-site-in-shell"])
+    def test_never_reads_an_edge_after_the_join(self, inst, kind, seed):
+        n, edges = inst.n, inst.edges
+        core, shell = self.masks(inst, kind)
+        m = len(edges)
+        rng = np.random.default_rng(seed)
+        levels = rng.random(m)
+        order = np.argsort(levels)
+        cuts = np.searchsorted(levels[order], np.linspace(0, 1, 101))
+        want = [oracle_prefix(n, edges, order, core, shell, c)
+                for c in range(m + 1)]
+        join = min(c for c, (_, joined) in enumerate(want) if joined)
+        # the poisoned edge, whose ends lie outside the graph, opens at
+        # the first cut that the join precedes; past the largest cut the
+        # order names an edge that does not exist
+        stop = int(cuts[cuts >= join].min())
+        assert stop < cuts.max()
+        eu = np.append(edges[:, 0], n)
+        ev = np.append(edges[:, 1], n + 1)
+        poisoned = np.append(np.insert(order, stop, m), m + 1)
+        counts = K.filtration(n, eu, ev, poisoned, core, shell,
+                              cuts + (cuts > stop))
+        assert counts.tolist() == [want[c][0] for c in cuts.tolist()]
+
+    def test_empty_core_counts_zero(self, inst):
+        m = len(inst.edges)
+        core = np.zeros(inst.n, dtype=bool)
+        counts = K.filtration(inst.n, inst.edges[:, 0], inst.edges[:, 1],
+                              np.random.default_rng(1).permutation(m), core,
+                              inst.shell, np.arange(m + 1))
+        assert counts.tolist() == [0] * (m + 1)
+
 
 class TestReachKernels:
     def brute_bond_threshold(self, n, edges, u, core, shell):

@@ -6,6 +6,7 @@ from hyperperc.percolation import (
     InsufficientData,
     NoCrossing,
     _bootstrap_draws,
+    _pass_counts,
     _crossing,
     bond_thresholds,
     connectivity_decay,
@@ -427,6 +428,27 @@ class TestSweeps:
             ]
             assert got == want
         assert any(k != (0, 0) for got in outputs for k in got)
+
+    @pytest.mark.parametrize("p_gon, q_deg", [(3, 7), (7, 3)])
+    def test_dual_pass_takes_the_primal_order(self, p_gon, q_deg):
+        # the primal edges in ascending u, restricted to those with a dual
+        # edge, give the dual pass the counts of the dual's own sort
+        ball = build_ball(p_gon, q_deg, 5)
+        dual = dual_ball(ball)
+        dinst = tiling_instance(dual, 2)
+        p = np.linspace(0.05, 0.95, 19)
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            u = rng.random(ball.n_edges)
+            order = np.argsort(u)
+            dual_order = dual.dual_edge_of[order]
+            crossed = dual_order >= 0
+            got = _pass_counts(dinst, dual_order[crossed], u[order][crossed],
+                               p, reverse=True)
+            du = u[dual.primal_edge]
+            own = np.argsort(du)
+            want = _pass_counts(dinst, own, du[own], p, reverse=True)
+            np.testing.assert_array_equal(got, want)
 
     def test_sweep_deterministic(self):
         a = tiling_signature_sweep(3, 7, 3, [0.3], 10, 5).to_csv()
