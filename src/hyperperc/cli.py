@@ -3,8 +3,8 @@
 Subcommands generate tilings and point samples, run density and
 percolation experiments, and emit CSV/JSON/SVG artifacts.  Runs are
 fully deterministic for a fixed master seed: replica tasks are
-independent, the worker pool (HYPERPERC_THREADS or --threads) maps them
-in replica-index order, and output files are written atomically
+independent, the worker pool (--threads, default 1) maps them in
+replica-index order, and output files are written atomically
 (temp file + rename).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
@@ -31,7 +31,7 @@ from . import svg
 from ._kernels import BACKEND
 from .densities import OriginNotInterior, density_experiment
 from .hypgeo import WORKING_RADIUS, CapExceeded
-from .hypvoronoi import DegenerateInput, Window, delaunay
+from .hypvoronoi import MARGIN, DegenerateInput, Window, delaunay
 from .percolation import (
     InsufficientData,
     NoCrossing,
@@ -91,10 +91,6 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {ln}: empty key")
         out[key] = value.strip()
     return out
-
-
-def serialize_config(cfg: dict) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in sorted(cfg.items()))
 
 
 # the largest grid README or the tests use has 51 points
@@ -401,12 +397,15 @@ def cmd_voronoi_sample(args, mapper):
 def cmd_densities(args, mapper):
     _check_lambda([args.lam])
     _check_radius("--R", args.R)
-    Rw = args.Rw if args.Rw is not None else args.R - 2.0
-    if not 0 < Rw <= args.R - 2.0:    # Window.with_margin's margin
-        raise ConfigError(f"window radius must satisfy 0 < Rw <= R - 2, a "
-                          f"margin of 2 to the sampling edge; got Rw={Rw:g}")
+    if args.replicas < 2:
+        raise ConfigError(f"densities needs at least 2 replicas for its "
+                          f"standard errors, got {args.replicas}")
+    Rw = args.Rw if args.Rw is not None else args.R - MARGIN
+    try:
+        window = Window(R_sample=args.R, R_window=Rw)
+    except ValueError as e:
+        raise ConfigError(str(e))
     check_sample_size(args.lam, args.R)
-    window = Window(R_sample=args.R, R_window=Rw)
     est = density_experiment(args.lam, window, args.replicas, args.seed,
                              mapper=mapper)
     est.validate()
@@ -454,19 +453,6 @@ def cmd_phase_sweep(args, mapper):
               for r in rows]
     return {"rows": len(rows),
             "label_counts": {lb: labels.count(lb) for lb in sorted(set(labels))}}
-
-
-def cmd_graph_perc(args, mapper):
-    p, q = parse_pq(args.pq)
-    p_values = parse_grid(args.p)
-    _check_unit("--p", *p_values)
-    rows = []
-    for L in _layers(parse_int_list(args.layers), 2):
-        sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
-                                    args.seed, mapper=mapper)
-        rows.extend(sw.rows)
-    atomic_write(args.out, SweepResult(rows).to_csv())
-    return {"rows": len(rows), "p_gon": p, "q_deg": q}
 
 
 def _pc_like(args, mapper, pu: bool):
@@ -601,7 +587,7 @@ def _add_common(sp, out_default="out.csv"):
     sp.add_argument("--out", "-o", default=out_default, help="output path")
     sp.add_argument("--json", default=None, help="JSON run-summary path")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker pool size (default HYPERPERC_THREADS or 1)")
+                    help="worker pool size (default 1)")
     sp.add_argument("--timing", action="store_true",
                     help="record wall time in the JSON summary (breaks "
                          "byte-identical reruns)")
@@ -648,13 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--many-threshold", type=float, default=0.5)
     _add_common(sp, "phases.csv")
     sp.set_defaults(fn=cmd_phase_sweep)
-
-    sp = sub.add_parser("graph-perc", help="reach-curve sweep on a tiling")
-    sp.add_argument("--pq", required=True)
-    sp.add_argument("--L", dest="layers", required=True, help="layer list")
-    sp.add_argument("--p", required=True, help="p grid")
-    _add_common(sp, "graph-perc.csv")
-    sp.set_defaults(fn=cmd_graph_perc)
 
     pu_about = (
         "p_u is 1 minus the p_c of the dual ball (bond, tilings) or of the "
@@ -735,14 +714,7 @@ def main(argv=None) -> int:
         argv = _inject_config(argv)
         ap = build_parser()
         args = ap.parse_args(argv)
-        n_threads = args.threads
-        if n_threads is None:
-            env = os.environ.get("HYPERPERC_THREADS", "1")
-            try:
-                n_threads = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"HYPERPERC_THREADS must be an integer, got {env!r}")
+        n_threads = 1 if args.threads is None else args.threads
         if n_threads < 1:
             raise ConfigError("thread count must be >= 1")
         if args.replicas < 1:

@@ -95,8 +95,8 @@ def density_experiment(lam: float, window: Window, replicas: int,
     and are flagged as discarded for that estimator.  mapper is any
     order-preserving map over the replica indices.
     """
-    if replicas < 1:
-        raise ValueError("no replicas supplied")
+    if replicas < 2:
+        raise ValueError(f"need at least 2 replicas, got {replicas}")
     def one(rep):
         V, _ = voronoi_replica(lam, window, master_seed,
                                f"densities-lam{lam:g}", rep)
@@ -119,8 +119,10 @@ def density_experiment(lam: float, window: Window, replicas: int,
             discarded += 1
         else:
             inv_a.append(inv)
-    if not inv_a:
-        raise OriginNotInterior("origin cell boundary-masked in every replica")
+    if len(inv_a) < 2:
+        raise OriginNotInterior(
+            f"origin cell interior in {len(inv_a)} of {replicas} replicas; "
+            f"the inverse-area estimate needs 2")
     dv = np.asarray(dv)
     de = np.asarray(de)
     df = np.asarray(df)
@@ -128,7 +130,7 @@ def density_experiment(lam: float, window: Window, replicas: int,
     euler_per_rep = 2.0 * math.pi * (df - de + dv)
 
     def se(x):
-        return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else float("inf")
+        return float(x.std(ddof=1) / math.sqrt(len(x)))
 
     return DensityEstimate(
         lam=lam,

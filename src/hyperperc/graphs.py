@@ -56,22 +56,18 @@ def csr_adjacency(n: int, edges: np.ndarray):
 def bfs_distances(n: int, edges: np.ndarray, source: int,
                   depth: int | None = None) -> np.ndarray:
     """Unweighted shortest-path distances from source; -1 if unreachable,
-    or, given a depth, farther than depth."""
+    or, given a depth, farther than depth.  Each level scans the edges."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
-    if depth == 0:
-        return dist
-    indptr, indices, _ = csr_adjacency(n, edges)
-    frontier = np.array([source], dtype=np.int64)
     d = 0
-    while len(frontier) and (depth is None or d < depth):
+    while depth is None or d < depth:
+        # a gather from a bool array reads far less memory than from dist
+        at_d = dist == d
+        frontier = np.concatenate([v[at_d[u]], u[at_d[v]]])
+        frontier = frontier[dist[frontier] < 0]
+        if not len(frontier):
+            break
         d += 1
-        start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        # the adjacency slots of every frontier vertex, concatenated
-        first = np.cumsum(count) - count
-        slots = np.repeat(start - first, count) + np.arange(int(count.sum()))
-        nbrs = indices[slots]
-        frontier = sorted_distinct(nbrs[dist[nbrs] < 0])
         dist[frontier] = d
     return dist

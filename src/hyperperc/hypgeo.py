@@ -180,7 +180,7 @@ def apply(g: Isometry, a: HPoint) -> HPoint:
     return HPoint.from_disk(g.apply_disk(a.disk))
 
 
-def _tangent_direction(at: complex, toward: complex) -> float:
+def geodesic_direction(at: complex, toward: complex) -> float:
     """Direction at `at` of the geodesic toward `toward` (disk coordinates)."""
     w = (toward - at) / (1.0 - at.conjugate() * toward)
     if w == 0:
@@ -205,7 +205,7 @@ class GeodesicPolygon:
         angles = []
         for i in range(n):
             u, v, w = zs[i - 1], zs[i], zs[(i + 1) % n]
-            a = (_tangent_direction(v, u) - _tangent_direction(v, w)) % TWO_PI
+            a = (geodesic_direction(v, u) - geodesic_direction(v, w)) % TWO_PI
             angles.append(a)
         return angles
 

@@ -23,7 +23,12 @@ import numpy as np
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
 from .graphs import edges_of_keys, side_keys
-from .hypgeo import GeodesicPolygon, HPoint, circumcenters_arrays
+from .hypgeo import (
+    GeodesicPolygon,
+    HPoint,
+    circumcenters_arrays,
+    geodesic_direction,
+)
 from .pointprocess import ColoredPointSet
 
 
@@ -35,6 +40,11 @@ class NotInterior(ValueError):
     """Raised when asking for the cell polygon of a boundary-masked nucleus."""
 
 
+# Least distance from a window to its sampling edge, where cells are cut
+# short: a densities window at R_w = 5.9, R = 6 read Euler +1.63, not -1.
+MARGIN = 2.0
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite-volume truncation: sample in R_sample, measure in R_window."""
@@ -43,13 +53,16 @@ class Window:
     R_window: float
 
     def __post_init__(self):
-        if not 0 < self.R_window < self.R_sample:
-            raise ValueError("need 0 < R_window < R_sample")
+        # 1e-12 forgives the rounding of R_window + MARGIN in with_margin
+        if not 0 < self.R_window <= self.R_sample - MARGIN + 1e-12:
+            raise ValueError(f"window radius must satisfy 0 < Rw <= R - "
+                             f"{MARGIN:g}, a margin of {MARGIN:g} to the "
+                             f"sampling edge; got Rw={self.R_window:g}")
 
     @staticmethod
     def with_margin(R_window: float) -> "Window":
-        """Sampling ball 2 beyond the window."""
-        return Window(R_window + 2.0, R_window)
+        """Sampling ball MARGIN beyond the window."""
+        return Window(R_window + MARGIN, R_window)
 
 
 @dataclass
@@ -403,18 +416,12 @@ def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:
     """Voronoi cell of an interior nucleus, vertices ordered ccw."""
     if not V.interior_mask[i]:
         raise NotInterior(f"nucleus {i} is boundary-masked")
-    js = V.cell_faces(i)
-    tanh_half = np.tanh(V.vor_rho[js] / 2.0)
-    zv = tanh_half * np.exp(1j * V.vor_theta[js])
-    nx, ny = V.points.disk_xy[i]
-    zn = complex(nx, ny)
-    # cell is hyperbolically convex, so geodesic directions at the
-    # nucleus (Mobius-translated to the origin) order its vertices ccw
-    ang = np.angle((zv - zn) / (1.0 - np.conj(zn) * zv))
-    order = np.argsort(ang)
-    verts = tuple(
-        HPoint(float(V.vor_rho[js[k]]), float(V.vor_theta[js[k]])) for k in order
-    )
+    verts = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j]))
+             for j in V.cell_faces(i)]
+    zn = HPoint(float(V.points.rho[i]), float(V.points.theta[i])).disk
+    # the cell is hyperbolically convex, so geodesic directions at the
+    # nucleus order its vertices ccw
+    verts.sort(key=lambda v: geodesic_direction(zn, v.disk))
     return GeodesicPolygon(verts)
 
 

@@ -301,14 +301,6 @@ def _crossings(d, p_grid):
     return x
 
 
-def _crossing(curve_small, curve_large, p_grid):
-    """First upward zero of curve_large - curve_small after its minimum
-    (see _crossings), or None."""
-    d = np.asarray(curve_large) - np.asarray(curve_small)
-    x = _crossings(d[None], np.asarray(p_grid))[0]
-    return None if np.isnan(x) else float(x)
-
-
 def _ladder_crossings(sizes, curves, p_grid):
     """Crossings of the size-weighted curves of successive sizes: one
     column per pair, one row per row of the curves, nan where none."""

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .hypgeo import HPoint, Isometry
-from .hypvoronoi import VoronoiComplex, shell_cell_mask
+from .hypgeo import HPoint, Isometry, geodesic_direction
+from .hypvoronoi import MARGIN, VoronoiComplex, shell_cell_mask
 from ._kernels import label_clusters_kernel
 
 _PALETTE = (
@@ -120,11 +120,7 @@ def _cell_outline(V: VoronoiComplex, xy: np.ndarray, i: int) -> list:
             verts.append(_bisector_ideal_point(zn, zj, toward=(zn + zj) / 2 * 4))
     if len(verts) < 3:
         return []
-
-    def direction(z):
-        return cmath.phase((z - zn) / (1.0 - zn.conjugate() * z))
-
-    verts.sort(key=direction)
+    verts.sort(key=lambda z: geodesic_direction(zn, z))
     return verts
 
 
@@ -135,7 +131,7 @@ def render_voronoi(V: VoronoiComplex | None,
     if V is None or V.n_nuclei < 3:
         return document("")
     if R_window is None:
-        R_window = V.points.R - 2.0
+        R_window = V.points.R - MARGIN
     shell = shell_cell_mask(V, R_window)
     white = V.points.white
     eu = np.ascontiguousarray(V.delaunay_edges[:, 0])

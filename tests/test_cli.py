@@ -26,7 +26,6 @@ from hyperperc.cli import (
     parse_int_list,
     parse_pq,
     pc_upper_bound,
-    serialize_config,
 )
 from hyperperc.percolation import SweepRow
 
@@ -74,7 +73,8 @@ _val = st.from_regex(r"[A-Za-z0-9.:,_-]{1,12}", fullmatch=True)
 class TestConfig:
     @given(st.dictionaries(_key, _val, max_size=8))
     def test_round_trip(self, cfg):
-        assert parse_config(serialize_config(cfg)) == cfg
+        text = "".join(f"{k} = {v}\n" for k, v in sorted(cfg.items()))
+        assert parse_config(text) == cfg
 
     def test_comments_and_blanks(self):
         text = "# header\n\nlambda = 1  # intensity\n  p = 0.5\n"
@@ -137,6 +137,19 @@ class TestExitCodes:
                    "--p", "0.7:0.9:0.05", "--replicas", "60",
                    "--seed", "42", "--json", str(tmp_path / "pc.json")])
         assert rc == 3
+
+    def test_one_inverse_area_sample_is_a_numeric_failure(self, tmp_path,
+                                                          capsys):
+        # two of the three origin cells are boundary-masked, and a single
+        # inverse-area sample has no standard error to check DF against
+        out = tmp_path / "d.csv"
+        rc = main(["densities", "--lambda", "0.1", "--R", "3.5",
+                   "--replicas", "3", "--seed", "5", "-o", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: origin cell interior in 1 of 3 replicas; the "
+            "inverse-area estimate needs 2"]
+        assert not out.exists()
 
     def test_estimate_summary_reports_never_reached_and_bootstrap(
             self, tmp_path):
@@ -270,7 +283,8 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["render", "--sample", "{tmp}/missing.txt"],
     ["render", "--sample", "{tmp}/not-a-sample.txt"],
     ["decay", "--pq", "3,7", "--L", "3", "--p", "2", "--d", "1:2:1"],
-    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "1.5"],
+    ["densities", "--lambda", "1", "--R", "5", "--replicas", "1",
+     "--json", "{tmp}/d.json"],
     ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "1.5"],
     ["phase-sweep", "--lambda", "1", "--p", "1.5"],
     ["decay", "--pq", "3,7", "--L", "3"],
@@ -278,11 +292,11 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["no-such-command"],
     ["pu-estimate", "--pq", "3,7", "--mode", "site", "--ladder", "2,3,4",
      "--replicas", "5"],
-    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "0:inf:1"],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0:inf:1"],
     ["pc-estimate", "--lambda", "1", "--ladder", "3,4,5", "--p", ","],
-    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", ","],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", ","],
     ["decay", "--pq", "3,7", "--L", "3", "--p", "0.1", "--d", "1:2:inf"],
-    ["graph-perc", "--pq", "3,7", "--L", "3", "--p", "0:1:1e-12"],
+    ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0:1:1e-12"],
     ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0.5",
      "--unique-threshold", "7"],
     ["phase-sweep", "--pq", "3,7", "--L", "3", "--p", "0.5",
@@ -309,7 +323,7 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["pc-estimate", "--lambda", "1,1e9", "--replicas", "3"],
     ["pu-estimate", "--lambda", "1e9"],
     ["phase-sweep", "--pq", "3,7", "--L", ",", "--p", "0.3"],
-    ["graph-perc", "--pq", "3,7", "--L", ",", "--p", "0.3"],
+    ["gen-tiling", "--pq", "3,7", "--L", "2", "--threads", "0"],
     ["pc-estimate", "--pq", "3,7", "--ladder", "2,3,4", "--replicas", "5",
      "--p", "0.3,0.1,0.2"],
     ["pu-estimate", "--pq", "3,7", "--ladder", "2,3,4", "--replicas", "5",
@@ -349,7 +363,7 @@ def test_python_dash_m_runs_the_cli():
 @pytest.mark.parametrize("grid", ["-0.1,0.5", "-0.1:0.5:0.1"])
 def test_negative_p_reaches_the_range_check(grid, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["graph-perc", "--pq", "3,7", "--L", "3", "--p", grid,
+    assert main(["phase-sweep", "--pq", "3,7", "--L", "3", "--p", grid,
                  "-o", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: --p must lie in [0, 1], got -0.1"]
@@ -379,13 +393,13 @@ def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys,
-                                                       monkeypatch):
-    monkeypatch.setenv("HYPERPERC_THREADS", "two")
+def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["gen-tiling", "--pq", "3,7", "--L", "3", "-o", str(out)]) == 2
+    assert main(["gen-tiling", "--pq", "3,7", "--L", "3", "--threads", "two",
+                 "-o", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: HYPERPERC_THREADS must be an integer, got 'two'"]
+        "error: hyperperc gen-tiling: argument --threads: invalid int "
+        "value: 'two'"]
     assert not out.exists()
 
 
@@ -400,13 +414,15 @@ def _readme_commands():
 
 
 def test_readme_commands_parse():
-    # a flag renamed or dropped in the CLI must not linger in README
+    # a flag renamed or dropped in the CLI must not linger in README, and
+    # every subcommand has its example there
     commands = _readme_commands()
-    assert len(commands) >= 8
     parser = build_parser()
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.fn.__name__ == "cmd_" + argv[0].replace("-", "_")
+    sub = parser._subparsers._group_actions[0]
+    assert {argv[0] for argv in commands} == set(sub.choices)
 
 
 def test_concurrent_atomic_writes_both_complete(tmp_path):
@@ -478,11 +494,11 @@ class TestArtifacts:
         labels = [ln.split(",")[7] for ln in lines[1:]]
         assert labels == ["B-unique", "W-unique"]
 
-    def test_graph_perc_sweep_csv(self, tmp_path):
+    def test_phase_sweep_curves_csv(self, tmp_path):
         out = tmp_path / "g.csv"
-        rc = main(["graph-perc", "--pq", "3,7", "--L", "3,4",
+        rc = main(["phase-sweep", "--pq", "3,7", "--L", "3,4",
                    "--p", "0.2,0.6", "--replicas", "10", "--seed", "3",
-                   "-o", str(out)])
+                   "-o", str(tmp_path / "ph.csv"), "--curves", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("model,p,lambda,pgon,qdeg,R,replicas,theta")

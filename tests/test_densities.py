@@ -36,6 +36,15 @@ def test_origin_not_interior():
         origin_cell_area(V)
 
 
+def test_one_replica_is_refused_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled a replica")
+
+    monkeypatch.setattr("hyperperc.densities.voronoi_replica", refuse)
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        density_experiment(1.0, Window.with_margin(3.0), 1, 5)
+
+
 @pytest.fixture(scope="module")
 def est():
     return density_experiment(1.0, Window.with_margin(4.5), 40, 2024)

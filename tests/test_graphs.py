@@ -99,16 +99,31 @@ def test_bfs_depth_stops_at_the_depth(cases, case):
 
 
 def test_bfs_depth_zero_builds_no_adjacency(cases, monkeypatch):
+    # the BFS scans the edge list at every depth, never a CSR adjacency
     def refuse(*args):
-        raise AssertionError("depth 0 built a CSR adjacency")
+        raise AssertionError("the BFS built a CSR adjacency")
 
     monkeypatch.setattr("hyperperc.graphs.csr_adjacency", refuse)
     for n, edges in cases:
         for source in (0, n // 2, n - 1):
-            want = np.full(n, -1)
-            want[source] = 0
-            np.testing.assert_array_equal(
-                bfs_distances(n, edges, source, 0), want)
+            full = queue_bfs(n, edges, source)
+            for depth in (0, 1, 2, None):
+                want = full if depth is None else np.where(full <= depth,
+                                                           full, -1)
+                np.testing.assert_array_equal(
+                    bfs_distances(n, edges, source, depth), want)
+
+
+@pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3), (4, 5)])
+@pytest.mark.parametrize("dual", [False, True])
+def test_bfs_matches_queue_bfs_on_tilings(p_gon, q_deg, dual):
+    g = build_ball(p_gon, q_deg, 5)
+    if dual:
+        g = dual_ball(g)
+    for source in (0, g.n_vertices // 2, g.n_vertices - 1):
+        np.testing.assert_array_equal(
+            bfs_distances(g.n_vertices, g.edges, source),
+            queue_bfs(g.n_vertices, g.edges, source))
 
 
 def distinct_cases():

@@ -9,6 +9,7 @@ from scipy.spatial import Delaunay as _EuclideanDelaunay
 from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
 from hyperperc import _kernels, hypvoronoi
 from hyperperc.hypvoronoi import (
+    MARGIN,
     DegenerateInput,
     LocalStars,
     NotInterior,
@@ -89,6 +90,21 @@ class TestWindow:
             Window(3.0, 5.0)
         with pytest.raises(ValueError):
             Window(3.0, 0.0)
+
+    def test_window_inside_the_margin_is_refused(self):
+        with pytest.raises(ValueError) as e:
+            Window(6.0, 4.5)
+        assert str(e.value) == (
+            "window radius must satisfy 0 < Rw <= R - 2, a margin of 2 to "
+            "the sampling edge; got Rw=4.5")
+        Window(6.0, 4.0)
+
+    @pytest.mark.parametrize("R_window", [0.3, 0.4, 1.3, 2.1, 2.6, 3.6])
+    def test_with_margin_passes_its_own_check(self, R_window):
+        # R_window + 2 - 2 rounds below R_window for each of these
+        w = Window.with_margin(R_window)
+        assert w.R_sample - MARGIN < R_window
+        assert w.R_window == R_window
 
 
 class TestDelaunayConstruction:
@@ -198,6 +214,22 @@ class TestCells:
                 # cell vertices are equidistant from the nucleus and its
                 # nearest competitors
                 assert d_own <= d_min + 1e-8
+
+    def test_vertices_sorted_by_direction_at_the_nucleus(self):
+        # the order, first vertex included, of an argsort of the geodesic
+        # directions at the nucleus, with the nucleus Mobius-moved to 0
+        for rep in range(10):
+            pts, _ = voronoi_sample(1.0, 5.0, 53, "cell-order", rep)
+            V = delaunay(pts)
+            xy = pts.disk_xy
+            for i in np.flatnonzero(V.interior_mask):
+                js = V.cell_faces(i)
+                zv = np.tanh(V.vor_rho[js] / 2.0) * np.exp(1j * V.vor_theta[js])
+                zn = complex(*xy[i])
+                ang = np.angle((zv - zn) / (1.0 - np.conj(zn) * zv))
+                want = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j]))
+                        for j in js[np.argsort(ang)]]
+                assert list(cell_polygon(V, int(i)).vertices) == want
 
     def test_not_interior_raises(self):
         V = delaunay(triple_points())

@@ -6,8 +6,8 @@ from hyperperc.percolation import (
     InsufficientData,
     NoCrossing,
     _bootstrap_draws,
+    _crossings,
     _pass_counts,
-    _crossing,
     bond_thresholds,
     connectivity_decay,
     estimate_pc,
@@ -35,6 +35,14 @@ from oracle_perc import (
     reach_at_level,
 )
 from oracle_tree import tree_theta
+
+
+def one_crossing(curve_small, curve_large, p_grid):
+    """_crossings on the one row curve_large - curve_small: the crossing,
+    or None where it has none."""
+    d = np.asarray(curve_large) - np.asarray(curve_small)
+    x = _crossings(d[None], np.asarray(p_grid))[0]
+    return None if np.isnan(x) else float(x)
 
 
 class TestLabelClusters:
@@ -280,7 +288,7 @@ class TestBootstrapOracle:
         grid = self.GRID
         for _ in range(200):
             small, large = np.round(rng.random((2, len(grid))), 1)
-            assert (_crossing(small, large, grid)
+            assert (one_crossing(small, large, grid)
                     == crossing_loop(small, large, grid))
 
 
@@ -330,8 +338,8 @@ class TestTreeOracle:
         # pairs (4, 5) ... (9, 10): every crossing lies below the tree's
         # p_c = 1/(d - 1) and rises towards it with L
         grid = self.GRID
-        got = [_crossing(L * tree_theta(d, L, grid),
-                         (L + 1) * tree_theta(d, L + 1, grid), grid)
+        got = [one_crossing(L * tree_theta(d, L, grid),
+                            (L + 1) * tree_theta(d, L + 1, grid), grid)
                for L in range(4, 10)]
         assert got == pytest.approx(want, abs=5e-5)
         assert all(c < 1.0 / (d - 1) for c in got)
