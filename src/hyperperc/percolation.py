@@ -242,15 +242,20 @@ def reach_curve(thresholds: np.ndarray, p_grid: np.ndarray) -> np.ndarray:
     """Empirical reach probability theta_hat(p) = fraction of p* <= p; one
     curve per row of a 2-D thresholds array."""
     t = np.atleast_2d(thresholds)
-    p_grid = np.asarray(p_grid)
-    g = len(p_grid) + 1
+    curves = _binned_curves(np.searchsorted(p_grid, t, side="left"),
+                            len(p_grid))
+    return curves if np.ndim(thresholds) == 2 else curves[0]
+
+
+def _binned_curves(bins: np.ndarray, n_grid: int) -> np.ndarray:
+    """reach_curve of thresholds given by their bins, the searchsorted
+    index into a p-grid of n_grid points; one curve per row of bins."""
+    g = n_grid + 1
     # p* <= p_grid[k] exactly for k from p*'s bin on; row r counts its
     # thresholds in bins r*g .. r*g + g - 1
-    bins = (np.searchsorted(p_grid, t, side="left")
-            + g * np.arange(len(t))[:, None])
-    counts = np.bincount(bins.ravel(), minlength=len(t) * g).reshape(-1, g)
-    curves = counts[:, :-1].cumsum(axis=1) / t.shape[1]
-    return curves if np.ndim(thresholds) == 2 else curves[0]
+    flat = (bins + g * np.arange(len(bins))[:, None]).ravel()
+    counts = np.bincount(flat, minlength=len(bins) * g).reshape(-1, g)
+    return counts[:, :-1].cumsum(axis=1) / bins.shape[1]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96):
@@ -360,8 +365,11 @@ def estimate_pc(thresholds_by_size, p_grid,
         )
     value = float(np.median(crossings))
 
+    # searchsorted is elementwise: bin each sample once and gather the
+    # bins of every resample
     cs = _ladder_crossings(
-        sizes, [reach_curve(t[idx], p_grid) for t, idx in
+        sizes, [_binned_curves(np.searchsorted(p_grid, t)[idx], len(p_grid))
+                for t, idx in
                 zip(samples, _bootstrap_draws(bootstrap_seed, samples))],
         p_grid)
     boots = np.median(cs[~np.isnan(cs).any(axis=1)], axis=1)

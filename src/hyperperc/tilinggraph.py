@@ -1,11 +1,13 @@
 """Finite combinatorial balls of the regular {p,q} hyperbolic tiling.
 
 Construction is face-closing and layered: starting from one p-gon, each
-round walks the boundary cycle and attaches faces until every old
-boundary vertex has its full complement of q faces.  A single attach
-operation glues a new p-gon along a maximal chain of boundary edges whose
-inner vertices are saturated (degree already q), which uniformly covers
-the fan, closing and cascade cases that arise for p = 3 or q = 3.
+round attaches every face that meets the boundary cycle, until every old
+boundary vertex has its full complement of q faces.  The cycle at the
+start of a round is the previous round's fresh vertices in id order, and
+the round's faces follow from the cycle's degrees alone: each vertex
+still short of q faces gets a fan of faces and then one closing face,
+glued along it and the saturated vertices that follow it.  build_ball
+computes each round as one block of array code.
 
 The edges of the ball and its interior dual graph, with the edge
 bijection e <-> e-dagger, are read off the face sides with array code.
@@ -107,6 +109,16 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
     layers=1 is the single base face; each further round attaches every
     face incident to a then-boundary vertex.  Raises TooLarge before a
     round that could take the ball past MAX_VERTICES vertices.
+
+    A round on the boundary cycle C with degrees d: the first face is
+    glued along (C[-1], C[0]), so C[-1] gains an edge first.  The heads
+    are C[0] and every vertex with d < q; the k saturated vertices after a
+    head lie inside its closing face.  A head other than C[0] arrives with
+    one edge more, from the closing face before it, and gets q - arrival
+    fan faces [v, a, p - 2 fresh], then its closing face
+    [b, C[i + k], ..., C[i], a, p - 3 - k fresh]: b is the next head, or
+    the round's first fresh vertex after the last head; a is the vertex
+    before the face's first fresh one; fresh ids run on in face order.
     """
     if p_gon < 3 or q_deg < 3:
         raise ValueError("need p, q >= 3")
@@ -116,88 +128,57 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         raise ValueError("need at least one layer")
 
     p, q = p_gon, q_deg
-    # nxt/prv walk the boundary cycle ccw/cw; -1 once a vertex has left it
-    # for good.  faces holds every face's p vertex ids back to back.
-    deg = [2] * p
-    nxt = [*range(1, p), 0]
-    prv = [p - 1, *range(p - 1)]
-    faces = list(range(p))
+    # col[j] is column j of a face row; faces collects one (F, p) block
+    # per round, round_start the first vertex id of each round
+    col = np.arange(p, dtype=np.int64)
+    faces = [col[None]]
     round_start = [0]
+    deg = np.full(p, 2, dtype=np.int64)
     n = p
-    start = 0
-
-    def boundary_cycle():
-        """The boundary cycle ccw from its least vertex.  A vertex that
-        leaves the boundary never comes back and new vertices take higher
-        ids, so the least boundary vertex only grows."""
-        nonlocal start
-        while nxt[start] < 0:
-            start += 1
-        cycle = [start]
-        v = nxt[start]
-        while v != start:
-            cycle.append(v)
-            v = nxt[v]
-        return cycle
-
     for round_no in range(1, layers):
-        # this round's fresh vertices get ids from n0 on, so the boundary
-        # vertices below n0 are those of the round's start
-        n0 = n
+        # the boundary cycle C is lo .. n0 - 1 in id order, deg its degrees
+        lo, n0 = round_start[-1], n
         round_start.append(n0)
-        order = boundary_cycle()
         # A boundary vertex of degree d lies on d - 1 faces and ends the
         # round on q, so the new faces hold sum(q - d + 1) old vertices.
         # Each boundary edge ends in one new face, and a face holding k of
         # them holds at least k + 1 old vertices (every new face meets the
         # old boundary): there are at most sum(q - d) new faces, each with
         # at most p - 2 new vertices, so the bound never under-estimates.
-        bound = n + (p - 2) * sum(q - deg[v] for v in order)
+        bound = n + (p - 2) * int((q - deg).sum())
         if bound > MAX_VERTICES:
             raise TooLarge(
                 f"vertex budget {MAX_VERTICES} exceeded: round {round_no} of "
                 f"the {{{p},{q}}} ball may need up to {bound} vertices"
             )
-        for v in order:
-            while nxt[v] >= 0:  # still on the boundary
-                # Glue a new p-gon along the boundary chain a .. v .. b,
-                # grown both ways from the edge (prv[v], v) while its ends
-                # are old and saturated; the face cycle is the reversed
-                # chain followed by m fresh vertices.
-                left = [prv[v]]
-                while left[-1] < n0 and deg[left[-1]] == q:
-                    left.append(prv[left[-1]])
-                right = [v]
-                while right[-1] < n0 and deg[right[-1]] == q:
-                    right.append(nxt[right[-1]])
-                a, b = left.pop(), right.pop()
-                m = p - len(left) - len(right) - 2
-                assert m >= 0, "chain too long for one face"
-                faces.append(b)
-                faces.extend(reversed(right))
-                faces.extend(left)
-                faces.append(a)
-                faces.extend(range(n, n + m))
-                # chain endpoints gain one edge; inner chain vertices leave
-                # the boundary
-                deg[a] += 1
-                deg[b] += 1
-                for w in left + right:
-                    nxt[w] = prv[w] = -1
-                if m:
-                    deg.extend([2] * m)
-                    nxt[a] = n
-                    nxt.extend(range(n + 1, n + m))
-                    nxt.append(b)
-                    prv.append(a)
-                    prv.extend(range(n, n + m - 1))
-                    prv[b] = n + m - 1
-                    n += m
-                else:
-                    nxt[a] = b
-                    prv[b] = a
+        deg[-1] += 1
+        head = deg < q
+        head[0] = True
+        heads = np.flatnonzero(head)
+        # fan faces and the closing face of each head
+        per_head = q - deg[heads]
+        per_head[0] += 1
+        # A face of head C[i] holds r old vertices after b: 0 for a fan
+        # face, k + 1 for the closing face.  Column j <= r holds
+        # C[i + r - j] = top - j, so b is the head itself or the vertex
+        # after its closing chain, n0 after the last; column j > r holds
+        # first - r - 2 + j: a = first - 1, then the fresh ids.
+        r = np.zeros(per_head.sum(), dtype=np.int64)
+        r[per_head.cumsum() - 1] = np.diff(heads, append=n0 - lo)
+        fresh = p - 2 - r
+        assert fresh.min() >= 0, "chain too long for one face"
+        first = n0 + fresh.cumsum() - fresh
+        top = lo + np.repeat(heads, per_head) + r
+        faces.append(np.where(col <= r[:, None], top[:, None] - col,
+                              (first - r - 2)[:, None] + col))
+        n = n0 + int(fresh.sum())
+        # a fresh vertex has degree 2, plus one as each face's a, plus one
+        # for n0, the b of the round's last face
+        a = first[first > n0] - 1 - n0
+        deg = 2 + np.bincount(a, minlength=n - n0)
+        deg[0] += 1
 
-    faces = np.array(faces, dtype=np.int64).reshape(-1, p)
+    faces = np.concatenate(faces)
     return TilingBall(
         p_gon=p,
         q_deg=q,
@@ -205,7 +186,7 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         n_vertices=n,
         edges=edges_of_keys(side_keys(faces, n), n),
         faces=faces,
-        boundary=boundary_cycle(),
+        boundary=list(range(round_start[-1], n)),
         vertex_layer=np.repeat(np.arange(layers, dtype=np.int64),
                                np.diff(round_start + [n])),
     )

@@ -11,9 +11,10 @@ edges_and_dual reads the edges and the interior dual off a face list
 with Python sets and dicts, the reference for the array code of
 build_ball and dual_ball.
 
-build_ball_dicts is build_ball's attach loop on a dict boundary and a
-tuple per face, the reference for the flat lists and the (F, p) face
-array of build_ball.
+build_ball_dicts attaches one face at a time on a dict boundary, gluing
+each new face along a maximal chain of saturated boundary vertices, with
+a tuple per face: the reference for the rounds that build_ball computes
+with array code.
 """
 
 import cmath
@@ -161,10 +162,9 @@ def edges_and_dual(faces):
 def build_ball_dicts(p, q, layers):
     """Faces, boundary and vertex_layer of the layered {p,q} ball.
 
-    The same attach loop as build_ball, on dicts nxt/prv keyed by the
-    boundary vertices, a set of the round's old boundary and one tuple per
-    face: returns (faces, boundary, vertex_layer) as lists, with no
-    vertex budget.
+    One face at a time, on dicts nxt/prv keyed by the boundary vertices,
+    a set of the round's old boundary and one tuple per face: returns
+    (faces, boundary, vertex_layer) as lists, with no vertex budget.
     """
     deg = [2] * p
     nxt = {i: (i + 1) % p for i in range(p)}

@@ -18,6 +18,7 @@ from hyperperc.percolation import (
     tiling_signature_sweep,
     voronoi_instance,
     voronoi_signature_sweep,
+    voronoi_thresholds,
     wilson_interval,
     SWEEP_HEADER,
     voronoi_replica,
@@ -282,6 +283,34 @@ class TestBootstrapOracle:
         got = self.outcome(estimate_pc, pairs, grid, 1)
         assert message in got
         assert got == self.outcome(estimate_pc_loop, pairs, grid, 1)
+
+    @pytest.mark.parametrize("p,q,dual,grid", [
+        (3, 7, False, np.arange(0.04, 0.62, 0.02)),
+        (3, 7, True, np.arange(0.3, 0.96, 0.02)),
+        (7, 3, False, np.arange(0.3, 0.96, 0.02)),
+    ])
+    def test_equals_loop_on_tiling_thresholds(self, p, q, dual, grid):
+        # the p_c and p_u estimates of criterion 6, scaled down: bins
+        # gathered per resample give the loop's curves
+        pairs = []
+        for L in (5, 6, 7):
+            ball = build_ball(p, q, L)
+            inst = tiling_instance(dual_ball(ball) if dual else ball, 0)
+            pairs.append((L, bond_thresholds(inst, 60, 42, f"boot-{L}")))
+        for seed in (0, 42):
+            got = self.outcome(estimate_pc, pairs, grid, seed)
+            assert isinstance(got, tuple)
+            assert got == self.outcome(estimate_pc_loop, pairs, grid, seed)
+
+    def test_equals_loop_on_voronoi_thresholds(self):
+        grid = np.round(np.arange(0.04, 0.72, 0.02), 2)
+        pairs = [(w, voronoi_thresholds(1.0, Window.with_margin(w), 20, 42,
+                                        f"boot-{w:g}"))
+                 for w in (3.5, 4.5, 5.5)]
+        for seed in (0, 42):
+            got = self.outcome(estimate_pc, pairs, grid, seed)
+            assert isinstance(got, tuple) and got[4] < 1.0
+            assert got == self.outcome(estimate_pc_loop, pairs, grid, seed)
 
     def test_one_pair_crossing_equals_loop(self):
         rng = np.random.default_rng(5)

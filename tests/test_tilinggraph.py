@@ -147,39 +147,64 @@ class TestBuildBall:
 
 
 class TestFlatBuilder:
-    """build_ball keeps the boundary in int lists and the faces in one
-    (F, p) int64 array; tests/oracle_tiling.py keeps the dict-and-tuple
-    builder it replaced."""
+    """build_ball computes each round's faces with array code from the
+    boundary's degrees; tests/oracle_tiling.py keeps the dict loop that
+    attaches one face at a time, the reference for those rounds."""
 
-    def test_matches_dict_builder(self, monkeypatch):
-        # every hyperbolic {p,q} with 3 <= p, q <= 9 and L <= 6 under
-        # 60 000 vertices; the budget refuses the far larger next balls
-        # before they are built
-        monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 120_000)
+    @staticmethod
+    def assert_matches_dict_builder(p, q, L):
+        b = build_ball(p, q, L)
+        faces, boundary, vertex_layer = build_ball_dicts(p, q, L)
+        faces = np.array(faces)
+        n = b.n_vertices
+        assert b.faces.dtype == np.int64
+        assert b.faces.shape == (len(faces), p)
+        assert np.array_equal(b.faces, faces)
+        assert np.array_equal(b.edges, edges_of_keys(side_keys(faces, n), n))
+        assert b.boundary == boundary
+        assert b.vertex_layer.tolist() == vertex_layer
+
+    def test_matches_dict_builder(self):
+        # every hyperbolic {p,q} with 3 <= p, q <= 20 and every L under
+        # 2 500 vertices
         checked = 0
-        for p in range(3, 10):
-            for q in range(3, 10):
+        for p in range(3, 21):
+            for q in range(3, 21):
                 if (p - 2) * (q - 2) <= 4:
                     continue
-                for L in range(1, 7):
-                    try:
-                        b = build_ball(p, q, L)
-                    except TooLarge:
+                for L in range(1, 30):
+                    if build_ball(p, q, L).n_vertices >= 2_500:
                         break
-                    if b.n_vertices >= 60_000:
-                        break
-                    faces, boundary, vertex_layer = build_ball_dicts(p, q, L)
-                    faces = np.array(faces)
-                    n = b.n_vertices
-                    assert b.faces.dtype == np.int64
-                    assert b.faces.shape == (len(faces), p)
-                    assert np.array_equal(b.faces, faces)
-                    assert np.array_equal(
-                        b.edges, edges_of_keys(side_keys(faces, n), n))
-                    assert b.boundary == boundary
-                    assert b.vertex_layer.tolist() == vertex_layer
+                    self.assert_matches_dict_builder(p, q, L)
                     checked += 1
-        assert checked == 175
+        assert checked == 642
+
+    @pytest.mark.parametrize("p,q,L", [(3, 7, 9), (7, 3, 10), (4, 5, 7)])
+    def test_matches_dict_builder_on_large_balls(self, p, q, L):
+        self.assert_matches_dict_builder(p, q, L)
+
+    @pytest.mark.parametrize("p,q,L", [(7, 3, 3), (8, 3, 3)])
+    def test_round_from_a_saturated_first_vertex(self, p, q, L):
+        # the cycle's first vertex already has q edges, so it gets no fan
+        # face and the round opens with its closing face
+        prev = build_ball(p, q, L - 1)
+        assert prev.degrees[prev.boundary[0]] == q
+        self.assert_matches_dict_builder(p, q, L)
+
+    @pytest.mark.parametrize("p,L", [(7, 2), (8, 2), (7, 4)])
+    def test_round_that_saturates_the_last_vertex(self, p, L):
+        # q = 3: the round's first face gives the cycle's last vertex its
+        # third edge, so it lies inside the round's last face
+        prev = build_ball(p, 3, L - 1)
+        assert prev.degrees[prev.boundary[-1]] == 2
+        self.assert_matches_dict_builder(p, 3, L)
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (7, 3), (4, 5), (5, 4), (8, 3)])
+    def test_boundary_is_the_last_layer(self, p, q):
+        for L in range(1, 6):
+            b = build_ball(p, q, L)
+            assert b.boundary == np.flatnonzero(
+                b.vertex_layer == L - 1).tolist()
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="reads CPython's gc allocation counter")
