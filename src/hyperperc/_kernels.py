@@ -19,8 +19,9 @@ the shell, every later count is 1, so the pass stops there, and it reads
 edge ends only up to its largest cut.  Both kernels are plain Python.
 The filtration loop runs over Python lists, because in a per-edge loop
 the numpy scalar that each array access boxes costs more than the
-union-find step; invasion likewise turns each site's adjacency into a
-list.  Cluster labels come from scipy's connected components.
+union-find step; invasion likewise reads each site's neighbours as a
+list, which csr_neighbours keeps per site.  Cluster labels come from
+scipy's connected components.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def _invade(neighbours, marks, start, stop=2.0):
     core, and top is that of the shell site, 2.0 if none was taken.
 
     `start` holds the (level, site) pairs of the core sites, each entering
-    at its own level.  neighbours(w) gives site w's adjacency as index
-    arrays (sites, ids), the slot into sites[j] costing marks[ids[j]], or
-    None if w is a shell site.  The lowest boundary level is taken next."""
+    at its own level.  neighbours(w) gives site w's adjacency as (sites,
+    ids), a list of sites and an index array, the slot into sites[j]
+    costing marks[ids[j]], or None if w is a shell site.  The lowest
+    boundary level is taken next."""
     taken = {}
     heap = list(start)
     heapify(heap)
@@ -113,7 +115,7 @@ def _invade(neighbours, marks, start, stop=2.0):
             return top, taken
         sites, ids = adjacency
         # a slot into a taken site would only be popped and dropped
-        for slot in zip(marks[ids].tolist(), sites.tolist()):
+        for slot in zip(marks[ids].tolist(), sites):
             if slot[1] not in taken:
                 heappush(heap, slot)
     return 2.0, taken
@@ -123,9 +125,9 @@ def csr_neighbours(indptr, indices, ids, shell):
     """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
     ids is its edge_id for bond marks and its indices for site marks.
 
-    Built once per graph and shared by its replicas: each site's slices
-    are kept after the first invasion that takes it, so the memo holds
-    only sites some replica has taken."""
+    Built once per graph and shared by its replicas: each site's
+    neighbour list and id slice are kept after the first invasion that
+    takes it, so the memo holds only sites some replica has taken."""
     indptr = indptr.tolist()
     shell = shell.tolist()
     memo = {}
@@ -136,7 +138,7 @@ def csr_neighbours(indptr, indices, ids, shell):
             if shell[w]:
                 return None
             a, b = indptr[w], indptr[w + 1]
-            got = memo[w] = indices[a:b], ids[a:b]
+            got = memo[w] = indices[a:b].tolist(), ids[a:b]
         return got
 
     return neighbours

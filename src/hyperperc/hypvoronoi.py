@@ -5,12 +5,12 @@ Delaunay triangulation of the Poincare images whose circumdisks stay
 inside the open unit disk.  A whole complex (`delaunay`, for the sweeps,
 the densities and the pictures) runs Euclidean Delaunay (Qhull) on the
 whole sample and filters faces.  A reach threshold needs only the stars
-of the few cells its invasion takes, so `LocalStars` builds them when
-asked from Qhull triangulations of a cell's nearest nuclei, verified
-against the whole sample; one such patch serves every cell whose fan of
-faces it proves.  Both keep faces and mark interior nuclei by one rule
-(`_filter`).  Voronoi vertices are the hyperbolic circumcenters of the
-kept faces.
+of the few cells its invasion takes, so `LocalStars` builds each when
+asked from one 2-D convex hull: the images of the cell's nearest nuclei
+under inversion about it, whose hull edges are the cell's fan of faces,
+each verified against the whole sample.  Both keep faces and mark
+interior nuclei by one rule (`_filter`).  Voronoi vertices are the
+hyperbolic circumcenters of the kept faces.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
 from .graphs import edges_of_keys, side_keys
@@ -111,10 +112,10 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
     # x, so only the runs of tied x in x order need their y compared: the
     # nuclei of those runs, sorted as complex numbers (x, then y), put
     # equal ones side by side
-    order = np.argsort(xy[:, 0])
-    x = xy[order, 0]
-    tied = np.flatnonzero(x[1:] == x[:-1])
-    if len(tied):
+    x = np.sort(xy[:, 0])
+    if np.any(x[1:] == x[:-1]):
+        order = np.argsort(xy[:, 0])
+        tied = np.flatnonzero(x[1:] == x[:-1])
         runs = order[np.union1d(tied, tied + 1)]
         z = np.sort(xy[runs].view(np.complex128).ravel())
         if np.any(z[1:] == z[:-1]):
@@ -169,23 +170,17 @@ def _filter(rho, theta, simplices, reach, on_hull, R):
     """
     n = len(rho)
     faces = simplices[reach < 1.0]
-    lifts = _hyperboloid(rho, theta)
-    A, B, C = lifts[faces[:, 0]], lifts[faces[:, 1]], lifts[faces[:, 2]]
-    vr, vt, finite = circumcenters_arrays(
-        A[:, 0], A[:, 1], A[:, 2],
-        B[:, 0], B[:, 1], B[:, 2],
-        C[:, 0], C[:, 1], C[:, 2],
-    )
+    # (m, 9): the lifts of each face's corners, one after the other
+    lifts = _hyperboloid(rho, theta)[faces].reshape(-1, 9)
+    vr, vt, finite = circumcenters_arrays(*lifts.T)
     # containment of the Euclidean circumdisk implies a finite center
     faces = faces[finite].astype(np.int64)
     vr, vt = vr[finite], vt[finite]
-    corners = faces.ravel()
-    star_kept = np.bincount(corners, minlength=n)
+    star_kept = np.bincount(faces.ravel(), minlength=n)
     star_total = np.bincount(simplices.ravel(), minlength=n)
     interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
-    vmax = np.zeros(n)
-    np.maximum.at(vmax, corners, np.repeat(vr, 3))
-    interior &= vmax <= R - 1.0
+    # vr >= 0, and a nucleus without kept faces is not interior already
+    interior[faces[vr > R - 1.0]] = False
     return faces, vr, vt, interior
 
 
@@ -196,12 +191,14 @@ def _reach(circles):
 
 
 def _euclidean_circumcircles(xy, simplices):
-    """Centres (x, y) and squared radii of the triangles' circumcircles."""
-    a, b, c = xy[simplices[:, 0]], xy[simplices[:, 1]], xy[simplices[:, 2]]
-    ax, ay = a[:, 0], a[:, 1]
-    bx, by = b[:, 0] - ax, b[:, 1] - ay
-    cx, cy = c[:, 0] - ax, c[:, 1] - ay
+    """Centres (x, y) and squared radii of the triangles' circumcircles;
+    NaN, which keeps and proves no face, for collinear corners."""
+    a, b, c = xy[simplices].transpose(1, 2, 0)
+    ax, ay = a
+    bx, by = b[0] - ax, b[1] - ay
+    cx, cy = c[0] - ax, c[1] - ay
     d = 2.0 * (bx * cy - by * cx)
+    d[d == 0.0] = np.nan
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
@@ -209,9 +206,9 @@ def _euclidean_circumcircles(xy, simplices):
     return ax + ux, ay + uy, ux * ux + uy * uy
 
 
-# A local star first triangulates the STAR_NUCLEI nuclei nearest its cell,
-# then STAR_GROWTH times as many after each failed check, and the whole
-# sample once that count reaches the sample size.
+# A star first takes the STAR_NUCLEI nuclei nearest its cell, then
+# STAR_GROWTH times as many after each failed proof, and comes from the
+# whole complex once that count reaches the sample size.
 STAR_NUCLEI = 64
 STAR_GROWTH = 4
 # relative margin of the emptiness and keep tests, far above rounding: a
@@ -235,39 +232,33 @@ class Star(NamedTuple):
     interior: bool
 
 
-class _Patch(NamedTuple):
-    """The proven faces of one local triangulation, kept for its cells."""
-
-    near: np.ndarray       # (k,) the candidates' sample indices
-    faces: np.ndarray      # (m, 3) kept proven faces, candidate indices
-    vor_rho: np.ndarray    # (m,) their Voronoi vertices' polar radii
-    interior: np.ndarray   # (k,) _filter's interior flag per candidate
-
-
 class LocalStars:
     """The Delaunay stars of single cells of a sample, computed when asked.
 
-    Cell x's star comes from a Qhull triangulation of the nuclei nearest
-    to x in hyperbolic distance, ranked by the key |z - z_x|^2 / (1 - |z|^2)
-    (plain Euclidean nearness in the disk misses neighbours far out).  A
-    face of this patch is proven a Delaunay triangle of the sample when no
+    Cell x's star comes from the nuclei nearest to x in hyperbolic
+    distance, ranked by the key |z - z_x|^2 / (1 - |z|^2) (plain Euclidean
+    nearness in the disk misses neighbours far out).  Inversion about z_x,
+    z -> (z - z_x) / |z - z_x|^2, keeps each nucleus's direction from x and
+    maps the circle through x, a and b to the line through the images of a
+    and b, and that circle's open disk to the open half-plane beyond the
+    line from the origin.  So when the origin lies strictly inside the 2-D
+    convex hull (Qhull) of the candidates' images, x lies inside the
+    candidates' hull, and each edge of the images' hull makes with x a
+    face with no candidate in its circumdisk; these faces close a fan
+    around x.  A face is proven a Delaunay triangle of the sample when no
     nucleus lies in its open circumdisk or within rounding of its circle:
     a circumdisk inside the candidates' ball {key < t}, t the key of the
-    nearest nucleus left out, is checked against the candidates, and one
-    of x's faces that leaves the ball against the whole sample.  A cell
-    off the patch hull whose faces are all proven has a closed fan of
-    Delaunay triangles, its whole star, so one patch serves x and every
-    such cell among the candidates.  On the voronoi-pc benchmark 531
-    stars took 270 Qhull calls, about 4.5 per replica and rung, where one
-    patch per star took 564.  If x's own faces are not all proven, more
-    nuclei are taken, up to the whole sample in its own order, which is
-    delaunay()'s input to Qhull; a grown patch serves x only.  Faces,
-    Voronoi vertices and the interior flag follow delaunay()'s rule
-    (`_filter`).  The vertices agree with delaunay()'s to rounding, since
-    Qhull may list a face's corners in another order, so a star on which
-    the keep or the interior test is within rounding of its bound comes
-    from the whole complex as well, and so has delaunay()'s flag by
-    construction.
+    nearest nucleus left out, is checked against the candidates, any
+    other against the whole sample.  A proven fan is x's whole star.  If
+    the hull does not hold the origin, Qhull refuses it or a face is not
+    proven, more nuclei are taken, up to the whole sample, whose complex
+    delaunay() builds.  On the voronoi-pc benchmark 531 stars took 532
+    hulls and no whole complex.  Faces, Voronoi vertices and the interior
+    flag follow delaunay()'s rule (`_filter`).  The vertices agree with
+    delaunay()'s to rounding, since a face's corners may come in another
+    order than in Qhull's triangulation, so a star on which the keep or
+    the interior test is within rounding of its bound comes from the
+    whole complex as well, and so has delaunay()'s flag by construction.
     """
 
     def __init__(self, points: ColoredPointSet):
@@ -278,18 +269,13 @@ class LocalStars:
         self._inv_w = 1.0 / self._w
         self._whole = None
         self._stars = {}
-        self._served = {}    # cell -> (patch, its candidate index)
 
     def star(self, x: int) -> Star:
         """Cell x's star, equal to delaunay(points)'s."""
         got = self._stars.get(x)
         if got is None:
-            if x not in self._served:
-                self._local(x)
-            served = self._served.pop(x, None)
-            if served is not None:
-                got = _patch_star(x, *served)
-            else:
+            got = self._local(x)
+            if got is None:
                 if self._whole is None:
                     self._whole = _whole_complex(self.points, self._xy)
                 got = self._from_whole(x)
@@ -297,70 +283,73 @@ class LocalStars:
         return got
 
     def _local(self, x):
-        """Triangulate ever more of x's nearest nuclei until a patch proves
-        x's faces and serves x, unless a rounding guard fires.  x stays
-        unserved, for the whole complex, if no patch short of the whole
-        sample proves them."""
+        """x's star from the hulls of ever more of its nearest nuclei,
+        inverted about x; None, for the whole complex, when no hull short
+        of the whole sample proves x's fan or a rounding guard fires."""
         if self._whole is not None:
-            return
-        xy, n = self._xy, len(self._xy)
-        z = xy[x]
-        dx, dy = self._x - z[0], self._y - z[1]
-        d2 = (dx * dx + dy * dy) * self._inv_w
+            return None
+        n = len(self._xy)
+        zx, zy = self._xy[x]
+        r2 = np.square(self._x - zx)
+        r2 += np.square(self._y - zy)
+        key = r2 * self._inv_w
+        key[x] = np.inf    # x is no candidate of its own
         k = STAR_NUCLEI
         while k < n:
-            part = np.argpartition(d2, k)
-            # a copy, so that a kept patch does not hold all n ranks
-            near, t = part[:k].copy(), d2[part[k]]
-            tri = _EuclideanDelaunay(xy[near])
-            on_hull = _hull_mask(tri)
-            here = int(np.argmin(d2[near]))    # x, the one key of 0
-            at_x = (tri.simplices == here).any(axis=1)
-            if (at_x.any() and not on_hull[here]
-                    and self._serve(x, near, t, tri, at_x, on_hull,
-                                    share=k == STAR_NUCLEI)):
-                return
+            part = np.argpartition(key, k - 1)
+            near, t = part[:k - 1], key[part[k - 1]]
+            fan = self._fan(np.concatenate((near, [x])), t, r2[near])
+            if fan is not None:
+                return self._fan_star(*fan)
             k *= STAR_GROWTH
+        return None
 
-    def _serve(self, x, near, t, tri, at_x, on_hull, share):
-        """Prove the faces of the patch `tri` over the candidates `near`,
-        x's (`at_x`) and, when `share`, those inside the candidates' ball;
-        serve every cell whose faces are all proven; return whether x's
-        are."""
-        pxy, faces = tri.points, tri.simplices
-        cx, cy, r2 = _euclidean_circumcircles(pxy, faces)
-        # {key < t} is the Euclidean disk of centre z_x / (1 + t)
-        bx, by = self._xy[x] / (1.0 + t)
-        br = math.sqrt(t * (t + self._w[x])) / (1.0 + t)
-        inside = (np.hypot(cx - bx, cy - by) + np.sqrt(r2)
-                  < br * (1 - _ROUNDING))
-        proven = at_x | (inside & share)
-        proven[proven] = _clear(pxy[:, 0], pxy[:, 1], faces[proven],
-                                cx[proven], cy[proven], r2[proven])
-        # x's faces that leave the ball are checked against the whole
-        # sample, once the candidates clear all of x's faces
-        out = at_x & ~inside
-        if out.any():
-            proven[out] = proven[at_x].all() and _clear(
-                self._x, self._y, near[faces[out]], cx[out], cy[out], r2[out])
+    def _fan(self, nodes, t, d2):
+        """The faces of x = nodes[-1] over the nodes, as node indices, and
+        their circumcircles, when the hull of the other nodes' images
+        holds the origin and every face is proven; else None.  d2 holds
+        the other nodes' squared distances to x."""
+        pxy = self._xy[nodes]
+        try:
+            hull = ConvexHull((pxy[:-1] - pxy[-1]) / d2[:, None])
+        except QhullError:
+            return None
+        # the origin strictly inside the hull (every offset negative), so
+        # the faces close a fan around x
+        if not hull.equations[:, 2].max() < 0.0:
+            return None
+        # each hull edge makes a face with x
+        fan = np.full((len(hull.simplices), 3), len(d2))
+        fan[:, :2] = hull.simplices
+        cx, cy, r2 = circles = _euclidean_circumcircles(pxy, fan)
+        # every face against the candidates, and one whose circumdisk
+        # leaves their ball {key < t}, the Euclidean disk of centre
+        # z_x / (1 + t), against the whole sample as well
+        if not _clear(pxy[:, 0], pxy[:, 1], fan, cx, cy, r2):
+            return None
+        bx, by = pxy[-1] / (1.0 + t)
+        br = math.sqrt(t * (t + self._w[nodes[-1]])) / (1.0 + t)
+        out = (np.hypot(cx - bx, cy - by) + np.sqrt(r2)
+               >= br * (1 - _ROUNDING))
+        if out.any() and not _clear(self._x, self._y, nodes[fan[out]],
+                                    cx[out], cy[out], r2[out]):
+            return None
+        return nodes, fan, circles
+
+    def _fan_star(self, nodes, fan, circles):
+        """The star of x = nodes[-1] from its proven fan, by _filter's
+        rule; None when the keep or the interior test is within rounding
+        of its bound."""
+        reach = _reach(circles)
         R = self.points.R
-        reach = _reach((cx, cy, r2))
-        proven_faces = faces[proven]
         kept, vr, _, interior = _filter(
-            self.points.rho[near], self.points.theta[near], proven_faces,
-            reach[proven], on_hull, R)
-        risky = np.zeros(len(near), dtype=bool)
-        risky[faces[proven & (np.abs(reach - 1.0) <= _ROUNDING)]] = True
-        risky[kept[np.abs(vr - (R - 1.0)) <= _VERTEX_ROUNDING * R]] = True
-        total = np.bincount(faces.ravel(), minlength=len(near))
-        counted = np.bincount(proven_faces.ravel(), minlength=len(near))
-        served = (counted == total) & (total > 0) & ~on_hull & ~risky
-        patch = _Patch(near, kept, vr, interior)
-        js = np.flatnonzero(served)
-        for j, y in zip(js.tolist(), near[js].tolist()):
-            if y not in self._stars:
-                self._served[y] = (patch, j)
-        return bool(proven[at_x].all())
+            self.points.rho[nodes], self.points.theta[nodes], fan, reach,
+            np.zeros(len(nodes), dtype=bool), R)
+        if (np.abs(reach - 1.0).min() <= _ROUNDING
+                or np.abs(vr - (R - 1.0)).min(initial=np.inf)
+                <= _VERTEX_ROUNDING * R):
+            return None
+        return _star(int(nodes[-1]), nodes[kept], vr, bool(interior[-1]))
 
     def _from_whole(self, x):
         V = self._whole
@@ -369,12 +358,12 @@ class LocalStars:
 
     def neighbours(self, x: int, R_window: float):
         """Cell x's Delaunay neighbours as _kernels._invade reads site
-        marks, twice, None for a shell cell: beyond R_window or not
-        interior, as shell_cell_mask has it."""
+        marks, a list and an array, None for a shell cell: beyond
+        R_window or not interior, as shell_cell_mask has it."""
         if self.points.rho[x] > R_window:
             return None
         s = self.star(x)
-        return (s.neighbours, s.neighbours) if s.interior else None
+        return (s.neighbours.tolist(), s.neighbours) if s.interior else None
 
     def core_mask(self) -> np.ndarray:
         """core_cell_mask(delaunay(points), 0.0): every face whose Voronoi
@@ -385,21 +374,15 @@ class LocalStars:
 
 
 def _clear(xs, ys, faces, cx, cy, r2):
-    """Per face, whether none of the points (xs, ys) lies in its open
-    circumdisk, or within rounding of its circle, apart from the face's
-    own corners (indices into xs, ys), which lie on it."""
+    """Whether none of the points (xs, ys) lies in the open circumdisk of
+    any face, or within rounding of its circle, apart from the face's own
+    corners (indices into xs, ys), which lie on it.  A face without a
+    circle (NaN, collinear corners) is never clear."""
     dx = xs - cx[:, None]
     dy = ys - cy[:, None]
     d = dx * dx + dy * dy
     d[np.arange(len(d))[:, None], faces] = np.inf
-    return ~np.any(d < r2[:, None] * (1 + _ROUNDING), axis=1)
-
-
-def _patch_star(x, patch, j):
-    """Cell x's star, read from a patch that serves it as candidate j."""
-    mine = (patch.faces == j).any(axis=1)
-    return _star(x, patch.near[patch.faces[mine]], patch.vor_rho[mine],
-                 bool(patch.interior[j]))
+    return bool((d >= r2[:, None] * (1 + _ROUNDING)).all())
 
 
 def _star(x, faces, vor_rho, interior):
@@ -409,7 +392,7 @@ def _star(x, faces, vor_rho, interior):
 
 def _hyperboloid(rho, theta):
     s = np.sinh(rho)
-    return np.column_stack([s * np.cos(theta), s * np.sin(theta), np.cosh(rho)])
+    return np.array([s * np.cos(theta), s * np.sin(theta), np.cosh(rho)]).T
 
 
 def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:

@@ -82,8 +82,10 @@ class ColoredPointSet:
             "#hpp v1 lambda=%.17g p=%.17g R=%.17g seed=%d\n"
             % (self.lam, self.p, self.R, self.seed)
         )
-        for r, t, w in zip(self.rho, self.theta, self.white):
-            buf.write("%.17g %.17g %s\n" % (r, t, "W" if w else "B"))
+        # %.17g of a Python float equals that of its np.float64
+        rows = zip(self.rho.tolist(), self.theta.tolist(), self.white.tolist())
+        buf.writelines("%.17g %.17g %s\n" % (r, t, "W" if w else "B")
+                       for r, t, w in rows)
         return buf.getvalue()
 
     @staticmethod

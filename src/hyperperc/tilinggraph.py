@@ -68,19 +68,20 @@ class TilingBall:
         """Documented edge-list text format with VERTICES/EDGES/FACES/DUAL."""
         dual = dual_ball(self)
         buf = io.StringIO()
+        # rows as Python ints, which format several times faster than
+        # numpy scalars
         buf.write(f"#pq v1 p={self.p_gon} q={self.q_deg} L={self.layers}\n")
         buf.write(f"VERTICES {self.n_vertices}\n")
-        for v in range(self.n_vertices):
-            buf.write(f"{v} {self.vertex_layer[v]}\n")
+        buf.writelines(f"{v} {layer}\n"
+                       for v, layer in enumerate(self.vertex_layer.tolist()))
         buf.write(f"EDGES {self.n_edges}\n")
-        for u, v in self.edges:
-            buf.write(f"{u} {v}\n")
+        buf.writelines(f"{u} {v}\n" for u, v in self.edges.tolist())
         buf.write(f"FACES {len(self.faces)}\n")
-        for f in self.faces.tolist():
-            buf.write(" ".join(str(v) for v in f) + "\n")
+        buf.writelines(" ".join(map(str, f)) + "\n"
+                       for f in self.faces.tolist())
         buf.write(f"DUAL {len(dual.edges)}\n")
-        for k, (f1, f2) in enumerate(dual.edges):
-            buf.write(f"{f1} {f2} {dual.primal_edge[k]}\n")
+        buf.writelines(f"{f1} {f2} {e}\n" for (f1, f2), e in
+                       zip(dual.edges.tolist(), dual.primal_edge.tolist()))
         return buf.getvalue()
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay as _EuclideanDelaunay
+from scipy.spatial import QhullError
 
 from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
 from hyperperc import _kernels, hypvoronoi
@@ -399,16 +400,27 @@ def neighbours_off(V, x, faces):
 
 @pytest.fixture
 def qhull_sizes(monkeypatch):
-    """The number of nuclei of every Qhull call in hypvoronoi."""
+    """The number of points of every Qhull call in hypvoronoi: the convex
+    hulls of a star's inverted candidates, STAR_NUCLEI - 1 images at
+    first, and the Delaunay triangulations of whole samples."""
     sizes = []
-    qhull = hypvoronoi._EuclideanDelaunay
 
-    def counted(xy):
-        sizes.append(len(xy))
-        return qhull(xy)
+    def counted(qhull):
+        def call(points):
+            sizes.append(len(points))
+            return qhull(points)
+        return call
 
-    monkeypatch.setattr(hypvoronoi, "_EuclideanDelaunay", counted)
+    for name in ("ConvexHull", "_EuclideanDelaunay"):
+        monkeypatch.setattr(hypvoronoi, name,
+                            counted(getattr(hypvoronoi, name)))
     return sizes
+
+
+# images in the hull of a star's first candidates, and after each growth
+FIRST = hypvoronoi.STAR_NUCLEI - 1
+GROWN = {hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH ** j - 1
+         for j in range(1, 6)}
 
 
 class TestLocalStars:
@@ -429,19 +441,25 @@ class TestLocalStars:
         np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
 
     @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
-    def test_one_triangulation_serves_several_stars(self, lam, R_window, rep,
-                                                    qhull_sizes):
-        # a patch serves every cell whose faces it proves, so the window's
-        # stars take fewer Qhull calls than there are stars, whether asked
-        # for in shuffled order or as an invasion takes the cells
+    def test_one_hull_per_star(self, lam, R_window, rep, qhull_sizes):
+        # each star takes one hull of its first candidates and one more
+        # per growth, none of the whole sample, and a star asked for again
+        # takes none; whether the cells come in shuffled order or as an
+        # invasion takes them
         pts, u = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
         V = delaunay(pts)
         inside = pts.rho <= R_window
         shuffled = np.random.default_rng(rep).permutation(
             np.flatnonzero(inside))
+        stars = LocalStars(pts)
         del qhull_sizes[:]
-        assert_stars_match(LocalStars(pts), V, shuffled)
-        assert len(qhull_sizes) < len(shuffled)
+        assert_stars_match(stars, V, shuffled)
+        assert qhull_sizes.count(FIRST) == len(shuffled)
+        assert set(qhull_sizes) <= {FIRST} | GROWN
+        assert max(qhull_sizes) < len(pts) - 1
+        calls = len(qhull_sizes)
+        assert_stars_match(stars, V, shuffled[::-1])
+        assert len(qhull_sizes) == calls
 
         stars = LocalStars(pts)
         taken = []
@@ -450,28 +468,45 @@ class TestLocalStars:
         def neighbours(w):
             # every window cell is expanded, every other cell is a leaf
             if not inside[w]:
-                return leaf, leaf
+                return [], leaf
             taken.append(w)
             nb = stars.star(w).neighbours
-            return nb, nb
+            return nb.tolist(), nb
 
         del qhull_sizes[:]
         _kernels._invade(neighbours, u, [(0.0, int(np.argmin(pts.rho)))])
         assert len(taken) > len(shuffled) // 2
-        assert len(qhull_sizes) < len(taken)
+        assert qhull_sizes.count(FIRST) == len(taken)
+        assert set(qhull_sizes) <= {FIRST} | GROWN
         assert_stars_match(stars, V, taken)
 
-    def test_patches_own_their_arrays(self):
-        # a patch kept for the cells it serves holds O(k) arrays, not views
-        # of the n-long ranking of the sample
+    # (lambda, R_window) from sparse to dense; one replica each
+    GRID = [(0.05, 6.0), (0.25, 5.5), (0.5, 5.0), (1.0, 4.0), (2.0, 3.0),
+            (4.0, 2.5), (8.0, 2.0)]
+
+    @pytest.mark.parametrize("lam,R_window", GRID)
+    def test_intensities(self, lam, R_window, qhull_sizes):
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 73, "local-stars-grid", 0)
+        V = delaunay(pts)
+        stars = LocalStars(pts)
+        del qhull_sizes[:]
+        assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
+        np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
+        assert max(qhull_sizes) < len(pts) - 1
+
+    def test_stars_own_their_arrays(self):
+        # a star kept for the invasion holds arrays of the size of its
+        # fan, not views of the n-long arrays of the sample
         pts, u = voronoi_sample(1.0, 7.5, 71, "local-stars", 0)
         stars = LocalStars(pts)
         site_reach_threshold(lambda w: stars.neighbours(w, 5.5), u,
                              stars.core_mask())
-        patches = [patch for patch, _ in stars._served.values()]
-        assert patches
-        for patch in patches:
-            assert all(a.base is None for a in patch)
+        for x in np.flatnonzero(pts.rho <= 3.0):
+            stars.star(int(x))
+        assert len(stars._stars) > 50
+        for star in stars._stars.values():
+            for a in star[:3]:
+                assert a.base is None or a.base.size < 3 * len(star.faces)
 
     def test_growth(self, qhull_sizes):
         # at lambda = 1/4 the first candidates often miss a nucleus that
@@ -480,9 +515,9 @@ class TestLocalStars:
         V = delaunay(pts)
         del qhull_sizes[:]
         assert_stars_match(LocalStars(pts), V, np.flatnonzero(pts.rho <= 6.5))
-        grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH
+        grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH - 1
         assert grown in qhull_sizes
-        assert qhull_sizes.count(hypvoronoi.STAR_NUCLEI) > len(qhull_sizes) // 2
+        assert qhull_sizes.count(FIRST) > len(qhull_sizes) // 2
 
     def test_small_sample_is_triangulated_whole(self, qhull_sizes):
         pts = small_sample(1.0, 0, max_n=hypvoronoi.STAR_NUCLEI)
@@ -494,8 +529,9 @@ class TestLocalStars:
 
     @pytest.mark.parametrize("rep", range(3))
     def test_stars_that_reach_the_whole_sample(self, rep, qhull_sizes):
-        # hull nuclei never close a local fan, so their stars grow to the
-        # whole sample, which is then triangulated once, in its own order
+        # the inverted hull of a hull nucleus's candidates never holds the
+        # origin, so its star grows to the whole sample, which is then
+        # triangulated once, in its own order
         pts, _ = voronoi_sample(1.0, 4.5, 79, "local-stars-whole", rep)
         assert hypvoronoi.STAR_NUCLEI < len(pts) <= 400
         V = delaunay(pts)
@@ -504,6 +540,59 @@ class TestLocalStars:
         assert_stars_match(stars, V, range(len(pts)))
         assert qhull_sizes.count(len(pts)) == 1
         assert not V.interior_mask.all()
+
+    def test_collinear_corners_are_never_proven(self):
+        # three nuclei on a line have no circumcircle: NaN, without a
+        # warning, and no point set clears it
+        xy = np.array([[0.1, 0.1], [0.2, 0.2], [0.4, 0.4], [-0.5, 0.3]])
+        face = np.array([[0, 1, 2]])
+        cx, cy, r2 = hypvoronoi._euclidean_circumcircles(xy, face)
+        assert np.isnan(r2).all()
+        assert not hypvoronoi._clear(xy[:3, 0], xy[:3, 1], face, cx, cy, r2)
+        assert not hypvoronoi._clear(xy[:, 0], xy[:, 1], face, cx, cy, r2)
+        assert not np.isfinite(hypvoronoi._reach((cx, cy, r2))).any()
+
+    def test_face_without_a_circle_fails_the_proof(self, monkeypatch,
+                                                    qhull_sizes):
+        # a fan face whose circle comes out NaN is not proven, so the star
+        # grows, here to the whole complex, and still equals delaunay()'s
+        pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
+        V = delaunay(pts)
+        circles = hypvoronoi._euclidean_circumcircles
+
+        def one_nan(xy, simplices):
+            cx, cy, r2 = circles(xy, simplices)
+            if len(xy) < len(pts):     # a star's nodes, not the sample
+                cx[0] = cy[0] = r2[0] = np.nan
+            return cx, cy, r2
+
+        monkeypatch.setattr(hypvoronoi, "_euclidean_circumcircles", one_nan)
+        x = int(np.flatnonzero(pts.rho <= 4.5)[0])
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, [x])
+        assert qhull_sizes[0] == FIRST and qhull_sizes[-1] == len(pts)
+
+    def test_refused_hull_fails_the_proof(self, monkeypatch, qhull_sizes):
+        # a hull that Qhull refuses counts as a failed proof: the star
+        # takes more nuclei and still equals delaunay()'s
+        pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
+        V = delaunay(pts)
+        hull = hypvoronoi.ConvexHull    # counted
+        refused = []
+
+        def refuse_first(q):
+            if len(q) == FIRST:
+                refused.append(len(q))
+                raise QhullError("refused")
+            return hull(q)
+
+        monkeypatch.setattr(hypvoronoi, "ConvexHull", refuse_first)
+        cells = np.flatnonzero(pts.rho <= 4.5)[:20]
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(pts), V, cells)
+        assert refused == [FIRST] * len(cells)
+        grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH - 1
+        assert qhull_sizes == [grown] * len(cells)
 
     def test_vertex_at_the_interior_bound(self, qhull_sizes):
         # give the sample the radius R at which a cell's largest Voronoi
@@ -530,7 +619,7 @@ class TestLocalStars:
             assert_stars_match(LocalStars(at), W, [x])
             assert qhull_sizes[-1] == len(pts)
             # the same after x's neighbours off its faces at the bound,
-            # whose patches can prove all of x's faces
+            # whose stars are local
             at_bound = W.faces[np.abs(W.vor_rho - (at.R - 1.0))
                                <= hypvoronoi._VERTEX_ROUNDING * at.R]
             stars = LocalStars(at)
@@ -569,10 +658,9 @@ class TestLocalStars:
         assert qhull_sizes[-1] == len(pts)
 
     def test_no_cell_near_the_unit_circle_is_served(self, monkeypatch):
-        # with the keep test's margin at 1e-5, every cell with a face
-        # within it of the unit circle comes from the whole complex, also
-        # when a neighbour's patch proves all its faces first (cell 723
-        # here, when the cells come in this order)
+        # with the keep test's margin at 1e-5, every window cell with a
+        # face within it of the unit circle comes from the whole complex,
+        # in whatever order the cells come
         pts, _ = voronoi_sample(0.25, 8.5, 71, "local-stars", 5)
         V = delaunay(pts)
         monkeypatch.setattr(hypvoronoi, "_ROUNDING", 1e-5)
@@ -582,7 +670,8 @@ class TestLocalStars:
         rim = np.unique(tri.simplices[np.abs(reach - 1.0) <= 1e-5])
         cells = np.random.default_rng(0).permutation(
             np.flatnonzero(pts.rho <= 6.5))
-        assert 723 in rim and 723 in cells
+        near_rim = np.intersect1d(rim, cells)
+        assert len(near_rim) > 0
         whole = []
         from_whole = LocalStars._from_whole
 
@@ -592,7 +681,7 @@ class TestLocalStars:
 
         monkeypatch.setattr(LocalStars, "_from_whole", spied)
         assert_stars_match(LocalStars(pts), V, cells)
-        assert set(np.intersect1d(rim, cells).tolist()) <= set(whole)
+        assert set(near_rim.tolist()) <= set(whole)
 
     def test_degenerate_input(self):
         pts = triple_points()
