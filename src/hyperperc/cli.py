@@ -555,6 +555,7 @@ def cmd_render(args, mapper):
         except (OSError, KeyError, ValueError) as e:
             raise ConfigError(f"cannot read --sample {args.sample} as a "
                               f"#hpp v1 point-set file: {e}")
+        _check_radius(f"the R of --sample {args.sample}", pts.R)
         V = delaunay(pts) if len(pts) >= 3 else None
         doc = svg.render_voronoi(V, R_window=args.Rw)
         meta = {"kind": "voronoi", "n_points": len(pts)}

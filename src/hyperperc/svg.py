@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hypgeo import HPoint, Isometry, geodesic_direction
+from .hypgeo import geodesic_direction
 from .hypvoronoi import MARGIN, VoronoiComplex, shell_cell_mask
 from ._kernels import label_clusters_kernel
 
@@ -33,7 +33,10 @@ _DISK = ('<circle cx="0" cy="0" r="1" fill="none" stroke="#000" '
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.5f}"
+    # a coordinate that rounds to zero reads 0.00000 whatever the sign of
+    # its rounding residue
+    s = f"{x:.5f}"
+    return "0.00000" if s == "-0.00000" else s
 
 
 def _geo_params(za: complex, zb: complex):
@@ -80,20 +83,21 @@ def document(body: str) -> str:
 def _bisector_ideal_point(zi: complex, zj: complex, toward: complex) -> complex:
     """Ideal endpoint of the bisector of nuclei zi, zj nearer to `toward`.
 
-    The bisector is a geodesic; conjugating by the translation that sends
-    the hyperbolic midpoint of zi, zj to the origin turns it into the
-    diameter orthogonal to the axis through the images.
+    z is equidistant from zi and zj when wi |z - zi|^2 = wj |z - zj|^2,
+    with w = 1 / (1 - |z|^2) of each nucleus.  Times 1 / (wi wj) and on
+    |z| = 1 this reads Re(conj(c) z) = k, with k = |zi|^2 - |zj|^2 and
+    c = (1 - |zj|^2)(zi - zj) + k zj, so the endpoints are arg c +- h with
+    cos h = k/|c|.  h is taken by atan2 from |c|^2 - k^2 =
+    (1 - |zi|^2)(1 - |zj|^2)|zi - zj|^2, since acos loses the short
+    bisectors of close nuclei near the rim.
     """
-    t = Isometry(1.0 + 0j, -zi)
-    w = t.apply_disk(zj)
-    r = abs(w)
-    m_local = (w / r) * math.tanh(0.5 * math.atanh(r)) if r > 0 else 0j
-    t2 = Isometry(1.0 + 0j, -m_local)
-    axis = t2.apply_disk(w)
-    phi = cmath.phase(axis)
-    back = (t.inverse() @ t2.inverse())
-    e1 = back.apply_disk(cmath.exp(1j * (phi + math.pi / 2)))
-    e2 = back.apply_disk(cmath.exp(1j * (phi - math.pi / 2)))
+    d = zi - zj
+    k = d.real * (zi.real + zj.real) + d.imag * (zi.imag + zj.imag)
+    gi, gj = 1.0 - abs(zi) ** 2, 1.0 - abs(zj) ** 2
+    arg = cmath.phase(gj * d + k * zj)
+    half = math.atan2(abs(d) * math.sqrt(gi * gj), k)
+    e1 = cmath.exp(1j * (arg + half))
+    e2 = cmath.exp(1j * (arg - half))
     return e1 if abs(e1 - toward) < abs(e2 - toward) else e2
 
 
@@ -163,6 +167,18 @@ def render_voronoi(V: VoronoiComplex | None,
     return document("".join(body))
 
 
+def _reflect(za: complex, zb: complex, z: complex) -> complex:
+    """Mirror image of z across the geodesic through za and zb.
+
+    w = (z - za) / (1 - conj(za) z) sends za to the origin and the geodesic
+    to the diameter at angle phi = geodesic_direction(za, zb), where the
+    mirror is w -> e^{2 i phi} conj(w); the inverse map brings it back.
+    """
+    turn = cmath.exp(2j * geodesic_direction(za, zb))
+    w = turn * ((z - za) / (1.0 - za.conjugate() * z)).conjugate()
+    return (w + za) / (1.0 + za.conjugate() * w)
+
+
 def tiling_layout(ball) -> dict:
     """Disk coordinates for every vertex of a {p,q} ball.
 
@@ -191,9 +207,6 @@ def tiling_layout(ball) -> dict:
                 continue
             placed.add(g)
             queue.append(g)
-            refl = Isometry.reflection_across(
-                HPoint.from_disk(coords[a]), HPoint.from_disk(coords[b])
-            )
             gcyc = faces[g]
             ib = gcyc.index(b)
             gcyc = gcyc[ib:] + gcyc[:ib]
@@ -203,7 +216,7 @@ def tiling_layout(ball) -> dict:
                 v = gcyc[k]
                 if v not in coords:
                     src = cyc[(ia - (k - 1)) % p]
-                    coords[v] = refl.apply_disk(coords[src])
+                    coords[v] = _reflect(coords[a], coords[b], coords[src])
     return coords
 
 

@@ -18,10 +18,6 @@ from hyperperc.hypgeo import (
     DegenerateError,
     GeodesicPolygon,
     HPoint,
-    Isometry,
-    apply,
-    circumcenter,
-    dist,
     polygon_area,
 )
 from hyperperc.hypvoronoi import Window, delaunay
@@ -40,6 +36,7 @@ from hyperperc.graphs import bfs_distances
 from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
+from oracle_geo import Isometry, apply, circumcenter, dist
 from oracle_perc import bfs_labels
 from test_hypvoronoi import brute_force_delaunay_faces, small_sample
 

@@ -332,11 +332,17 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
      "2", "--p", "0.6,0.4"],
     ["densities", "--lambda", "1", "--R", "6", "--Rw", "5.9", "--replicas",
      "2"],
+    # a hand-written sample past the working radius, which voronoi-sample
+    # refuses to write
+    ["render", "--sample", "{tmp}/far-sample.txt"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")
     (tmp_path / "empty-sample.txt").write_text(
         "#hpp v1 lambda=1 p=0.5 R=6 seed=0\n")
+    (tmp_path / "far-sample.txt").write_text(
+        "#hpp v1 lambda=1 p=0.5 R=45 seed=0\n"
+        "38 0.1 W\n39.5 2 B\n41 4 W\n40 5 B\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()

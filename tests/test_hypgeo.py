@@ -9,13 +9,12 @@ from hyperperc.hypgeo import (
     DegenerateError,
     GeodesicPolygon,
     HPoint,
-    Isometry,
-    apply,
     ball_area,
-    circumcenter,
-    dist,
+    circumcenters_arrays,
     polygon_area,
 )
+
+from oracle_geo import Isometry, apply, circumcenter, dist
 
 RNG = np.random.default_rng(20260823)
 
@@ -152,6 +151,35 @@ class TestCircumcenter:
         c = HPoint(3.0, 0.0)
         with pytest.raises(DegenerateError):
             circumcenter(a, b, c)
+
+
+class TestCircumcentersArrays:
+    def test_matches_the_scalar_oracle(self):
+        # criterion 1's triangles: corners at rho in [0.05, 6]
+        rng = np.random.default_rng(9)
+        n = 20_000
+        rho = rng.uniform(0.05, 6.0, size=(3, n))
+        theta = rng.uniform(0.0, 2 * math.pi, size=(3, n))
+        s, c = np.sinh(rho), np.cosh(rho)
+        lifts = [(s[k] * np.cos(theta[k]), s[k] * np.sin(theta[k]), c[k])
+                 for k in range(3)]
+        m_rho, m_theta, finite = circumcenters_arrays(*lifts[0], *lifts[1],
+                                                      *lifts[2])
+        checked = {True: 0, False: 0}
+        for i in range(n):
+            try:
+                m = circumcenter(*(HPoint(rho[k, i], theta[k, i])
+                                   for k in range(3)))
+            except DegenerateError:
+                continue
+            assert finite[i] == (m is not None), i
+            checked[bool(finite[i])] += 1
+            if m is not None:
+                assert abs(m_rho[i] - m.rho) < 1e-9
+                d_theta = (m_theta[i] - m.theta + math.pi) % (2 * math.pi) - math.pi
+                assert abs(math.sinh(m.rho) * d_theta) < 1e-9
+        # both outcomes are exercised
+        assert min(checked.values()) > 1000
 
 
 def equilateral_triangle(angle):

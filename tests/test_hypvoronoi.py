@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 from scipy.spatial import QhullError
 
-from hyperperc.hypgeo import HPoint, ball_area, dist, dist_arrays, polygon_area
+from hyperperc.hypgeo import HPoint, ball_area, polygon_area
 from hyperperc import _kernels, hypvoronoi
 from hyperperc.hypvoronoi import (
     MARGIN,
@@ -26,6 +26,8 @@ from hyperperc.percolation import (
     voronoi_sample,
 )
 from hyperperc.pointprocess import ColoredPointSet
+
+from oracle_geo import dist, dist_arrays
 
 
 def brute_force_delaunay_faces(xy):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from hyperperc import svg
-from hyperperc.hypgeo import HPoint, dist
+from hyperperc.hypgeo import HPoint
 from hyperperc.hypvoronoi import delaunay
 from hyperperc.percolation import voronoi_sample
 from hyperperc.pointprocess import ColoredPointSet, replica_rng
 from hyperperc.tilinggraph import build_ball
+
+from oracle_geo import Isometry, bisector_ideal_points, dist
 
 
 def paths_of(doc: str):
@@ -71,6 +73,39 @@ def test_render_voronoi_reads_the_disk_coordinates_once(monkeypatch):
     monkeypatch.setattr(ColoredPointSet, "disk_xy", property(counted))
     svg.render_voronoi(V, R_window=3.0)
     assert len(calls) == 1
+
+
+def random_disk_points(rng, n, rho_max=7.0):
+    r = np.tanh(0.5 * rho_max * rng.random(n))
+    return (r * np.exp(2j * math.pi * rng.random(n))).tolist()
+
+
+def test_reflect_fixes_its_axis_and_is_an_involution():
+    rng = np.random.default_rng(11)
+    za, zb, z = (random_disk_points(rng, 2000) for _ in range(3))
+    for a, b, x in zip(za, zb, z):
+        assert abs(svg._reflect(a, b, a) - a) < 1e-9
+        assert abs(svg._reflect(a, b, b) - b) < 1e-9
+        assert abs(svg._reflect(a, b, svg._reflect(a, b, x)) - x) < 1e-9
+        want = Isometry.reflection_across(HPoint.from_disk(a),
+                                          HPoint.from_disk(b)).apply_disk(x)
+        assert abs(svg._reflect(a, b, x) - want) < 1e-9
+
+
+def test_bisector_ideal_point_is_equidistant_on_the_rim():
+    rng = np.random.default_rng(12)
+    zi, zj = (random_disk_points(rng, 2000) for _ in range(2))
+    for a, b in zip(zi, zj):
+        for toward in (a + b, -(a + b), 1j * (a - b)):
+            e = svg._bisector_ideal_point(a, b, toward)
+            assert abs(abs(e) - 1.0) < 1e-9
+            # w |e - z|^2 with w = 1 / (1 - |z|^2) of each nucleus
+            ha = abs(e - a) ** 2 / (1.0 - abs(a) ** 2)
+            hb = abs(e - b) ** 2 / (1.0 - abs(b) ** 2)
+            assert abs(ha - hb) <= 1e-9 * max(ha, hb)
+            want = min(bisector_ideal_points(a, b),
+                       key=lambda z: abs(z - toward))
+            assert abs(e - want) < 1e-9
 
 
 @pytest.mark.parametrize("pq", [(3, 7), (7, 3), (4, 5)])
