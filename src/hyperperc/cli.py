@@ -7,8 +7,12 @@ independent, the worker pool (--threads, default 1) maps them in
 replica-index order, and output files are written atomically
 (temp file + rename).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(estimator did not converge or a cross-check failed).
+Each input rule is checked once, by the library function that uses the
+value; this module adds only the rules of its own options.  Exit codes:
+0 success; 2 invalid input, any hypgeo.InvalidInput (a bad option or
+file, or a value the library refuses); 3 numeric failure, any
+hypgeo.NumericFailure (an estimator did not converge or a cross-check
+failed).  Either prints one line; a traceback means a bug.
 """
 
 from __future__ import annotations
@@ -29,11 +33,10 @@ import scipy
 
 from . import svg
 from ._kernels import BACKEND
-from .densities import OriginNotInterior, density_experiment
-from .hypgeo import WORKING_RADIUS, CapExceeded
-from .hypvoronoi import MARGIN, DegenerateInput, Window, delaunay
+from .densities import density_experiment
+from .hypgeo import WORKING_RADIUS, InvalidInput, NumericFailure
+from .hypvoronoi import MARGIN, Window, delaunay
 from .percolation import (
-    InsufficientData,
     NoCrossing,
     SweepResult,
     connectivity_decay,
@@ -46,7 +49,7 @@ from .percolation import (
     voronoi_signature_sweep,
 )
 from .pointprocess import ColoredPointSet, check_sample_size, replica_rng
-from .tilinggraph import TooLarge, build_ball
+from .tilinggraph import build_ball
 
 PHASE_HEADER = ("model,p,lambda,pgon,qdeg,R,replicas,label,"
                 "theta_w,theta_b,unique_w,unique_b,kw,kb,seed")
@@ -55,8 +58,8 @@ PC_CURVE_HEADER = ("lambda,pc,ci_lo,ci_hi,upper_bound,bound_ok,positive_ok,"
                    "sandwich_ok,guess_half_minus_lam23")
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(InvalidInput):
+    """A bad option, grid, config file or input file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,26 +132,22 @@ def parse_grid(s: str) -> list:
 
 
 def parse_int_list(s: str) -> list:
+    """A non-empty comma list of integers."""
     try:
-        return [int(x) for x in str(s).split(",") if x.strip()]
+        vals = [int(x) for x in str(s).split(",") if x.strip()]
     except ValueError:
+        vals = []
+    if not vals:
         raise ConfigError(f"bad integer list {s!r}")
+    return vals
 
 
 def parse_pq(s: str):
+    """Two integers; build_ball checks that they make a hyperbolic tiling."""
     vals = parse_int_list(s)
     if len(vals) != 2:
         raise ConfigError("--pq wants two integers, e.g. 3,7")
-    p, q = vals
-    if (p - 2) * (q - 2) <= 4:
-        raise ConfigError(f"{{{p},{q}}} is not a hyperbolic tiling")
-    return p, q
-
-
-def _check_lambda(values):
-    for lam in values:
-        if not lam > 0:
-            raise ConfigError(f"--lambda must be positive, got {lam:g}")
+    return tuple(vals)
 
 
 def _check_radius(name: str, R: float):
@@ -161,27 +160,6 @@ def _check_unit(name: str, *values):
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {v:g}")
-
-
-def _ladder(values, text: str) -> list:
-    """At least 3 strictly increasing sizes."""
-    if len(values) < 3:
-        raise ConfigError("--ladder needs at least 3 sizes")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"--ladder must be strictly increasing, got {text!r}")
-    return values
-
-
-def _layers(values, least: int = 1) -> list:
-    """A non-empty list of layer counts of at least `least`; percolation
-    needs least=2, since a one-layer ball has no interior vertex to serve
-    as its core."""
-    if not values:
-        raise ConfigError("--L needs at least one layer count")
-    for L in values:
-        if L < least:
-            raise ConfigError(f"layer count must be at least {least}, got {L}")
-    return values
 
 
 # mkstemp creates 0600 files; outputs keep the mode open() would give them
@@ -350,29 +328,18 @@ def pc_curve_csv(rows) -> str:
 # subcommands
 
 
-def _window_ladder(values):
-    """Windows with the default margin; each sampling ball must fit the
-    working radius."""
-    windows = []
-    for v in values:
-        _check_radius("window radius", v)
-        w = Window.with_margin(float(v))
-        _check_radius(f"sample radius (window {v:g} plus margin)", w.R_sample)
-        windows.append(w)
-    return windows
-
-
-def _check_samples(lams, windows):
-    """Every (lambda, sample radius) pair a command will draw stays within
-    the nuclei budget; checked before the first replica."""
+def _windows(lams, radii) -> list:
+    """Windows of the given radii and the default margin, every (lambda,
+    window) pair checked by check_sample_size before the first replica."""
+    windows = [Window.with_margin(float(r)) for r in radii]
     for lam in lams:
         for w in windows:
             check_sample_size(lam, w.R_sample)
+    return windows
 
 
 def cmd_gen_tiling(args, mapper):
     p, q = parse_pq(args.pq)
-    _layers([args.layers])
     ball = build_ball(p, q, args.layers)
     atomic_write(args.out, ball.serialize())
     return {"p_gon": p, "q_deg": q, "layers": args.layers,
@@ -381,12 +348,8 @@ def cmd_gen_tiling(args, mapper):
 
 
 def cmd_voronoi_sample(args, mapper):
-    _check_lambda([args.lam])
-    _check_radius("--R", args.R)
-    _check_unit("--p", args.p)
     if args.replica < 0:
         raise ConfigError(f"--replica must be non-negative, got {args.replica}")
-    check_sample_size(args.lam, args.R)
     pts, _ = voronoi_sample(args.lam, args.R, args.seed, "voronoi-sample",
                             args.replica, args.p)
     atomic_write(args.out, pts.serialize())
@@ -395,17 +358,8 @@ def cmd_voronoi_sample(args, mapper):
 
 
 def cmd_densities(args, mapper):
-    _check_lambda([args.lam])
-    _check_radius("--R", args.R)
-    if args.replicas < 2:
-        raise ConfigError(f"densities needs at least 2 replicas for its "
-                          f"standard errors, got {args.replicas}")
     Rw = args.Rw if args.Rw is not None else args.R - MARGIN
-    try:
-        window = Window(R_sample=args.R, R_window=Rw)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    check_sample_size(args.lam, args.R)
+    window = Window(R_sample=args.R, R_window=Rw)
     est = density_experiment(args.lam, window, args.replicas, args.seed,
                              mapper=mapper)
     est.validate()
@@ -427,23 +381,15 @@ def cmd_phase_sweep(args, mapper):
     rows = []
     if args.pq:
         p, q = parse_pq(args.pq)
-        for L in _layers(parse_int_list(args.layers or "5"), 2):
+        for L in parse_int_list(args.layers or "5"):
             sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
                                         args.seed, mapper=mapper)
             rows.extend(sw.rows)
     else:
-        _check_lambda([args.lam])
-        windows = _window_ladder(parse_grid(args.R))
-        _check_samples([args.lam], windows)
-        for window in windows:
-            try:
-                sw = voronoi_signature_sweep(
-                    args.lam, p_values, window, args.replicas, args.seed,
-                    mapper=mapper,
-                )
-            except ValueError as e:
-                # e.g. a window so small that some replica has no core cell
-                raise ConfigError(f"window radius {window.R_window:g}: {e}")
+        for window in _windows([args.lam], parse_grid(args.R)):
+            sw = voronoi_signature_sweep(args.lam, p_values, window,
+                                         args.replicas, args.seed,
+                                         mapper=mapper)
             rows.extend(sw.rows)
     atomic_write(args.out, phase_table_csv(rows, args.unique_threshold,
                                            args.many_threshold))
@@ -459,8 +405,6 @@ def _pc_like(args, mapper, pu: bool):
     """Shared body of pc-estimate and pu-estimate (pu=True)."""
     p_grid = np.asarray(parse_grid(args.p))
     _check_unit("--p", *p_grid)
-    if np.any(np.diff(p_grid) <= 0):
-        raise ConfigError(f"--p must be strictly increasing, got {args.p!r}")
     if args.pq:
         p, q = parse_pq(args.pq)
         try:
@@ -469,7 +413,6 @@ def _pc_like(args, mapper, pu: bool):
             raise ConfigError(
                 f"a tiling's --ladder takes integer layer counts, e.g. 5,6,7; "
                 f"got {args.ladder!r}")
-        ladder = _layers(_ladder(ladder, args.ladder), 2)
         # p_u of a tiling is read from bond percolation on its dual
         mode = "bond" if pu else args.mode
         if pu:
@@ -481,9 +424,7 @@ def _pc_like(args, mapper, pu: bool):
         meta = {"model": f"tiling-{mode}", "pgon": p, "qdeg": q}
     else:
         lams = parse_grid(args.lam)
-        _check_lambda(lams)
-        ladder = _window_ladder(_ladder(parse_grid(args.ladder), args.ladder))
-        _check_samples(lams, ladder)
+        ladder = _windows(lams, parse_grid(args.ladder))
         if len(lams) > 1:
             rows, failed = estimate_pc_curve(lams, ladder, p_grid,
                                              args.replicas, args.seed,
@@ -524,19 +465,15 @@ def cmd_pu_estimate(args, mapper):
 
 def cmd_decay(args, mapper):
     p, q = parse_pq(args.pq)
-    _layers([args.layers])
     _check_unit("--p", args.p)
     distances = parse_grid(args.distances)
+    # the option's syntax, checked before the ball is built
     if any(d != int(d) for d in distances):
         raise ConfigError(
             f"--d takes integer distances, got {args.distances!r}")
-    distances = [int(d) for d in distances]
     ball = build_ball(p, q, args.layers)
-    try:
-        fit = connectivity_decay(ball, args.p, distances, args.replicas,
-                                 args.seed, mapper=mapper)
-    except ValueError as e:
-        raise ConfigError(f"--d: {e}")
+    fit = connectivity_decay(ball, args.p, distances, args.replicas,
+                             args.seed, mapper=mapper)
     lines = ["d,tau,count,trials"]
     for d, tau, c, t in zip(fit.distances, fit.tau, fit.counts, fit.trials):
         lines.append(f"{d},{tau:.6f},{c},{t}")
@@ -561,7 +498,6 @@ def cmd_render(args, mapper):
         meta = {"kind": "voronoi", "n_points": len(pts)}
     elif args.pq:
         p, q = parse_pq(args.pq)
-        _layers([args.layers])
         if args.p is not None:
             _check_unit("--p", args.p)
         ball = build_ball(p, q, args.layers)
@@ -737,11 +673,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 3
         return 0
-    except (ConfigError, TooLarge, CapExceeded, DegenerateInput) as e:
+    except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NoCrossing, InsufficientData, OriginNotInterior,
-            RuntimeError) as e:
+    except NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import ball_area, polygon_area
+from .hypgeo import InvalidInput, NumericFailure, ball_area, polygon_area
 from .hypvoronoi import VoronoiComplex, Window, cell_polygon
 from .percolation import voronoi_replica
+from .pointprocess import check_sample_size
 
 
-class OriginNotInterior(ValueError):
+class OriginNotInterior(NumericFailure):
     """Raised when the cell containing the origin is boundary-masked."""
 
 
@@ -54,7 +55,7 @@ class DensityEstimate:
         """Raise when the two face-density estimators differ by over 4 sigma."""
         s = self.cross_check_sigma()
         if s > 4.0:
-            raise RuntimeError(
+            raise NumericFailure(
                 f"face-density estimators disagree by {s:.1f} sigma"
             )
 
@@ -93,10 +94,14 @@ def density_experiment(lam: float, window: Window, replicas: int,
     Counting uses nucleus/vertex positions only; replicas whose origin
     cell is boundary-masked contribute counts but no inverse-area sample
     and are flagged as discarded for that estimator.  mapper is any
-    order-preserving map over the replica indices.
+    order-preserving map over the replica indices.  The replica count
+    and the sample are checked before the first replica.
     """
     if replicas < 2:
-        raise ValueError(f"need at least 2 replicas, got {replicas}")
+        raise InvalidInput(f"densities need at least 2 replicas for their "
+                           f"standard errors, got {replicas}")
+    check_sample_size(lam, window.R_sample)
+
     def one(rep):
         V, _ = voronoi_replica(lam, window, master_seed,
                                f"densities-lam{lam:g}", rep)

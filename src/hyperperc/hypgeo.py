@@ -22,11 +22,21 @@ WORKING_RADIUS = 12.0
 TWO_PI = 2.0 * math.pi
 
 
+class InvalidInput(ValueError):
+    """Base of every refusal of an input, raised by the function that uses
+    the value, before it does any work with it."""
+
+
+class NumericFailure(RuntimeError):
+    """Base of every estimate that valid input failed to give (no
+    crossing, too little data, a failed cross-check)."""
+
+
 class DegenerateError(ValueError):
     """Raised for geometrically degenerate input (collinear, collapsed...)."""
 
 
-class CapExceeded(ValueError):
+class CapExceeded(InvalidInput):
     """Raised when a requested radius or sample size exceeds its cap."""
 
 

@@ -27,14 +27,16 @@ from .graphs import edges_of_keys, side_keys
 from .hypgeo import (
     GeodesicPolygon,
     HPoint,
+    InvalidInput,
     circumcenters_arrays,
     geodesic_direction,
 )
 from .pointprocess import ColoredPointSet
 
 
-class DegenerateInput(ValueError):
-    """Raised for duplicate nuclei or fewer than three points."""
+class DegenerateInput(InvalidInput):
+    """Raised for duplicate nuclei, fewer than three points or a sample
+    Qhull cannot triangulate."""
 
 
 class NotInterior(ValueError):
@@ -56,9 +58,9 @@ class Window:
     def __post_init__(self):
         # 1e-12 forgives the rounding of R_window + MARGIN in with_margin
         if not 0 < self.R_window <= self.R_sample - MARGIN + 1e-12:
-            raise ValueError(f"window radius must satisfy 0 < Rw <= R - "
-                             f"{MARGIN:g}, a margin of {MARGIN:g} to the "
-                             f"sampling edge; got Rw={self.R_window:g}")
+            raise InvalidInput(f"window radius must satisfy 0 < Rw <= R - "
+                               f"{MARGIN:g}, a margin of {MARGIN:g} to the "
+                               f"sampling edge; got Rw={self.R_window:g}")
 
     @staticmethod
     def with_margin(R_window: float) -> "Window":
@@ -125,7 +127,13 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
 
 def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
     n = len(points)
-    tri = _EuclideanDelaunay(xy)  # Qhull; cocircular ties broken by joggle-free merge
+    # Qhull; cocircular ties broken by joggle-free merge
+    try:
+        tri = _EuclideanDelaunay(xy)
+    except QhullError as e:
+        # e.g. every nucleus on one line: Qhull's report, first line only
+        raise DegenerateInput(f"Qhull cannot triangulate the {n} nuclei: "
+                              f"{str(e).strip().splitlines()[0]}") from None
     simplices = tri.simplices
     faces, vr, vt, interior = _filter(
         points.rho, points.theta, simplices,

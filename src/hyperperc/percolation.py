@@ -36,6 +36,7 @@ from ._kernels import (
     site_reach_threshold,
 )
 from .graphs import bfs_distances, csr_adjacency
+from .hypgeo import InvalidInput, NumericFailure
 from .hypvoronoi import (
     LocalStars,
     Window,
@@ -47,11 +48,11 @@ from .pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
 from .tilinggraph import TilingBall, build_ball, dual_ball
 
 
-class NoCrossing(RuntimeError):
+class NoCrossing(NumericFailure):
     """Raised when reach curves of successive sizes never cross in the grid."""
 
 
-class InsufficientData(RuntimeError):
+class InsufficientData(NumericFailure):
     """Raised when too few positive connectivity frequencies remain to fit."""
 
 
@@ -135,19 +136,30 @@ def tiling_instance(ball, core_radius: int) -> PercInstance:
 
     The core is the complete vertices within graph distance core_radius
     of vertex 0; the shell is the set of combinatorially incomplete
-    vertices (degree below the regular value).
+    vertices (degree below the regular value).  A ball of one layer has
+    no complete vertex, and is refused.
     """
     dist = bfs_distances(ball.n_vertices, ball.edges, 0, core_radius)
     shell = ~ball.interior_vertex_mask
     core = (dist >= 0) & ~shell
+    if not core.any():
+        layers = getattr(ball, "primal", ball).layers
+        raise InvalidInput(
+            f"layer count must be at least 2, got {layers}: the core, the "
+            f"complete vertices within {core_radius} of the center, is empty")
     return PercInstance(ball.n_vertices, ball.edges, core, shell)
 
 
 def voronoi_instance(V, R_window: float) -> PercInstance:
     """Core/shell instance on a Voronoi complex: the core is the cells
-    meeting the ball of radius 2 that do not touch the shell."""
+    meeting the ball of radius 2 that do not touch the shell.  A window
+    that leaves no core cell is refused."""
     shell = shell_cell_mask(V, R_window)
     core = core_cell_mask(V, 2.0) & ~shell
+    if not core.any():
+        raise InvalidInput(
+            f"window radius {R_window:g} leaves no core cell: every cell "
+            f"meeting the ball of radius 2 touches the shell")
     return PercInstance(V.n_nuclei, V.delaunay_edges, core, shell)
 
 
@@ -197,7 +209,7 @@ def voronoi_sample(lam: float, R: float, master_seed: int, experiment: str,
     Returns (points, u).
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise InvalidInput(f"p must lie in [0, 1], got {p:g}")
     rng = replica_rng(master_seed, experiment, replica)
     # sample_poisson_ball is looked up in this module, where perfbench
     # traces it
@@ -333,23 +345,37 @@ def _bootstrap_draws(seed, samples):
     return np.split(draws, np.cumsum(ns)[:-1], axis=1)
 
 
+def _check_ladder(sizes, p_grid) -> np.ndarray:
+    """estimate_pc's rules on its sizes and grid, which tiling_pc and
+    voronoi_pc check before their first replica: at least 3 strictly
+    increasing sizes and a strictly increasing p-grid, since a crossing is
+    interpolated between neighbouring grid points.  Returns the grid as
+    floats."""
+    if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise InvalidInput("a ladder needs at least 3 strictly increasing "
+                           "sizes, got " + ",".join(f"{s:g}" for s in sizes))
+    p_grid = np.asarray(p_grid, dtype=float)
+    down = np.flatnonzero(np.diff(p_grid) <= 0)
+    if len(down):
+        i = down[0]
+        raise InvalidInput(f"the p-grid must be strictly increasing, got "
+                           f"{p_grid[i]:g} then {p_grid[i + 1]:g}")
+    return p_grid
+
+
 def estimate_pc(thresholds_by_size, p_grid,
                 bootstrap_seed: int = 0) -> PcEstimate:
     """Critical level from crossings of size-weighted reach curves.
 
-    thresholds_by_size: list of (size, thresholds array), ordered by
-    increasing window size; needs at least 3 sizes, and a strictly
-    increasing p_grid.  Curves are weighted by their size before
-    intersecting (see module docstring).  The estimate is the median
-    pairwise crossing; the CI is a bootstrap percentile interval over
-    replica resampling.
+    thresholds_by_size: list of (size, thresholds array).  The sizes must
+    be at least 3 and strictly increasing, and p_grid strictly
+    increasing; InvalidInput refuses any other (see _check_ladder).
+    Curves are weighted by their size before intersecting (see module
+    docstring).  The estimate is the median pairwise crossing; the CI is
+    a bootstrap percentile interval over replica resampling.
     """
-    if len(thresholds_by_size) < 3:
-        raise ValueError("need a ladder of at least 3 window sizes")
-    p_grid = np.asarray(p_grid, dtype=float)
-    if np.any(np.diff(p_grid) <= 0):
-        raise ValueError("the p-grid must be strictly increasing")
     sizes = tuple(float(s) for s, _ in thresholds_by_size)
+    p_grid = _check_ladder(sizes, p_grid)
     samples = [np.asarray(t, dtype=float) for _, t in thresholds_by_size]
     curves = tuple(reach_curve(t, p_grid) for t in samples)
     crossings = _ladder_crossings(sizes, [c[None] for c in curves], p_grid)[0]
@@ -402,9 +428,11 @@ def pu_from_dual_pc(pc: PcEstimate) -> PcEstimate:
 def tiling_pc(p_gon: int, q_deg: int, ladder, p_grid, replicas: int,
               master_seed: int, mode: str = "bond",
               use_dual: bool = False, mapper=map) -> PcEstimate:
-    """Crossing estimate of p_c for bond/site percolation on a {p,q} ball."""
+    """Crossing estimate of p_c for bond/site percolation on a {p,q} ball;
+    the ladder of layer counts and the grid are checked first."""
     if mode not in ("bond", "site"):
-        raise ValueError("mode must be bond or site")
+        raise InvalidInput(f"mode must be bond or site, got {mode!r}")
+    _check_ladder(ladder, p_grid)
     pairs = []
     for L in ladder:
         ball = build_ball(p_gon, q_deg, L)
@@ -430,10 +458,13 @@ def tiling_pu(p_gon: int, q_deg: int, ladder, p_grid, replicas: int,
 
 def voronoi_pc(lam: float, window_ladder, p_grid, replicas: int,
                master_seed: int, mapper=map) -> PcEstimate:
-    """Crossing estimate of p_c(lambda) for Voronoi color percolation."""
+    """Crossing estimate of p_c(lambda) for Voronoi color percolation;
+    the ladder of window radii and the grid are checked first."""
+    windows = [w if isinstance(w, Window) else Window.with_margin(float(w))
+               for w in window_ladder]
+    _check_ladder([w.R_window for w in windows], p_grid)
     pairs = []
-    for w in window_ladder:
-        window = w if isinstance(w, Window) else Window.with_margin(float(w))
+    for window in windows:
         tag = f"vorpc-lam{lam:g}-Rw{window.R_window:g}"
         t = voronoi_thresholds(lam, window, replicas, master_seed, tag,
                                mapper=mapper)
@@ -616,17 +647,19 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
     edges with u <= p, so subcritical replicas walk only that cluster.
     tau_hat(d) is the fraction of the sites of the sphere S_d (every ball
     vertex at graph distance d) that the cluster holds, over all replicas;
-    the fit regresses log tau_hat on d over positive entries.  A d with no
-    vertex raises ValueError before any replica runs.
+    the fit regresses log tau_hat on d over positive entries.  A d with
+    no vertex, such as one that is not an integer, raises InvalidInput
+    before any replica runs.
     """
-    distances = np.asarray(sorted(set(int(d) for d in distances)))
     dist = bfs_distances(ball.n_vertices, ball.edges, 0)
     sphere = np.bincount(dist)
     for d in distances:
-        if not 0 <= d < len(sphere):
-            raise ValueError(f"no vertex at distance {d} from the center: "
-                             f"{len(sphere) - 1} is the largest distance "
-                             f"in this ball")
+        if not 0 <= d < len(sphere) or d != int(d):
+            raise InvalidInput(
+                f"no vertex at distance {d:g} from the center: the "
+                f"distances in this ball are the integers 0 to "
+                f"{len(sphere) - 1}")
+    distances = np.asarray(sorted(set(int(d) for d in distances)))
 
     indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
     # no shell: the invasion stops at level p only

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import WORKING_RADIUS, CapExceeded, ball_area
+from .hypgeo import WORKING_RADIUS, CapExceeded, InvalidInput, ball_area
 
 # Nuclei budget of one sample, checked on the mean lam * area(R) before
 # anything is drawn.  A Voronoi threshold replica peaks at about 0.8 KB
@@ -60,11 +60,11 @@ class ColoredPointSet:
 
     def __post_init__(self):
         if len(self.rho) != len(self.theta) or len(self.rho) != len(self.white):
-            raise ValueError("coordinate/color arrays must have equal length")
+            raise InvalidInput("coordinate/color arrays must have equal length")
         if self.lam <= 0:
-            raise ValueError("intensity must be positive")
+            raise InvalidInput("intensity must be positive")
         if np.any(self.rho > self.R + 1e-12):
-            raise ValueError("nucleus outside the sampling ball")
+            raise InvalidInput("nucleus outside the sampling ball")
 
     def __len__(self) -> int:
         return len(self.rho)
@@ -113,7 +113,14 @@ class ColoredPointSet:
 
 
 def check_sample_size(lam: float, R: float) -> None:
-    """Refuse a sample whose mean count lam * area(R) exceeds MAX_NUCLEI."""
+    """Refuse an intensity lam that is not positive, a sample radius R
+    outside (0, WORKING_RADIUS], and a sample whose mean count
+    lam * area(R) exceeds MAX_NUCLEI."""
+    if not lam > 0:
+        raise InvalidInput(f"lambda must be positive, got {lam:g}")
+    if not 0 < R <= WORKING_RADIUS:
+        raise CapExceeded(f"sample radius must lie in (0, "
+                          f"{WORKING_RADIUS:g}], got R={R:g}")
     mean = lam * ball_area(R)
     if not mean <= MAX_NUCLEI:
         raise CapExceeded(
@@ -128,10 +135,6 @@ def sample_poisson_ball(lam: float, R: float, rng: np.random.Generator):
     rho = arcosh(1 + U (cosh R - 1)); angles are independent uniforms.
     Returns (rho, theta) arrays.
     """
-    if lam <= 0:
-        raise ValueError("intensity must be positive")
-    if not 0 < R <= WORKING_RADIUS:
-        raise CapExceeded(f"R must lie in (0, {WORKING_RADIUS}]")
     check_sample_size(lam, R)
     n = rng.poisson(lam * ball_area(R))
     u = rng.random(n)

@@ -21,16 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import edges_of_keys, side_keys, vertex_degrees
+from .hypgeo import InvalidInput
 
 # Vertex budget of build_ball, checked before each round allocates.
 MAX_VERTICES = 10**7
 
 
-class NotHyperbolic(ValueError):
-    """Raised when (p-2)(q-2) <= 4."""
+class NotHyperbolic(InvalidInput):
+    """Raised unless p, q >= 3 and (p-2)(q-2) > 4."""
 
 
-class TooLarge(ValueError):
+class TooLarge(InvalidInput):
     """Raised when the construction would exceed the vertex budget."""
 
 
@@ -108,8 +109,9 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
     """Build the layered {p,q} ball with `layers` rounds of faces.
 
     layers=1 is the single base face; each further round attaches every
-    face incident to a then-boundary vertex.  Raises TooLarge before a
-    round that could take the ball past MAX_VERTICES vertices.
+    face incident to a then-boundary vertex.  Raises NotHyperbolic unless
+    p, q >= 3 and (p - 2)(q - 2) > 4, and TooLarge before the base face
+    or a round that could take the ball past MAX_VERTICES vertices.
 
     A round on the boundary cycle C with degrees d: the first face is
     glued along (C[-1], C[0]), so C[-1] gains an edge first.  The heads
@@ -121,14 +123,16 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
     the round's first fresh vertex after the last head; a is the vertex
     before the face's first fresh one; fresh ids run on in face order.
     """
-    if p_gon < 3 or q_deg < 3:
-        raise ValueError("need p, q >= 3")
-    if (p_gon - 2) * (q_deg - 2) <= 4:
-        raise NotHyperbolic(f"{{{p_gon},{q_deg}}} is not hyperbolic")
-    if layers < 1:
-        raise ValueError("need at least one layer")
-
     p, q = p_gon, q_deg
+    if p < 3 or q < 3 or (p - 2) * (q - 2) <= 4:
+        raise NotHyperbolic(f"{{{p},{q}}} is not a hyperbolic tiling: need "
+                            f"p, q >= 3 and (p - 2)(q - 2) > 4")
+    if layers < 1:
+        raise InvalidInput(f"layer count must be at least 1, got {layers}")
+    if p > MAX_VERTICES:
+        raise TooLarge(f"vertex budget {MAX_VERTICES} exceeded: the base "
+                       f"face of the {{{p},{q}}} ball has {p} vertices")
+
     # col[j] is column j of a face row; faces collects one (F, p) block
     # per round, round_start the first vertex id of each round
     col = np.arange(p, dtype=np.int64)
@@ -146,7 +150,8 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         # them holds at least k + 1 old vertices (every new face meets the
         # old boundary): there are at most sum(q - d) new faces, each with
         # at most p - 2 new vertices, so the bound never under-estimates.
-        bound = n + (p - 2) * int((q - deg).sum())
+        # Python ints, exact for any q
+        bound = n + (p - 2) * (q * len(deg) - int(deg.sum()))
         if bound > MAX_VERTICES:
             raise TooLarge(
                 f"vertex budget {MAX_VERTICES} exceeded: round {round_no} of "

@@ -60,10 +60,13 @@ class TestGrids:
     def test_int_list_and_pq(self):
         assert parse_int_list("5,6,7") == [5, 6, 7]
         assert parse_pq("3,7") == (3, 7)
-        with pytest.raises(ConfigError):
-            parse_pq("4,4")  # flat, not hyperbolic
+        # a flat {4,4} parses; build_ball refuses it (exit 2, see
+        # test_invalid_input_exits_2_with_one_line)
+        assert parse_pq("4,4") == (4, 4)
         with pytest.raises(ConfigError):
             parse_pq("3")
+        with pytest.raises(ConfigError):
+            parse_int_list(",")
 
 
 _key = st.from_regex(r"[a-z][a-z0-9-]{0,10}", fullmatch=True)
@@ -335,6 +338,20 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     # a hand-written sample past the working radius, which voronoi-sample
     # refuses to write
     ["render", "--sample", "{tmp}/far-sample.txt"],
+    # p or q below 3: build_ball's rule, not a traceback
+    ["gen-tiling", "--pq", "1,-3", "--L", "2"],
+    ["gen-tiling", "--pq", "-1,-1", "--L", "2"],
+    ["decay", "--pq", "1,-3", "--L", "3", "--p", "0.1"],
+    ["decay", "--pq", "-1,-1", "--L", "3", "--p", "0.1"],
+    ["render", "--pq", "1,-3"],
+    ["render", "--pq", "-1,-1"],
+    ["phase-sweep", "--pq", "1,-3", "--L", "3", "--p", "0.3"],
+    ["phase-sweep", "--pq", "-1,-1", "--L", "3", "--p", "0.3"],
+    ["gen-tiling", "--pq", "4,4", "--L", "2"],
+    # a one-layer ball has no core
+    ["pc-estimate", "--pq", "3,7", "--ladder", "1,2,3", "--replicas", "5"],
+    # all nuclei on one geodesic: Qhull cannot triangulate them
+    ["render", "--sample", "{tmp}/flat-sample.txt"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")
@@ -343,6 +360,9 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "far-sample.txt").write_text(
         "#hpp v1 lambda=1 p=0.5 R=45 seed=0\n"
         "38 0.1 W\n39.5 2 B\n41 4 W\n40 5 B\n")
+    (tmp_path / "flat-sample.txt").write_text(
+        "#hpp v1 lambda=1 p=0.5 R=6 seed=0\n"
+        "1 0 W\n2 0 B\n3 3.141592653589793 W\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -396,6 +416,18 @@ def test_vertex_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "error: vertex budget 50 exceeded: round 2 of the {3,7} ball may "
         "need up to 60 vertices"]
+    assert not out.exists()
+
+
+def test_vertex_budget_is_checked_before_the_base_face(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 50)
+    out = tmp_path / "out"
+    assert main(["gen-tiling", "--pq", "60,3", "--L", "1", "-o",
+                 str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: vertex budget 50 exceeded: the base face of the {60,3} ball "
+        "has 60 vertices"]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperperc.hypgeo import InvalidInput
 from hyperperc.hypvoronoi import Window
 from hyperperc.percolation import (
     InsufficientData,
@@ -15,8 +16,10 @@ from hyperperc.percolation import (
     pu_from_dual_pc,
     reach_curve,
     tiling_instance,
+    tiling_pc,
     tiling_signature_sweep,
     voronoi_instance,
+    voronoi_pc,
     voronoi_signature_sweep,
     voronoi_thresholds,
     wilson_interval,
@@ -205,6 +208,34 @@ class TestEstimatePc:
                "repeated": np.concatenate([grid[:5], grid[4:]])}[order]
         with pytest.raises(ValueError, match="strictly increasing"):
             estimate_pc(pairs, bad, bootstrap_seed=1)
+
+
+LADDER_GRID = np.arange(0.1, 0.9, 0.1)
+
+
+@pytest.mark.parametrize("layers,radii,grid,message", [
+    ((7, 6, 5), (5.5, 4.5, 3.5), LADDER_GRID,
+     r"at least 3 strictly increasing sizes, got (7,6,5|5\.5,4\.5,3\.5)$"),
+    ((5, 6), (3.5, 4.5), LADDER_GRID,
+     r"at least 3 strictly increasing sizes, got (5,6|3\.5,4\.5)$"),
+    ((5, 6, 7), (3.5, 4.5, 5.5), [0.1, 0.3, 0.2],
+     "p-grid must be strictly increasing, got 0.3 then 0.2"),
+    ((5, 6, 7), (3.5, 4.5, 5.5), [0.1, 0.2, 0.2, 0.3],
+     "p-grid must be strictly increasing, got 0.2 then 0.2"),
+], ids=["decreasing", "two-sizes", "grid-down", "grid-repeats"])
+def test_estimates_refuse_a_bad_ladder_before_the_first_replica(
+        layers, radii, grid, message):
+    calls = []
+
+    def counting(fn, items):
+        calls.append(fn)
+        return map(fn, items)
+
+    with pytest.raises(InvalidInput, match=message):
+        tiling_pc(3, 7, layers, grid, 5, 1, mapper=counting)
+    with pytest.raises(InvalidInput, match=message):
+        voronoi_pc(1.0, radii, grid, 5, 1, mapper=counting)
+    assert calls == []
 
 
 class TestBootstrapOracle:
