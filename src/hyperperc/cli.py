@@ -37,8 +37,10 @@ from .densities import density_experiment
 from .hypgeo import WORKING_RADIUS, InvalidInput, NumericFailure
 from .hypvoronoi import MARGIN, Window, delaunay
 from .percolation import (
+    SWEEP_CORE,
     NoCrossing,
     SweepResult,
+    check_layers,
     connectivity_decay,
     tiling_pc,
     tiling_pu,
@@ -381,7 +383,10 @@ def cmd_phase_sweep(args, mapper):
     rows = []
     if args.pq:
         p, q = parse_pq(args.pq)
-        for L in parse_int_list(args.layers or "5"):
+        layer_counts = parse_int_list(args.layers or "5")
+        for L in layer_counts:    # every ball, before the first sweep
+            check_layers(L, SWEEP_CORE)
+        for L in layer_counts:
             sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
                                         args.seed, mapper=mapper)
             rows.extend(sw.rows)

@@ -132,23 +132,18 @@ def polygon_area(poly: GeodesicPolygon) -> float:
     return area
 
 
-def circumcenters_arrays(ax, ay, az, bx, by, bz, cx, cy, cz):
-    """Vectorized hyperboloid circumcenters for triangles given by lifts.
+def circumcenters_arrays(cx, cy, r):
+    """Vectorized hyperbolic circumcenters (rho, theta) of triangles, from
+    the Euclidean circumcircles of their Poincare images: centres (cx, cy)
+    and radii r, each circle inside the open unit disk.
 
-    Returns (rho, theta, finite_mask); rho/theta are only meaningful
-    where finite_mask is set.
+    A hyperbolic circle is a Euclidean circle of the disk, symmetric about
+    the diameter through its Euclidean centre c, which it crosses at the
+    signed disk radii |c| + r and |c| - r.  Its hyperbolic centre lies on
+    that diameter halfway between them in hyperbolic distance:
+    rho = artanh(|c| + r) + artanh(|c| - r), theta = arg c.
     """
-    ux, uy, uz = -(ax - bx), -(ay - by), (az - bz)
-    vx, vy, vz = -(bx - cx), -(by - cy), (bz - cz)
-    mx = uy * vz - uz * vy
-    my = uz * vx - ux * vz
-    mz = ux * vy - uy * vx
-    s = mz * mz - mx * mx - my * my
-    finite = s > 0
-    s_safe = np.where(finite, s, 1.0)
-    inv = 1.0 / np.sqrt(s_safe)
-    sign = np.where(mz < 0, -1.0, 1.0)
-    mx, my, mz = mx * inv * sign, my * inv * sign, mz * inv * sign
-    rho = np.arccosh(np.maximum(mz, 1.0))
-    theta = np.arctan2(my, mx) % TWO_PI
-    return rho, theta, finite
+    a = np.hypot(cx, cy)
+    rho = np.arctanh(a + r) + np.arctanh(a - r)
+    theta = np.arctan2(cy, cx) % TWO_PI
+    return rho, theta

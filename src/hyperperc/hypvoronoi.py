@@ -4,13 +4,14 @@ The hyperbolic Delaunay complex equals the sub-complex of the Euclidean
 Delaunay triangulation of the Poincare images whose circumdisks stay
 inside the open unit disk.  A whole complex (`delaunay`, for the sweeps,
 the densities and the pictures) runs Euclidean Delaunay (Qhull) on the
-whole sample and filters faces.  A reach threshold needs only the stars
-of the few cells its invasion takes, so `LocalStars` builds each when
-asked from one 2-D convex hull: the images of the cell's nearest nuclei
-under inversion about it, whose hull edges are the cell's fan of faces,
-each verified against the whole sample.  Both keep faces and mark
-interior nuclei by one rule (`_filter`).  Voronoi vertices are the
-hyperbolic circumcenters of the kept faces.
+whole sample and filters faces (`_filter`).  A reach threshold needs only
+the stars of the few cells its invasion takes, so `LocalStars` builds
+each when asked from one 2-D convex hull: the images of the cell's
+nearest nuclei under inversion about it, whose hull edges are the cell's
+fan of faces, each proven empty in that inversion space.  Both keep
+faces and mark interior nuclei by one rule, and both take a face's
+Voronoi vertex, its hyperbolic circumcenter, from its Euclidean
+circumcircle in closed form (`hypgeo.circumcenters_arrays`).
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
                               f"{str(e).strip().splitlines()[0]}") from None
     simplices = tri.simplices
     faces, vr, vt, interior = _filter(
-        points.rho, points.theta, simplices,
-        _reach(_euclidean_circumcircles(xy, simplices)), _hull_mask(tri),
+        simplices, _euclidean_circumcircles(xy, simplices), _hull_mask(tri),
         points.R)
     corners = faces.ravel()
     edges = edges_of_keys(side_keys(faces, n), n)
@@ -165,25 +165,21 @@ def _hull_mask(tri) -> np.ndarray:
     return on_hull
 
 
-def _filter(rho, theta, simplices, reach, on_hull, R):
-    """The kept faces among Euclidean Delaunay `simplices`, their Voronoi
-    vertices (rho, theta) and the interior mask of the nuclei; the one
-    rule for whole complexes and local stars.
+def _filter(simplices, circles, on_hull, R):
+    """The kept faces among Euclidean Delaunay `simplices` with `circles`,
+    their Voronoi vertices (rho, theta) and the interior mask of the
+    nuclei.
 
-    A face is kept when its Euclidean circumdisk, which reaches `reach`
-    from the origin, lies inside the open unit disk and its hyperbolic
-    circumcenter is finite.  A nucleus is interior when it is off the
-    hull, has a face, every face it has is kept, and all its Voronoi
-    vertices lie within R - 1 of the origin.
+    A face is kept when its Euclidean circumdisk lies inside the open unit
+    disk.  A nucleus is interior when it is off the hull, has a face,
+    every face it has is kept, and all its Voronoi vertices lie within
+    R - 1 of the origin.  LocalStars applies the same rule to a fan.
     """
-    n = len(rho)
-    faces = simplices[reach < 1.0]
-    # (m, 9): the lifts of each face's corners, one after the other
-    lifts = _hyperboloid(rho, theta)[faces].reshape(-1, 9)
-    vr, vt, finite = circumcenters_arrays(*lifts.T)
-    # containment of the Euclidean circumdisk implies a finite center
-    faces = faces[finite].astype(np.int64)
-    vr, vt = vr[finite], vt[finite]
+    n = len(on_hull)
+    cx, cy, r = circles
+    keep = _reach(circles) < 1.0
+    faces = simplices[keep].astype(np.int64)
+    vr, vt = circumcenters_arrays(cx[keep], cy[keep], r[keep])
     star_kept = np.bincount(faces.ravel(), minlength=n)
     star_total = np.bincount(simplices.ravel(), minlength=n)
     interior = (~on_hull) & (star_kept == star_total) & (star_total > 0)
@@ -194,13 +190,13 @@ def _filter(rho, theta, simplices, reach, on_hull, R):
 
 def _reach(circles):
     """How far from the origin the circumdisks reach, in the disk."""
-    cx, cy, r2 = circles
-    return np.hypot(cx, cy) + np.sqrt(r2)
+    cx, cy, r = circles
+    return np.hypot(cx, cy) + r
 
 
 def _euclidean_circumcircles(xy, simplices):
-    """Centres (x, y) and squared radii of the triangles' circumcircles;
-    NaN, which keeps and proves no face, for collinear corners."""
+    """Centres (x, y) and radii of the triangles' circumcircles; NaN,
+    which keeps and proves no face, for collinear corners."""
     a, b, c = xy[simplices].transpose(1, 2, 0)
     ax, ay = a
     bx, by = b[0] - ax, b[1] - ay
@@ -211,7 +207,7 @@ def _euclidean_circumcircles(xy, simplices):
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
-    return ax + ux, ay + uy, ux * ux + uy * uy
+    return ax + ux, ay + uy, np.hypot(ux, uy)
 
 
 # A star first takes the STAR_NUCLEI nuclei nearest its cell, then
@@ -226,8 +222,9 @@ STAR_GROWTH = 4
 _ROUNDING = 1e-9
 # relative margin of the interior test: a star with a Voronoi vertex this
 # close to R - 1 comes from the whole complex.  One face's hyperbolic
-# circumcenter, computed from its corners in another order, moved by at
-# most 2e-7 of its radius over 80 000 faces of radius up to 10.
+# circumcenter, from its circle through its corners in another order or
+# from a star's inverted hull, moved by at most 3e-11 of its radius over
+# 140 000 faces of radius up to 10.
 _VERTEX_ROUNDING = 1e-5
 
 
@@ -254,19 +251,21 @@ class LocalStars:
     candidates' hull, and each edge of the images' hull makes with x a
     face with no candidate in its circumdisk; these faces close a fan
     around x.  A face is proven a Delaunay triangle of the sample when no
-    nucleus lies in its open circumdisk or within rounding of its circle:
-    a circumdisk inside the candidates' ball {key < t}, t the key of the
-    nearest nucleus left out, is checked against the candidates, any
-    other against the whole sample.  A proven fan is x's whole star.  If
-    the hull does not hold the origin, Qhull refuses it or a face is not
-    proven, more nuclei are taken, up to the whole sample, whose complex
-    delaunay() builds.  On the voronoi-pc benchmark 531 stars took 532
-    hulls and no whole complex.  Faces, Voronoi vertices and the interior
-    flag follow delaunay()'s rule (`_filter`).  The vertices agree with
-    delaunay()'s to rounding, since a face's corners may come in another
-    order than in Qhull's triangulation, so a star on which the keep or
-    the interior test is within rounding of its bound comes from the
-    whole complex as well, and so has delaunay()'s flag by construction.
+    nucleus lies in its open circumdisk or within rounding of its circle,
+    a test that the hull edge's line equation gives in inversion space
+    (`_fan`): a circumdisk inside the candidates' ball {key < t}, t the
+    key of the nearest nucleus left out, is checked against the
+    candidates, any other against the whole sample as well.  A proven fan
+    is x's whole star.  If the hull does not hold the origin, Qhull
+    refuses it or a face is not proven, more nuclei are taken, up to the
+    whole sample, whose complex delaunay() builds.  On the voronoi-pc
+    benchmark 531 stars took 532 hulls and no whole complex.  Faces,
+    Voronoi vertices and the interior flag follow delaunay()'s rule
+    (`_filter`), face by face.  The vertices agree with delaunay()'s to
+    rounding, since the star's circles come from the hull's lines and
+    delaunay()'s from the corners, so a star on which the keep or the
+    interior test is within rounding of its bound comes from the whole
+    complex as well, and so has delaunay()'s flag by construction.
     """
 
     def __init__(self, points: ColoredPointSet):
@@ -306,63 +305,93 @@ class LocalStars:
         while k < n:
             part = np.argpartition(key, k - 1)
             near, t = part[:k - 1], key[part[k - 1]]
-            fan = self._fan(np.concatenate((near, [x])), t, r2[near])
+            fan = self._fan(x, near, t, r2[near])
             if fan is not None:
-                return self._fan_star(*fan)
+                return self._fan_star(x, *fan)
             k *= STAR_GROWTH
         return None
 
-    def _fan(self, nodes, t, d2):
-        """The faces of x = nodes[-1] over the nodes, as node indices, and
-        their circumcircles, when the hull of the other nodes' images
-        holds the origin and every face is proven; else None.  d2 holds
-        the other nodes' squared distances to x."""
-        pxy = self._xy[nodes]
+    def _fan(self, x, near, t, d2):
+        """x's fan over its candidates `near`, when the hull of their
+        images holds the origin and every face is proven; else None.  The
+        fan is the hull's edges (index pairs into near), its vertices and
+        the faces' circumcircles, rows (centre x, centre y, radius).  d2
+        holds the candidates' squared distances to x, t the key of the
+        nearest nucleus left out."""
+        # the images q = (p - x) / |p - x|^2, and |q|^2 as a third column
+        q = np.ones((len(near), 3))
+        q[:, :2] = self._xy[near]
+        q[:, :2] -= self._xy[x]
+        q /= d2[:, None]
         try:
-            hull = ConvexHull((pxy[:-1] - pxy[-1]) / d2[:, None])
+            hull = ConvexHull(q[:, :2])
         except QhullError:
             return None
         # the origin strictly inside the hull (every offset negative), so
         # the faces close a fan around x
-        if not hull.equations[:, 2].max() < 0.0:
+        eq = hull.equations
+        if not eq[:, 2].max() < 0.0:
             return None
-        # each hull edge makes a face with x
-        fan = np.full((len(hull.simplices), 3), len(d2))
-        fan[:, :2] = hull.simplices
-        cx, cy, r2 = circles = _euclidean_circumcircles(pxy, fan)
-        # every face against the candidates, and one whose circumdisk
-        # leaves their ball {key < t}, the Euclidean disk of centre
-        # z_x / (1 + t), against the whole sample as well
-        if not _clear(pxy[:, 0], pxy[:, 1], fan, cx, cy, r2):
+        # hull edge j lies on the line n.q + off = 0, the image of the
+        # circumcircle of x and the edge's ends.  Its centre is x + u with
+        # 2u = n / -off, and a nucleus p of image q has the power
+        # |p - x|^2 (1 - 2u.q) to it, so |p - c|^2 >= r^2 (1 + _ROUNDING)
+        # reads 2u.q + _ROUNDING |u|^2 |q|^2 <= 1.  Every candidate but the
+        # face's own corners must pass it
+        w = eq / -eq[:, 2:]        # rows (2u, -1)
+        circles = 0.5 * w          # rows (u, r) once r is in
+        circles[:, 2] = r = np.hypot(circles[:, 0], circles[:, 1])
+        w[:, 2] = _ROUNDING * np.square(r)
+        power = q @ w.T
+        pairs = hull.simplices
+        power[pairs, np.arange(len(pairs))[:, None]] = 0.0
+        if not (power <= 1.0).all():
             return None
-        bx, by = pxy[-1] / (1.0 + t)
-        br = math.sqrt(t * (t + self._w[nodes[-1]])) / (1.0 + t)
-        out = (np.hypot(cx - bx, cy - by) + np.sqrt(r2)
-               >= br * (1 - _ROUNDING))
-        if out.any() and not _clear(self._x, self._y, nodes[fan[out]],
-                                    cx[out], cy[out], r2[out]):
-            return None
-        return nodes, fan, circles
+        circles[:, :2] += self._xy[x]
+        # a face whose circumdisk leaves the candidates' ball {key < t},
+        # the Euclidean disk of centre z_x / (1 + t), against the whole
+        # sample as well
+        bx, by = (self._xy[x] / (1.0 + t)).tolist()
+        br = math.sqrt(t * (t + self._w[x])) / (1.0 + t) * (1 - _ROUNDING)
+        out = [j for j, (cx, cy, r) in enumerate(circles.tolist())
+               if math.hypot(cx - bx, cy - by) + r >= br]
+        if out:
+            faces = np.full((len(out), 3), x)
+            faces[:, :2] = near[pairs[out]]
+            if not _clear(self._x, self._y, faces, *circles[out].T):
+                return None
+        return near, pairs, hull.vertices, circles
 
-    def _fan_star(self, nodes, fan, circles):
-        """The star of x = nodes[-1] from its proven fan, by _filter's
-        rule; None when the keep or the interior test is within rounding
-        of its bound."""
-        reach = _reach(circles)
+    def _fan_star(self, x, near, pairs, ring, circles):
+        """The star of x from its proven fan, by _filter's rule; None when
+        the keep or the interior test is within rounding of its bound."""
+        kept = []
+        for j, (cx, cy, r) in enumerate(circles.tolist()):
+            reach = math.hypot(cx, cy) + r
+            if abs(reach - 1.0) <= _ROUNDING:
+                return None
+            if reach < 1.0:
+                kept.append(j)
+        interior = len(kept) == len(circles)    # every face kept
+        if not interior:
+            pairs, circles = pairs[kept], circles[kept]
+            ring = np.unique(pairs)
+        vr, _ = circumcenters_arrays(*circles.T)
         R = self.points.R
-        kept, vr, _, interior = _filter(
-            self.points.rho[nodes], self.points.theta[nodes], fan, reach,
-            np.zeros(len(nodes), dtype=bool), R)
-        if (np.abs(reach - 1.0).min() <= _ROUNDING
-                or np.abs(vr - (R - 1.0)).min(initial=np.inf)
-                <= _VERTEX_ROUNDING * R):
-            return None
-        return _star(int(nodes[-1]), nodes[kept], vr, bool(interior[-1]))
+        for v in vr.tolist():
+            if abs(v - (R - 1.0)) <= _VERTEX_ROUNDING * R:
+                return None
+            interior = interior and v <= R - 1.0
+        faces = np.full((len(pairs), 3), x)
+        faces[:, :2] = near[pairs]
+        return Star(faces, vr, np.sort(near[ring]), interior)
 
     def _from_whole(self, x):
         V = self._whole
         js = V.cell_faces(x)
-        return _star(x, V.faces[js], V.vor_rho[js], bool(V.interior_mask[x]))
+        corners = np.unique(V.faces[js])
+        return Star(V.faces[js], V.vor_rho[js], corners[corners != x],
+                    bool(V.interior_mask[x]))
 
     def neighbours(self, x: int, R_window: float):
         """Cell x's Delaunay neighbours as _kernels._invade reads site
@@ -381,7 +410,7 @@ class LocalStars:
         return _core_rule(self.points.rho, s.faces, s.vor_rho, 0.0)
 
 
-def _clear(xs, ys, faces, cx, cy, r2):
+def _clear(xs, ys, faces, cx, cy, r):
     """Whether none of the points (xs, ys) lies in the open circumdisk of
     any face, or within rounding of its circle, apart from the face's own
     corners (indices into xs, ys), which lie on it.  A face without a
@@ -390,17 +419,7 @@ def _clear(xs, ys, faces, cx, cy, r2):
     dy = ys - cy[:, None]
     d = dx * dx + dy * dy
     d[np.arange(len(d))[:, None], faces] = np.inf
-    return bool((d >= r2[:, None] * (1 + _ROUNDING)).all())
-
-
-def _star(x, faces, vor_rho, interior):
-    corners = np.unique(faces)
-    return Star(faces, vor_rho, corners[corners != x], interior)
-
-
-def _hyperboloid(rho, theta):
-    s = np.sinh(rho)
-    return np.array([s * np.cos(theta), s * np.sin(theta), np.cosh(rho)]).T
+    return bool((d >= np.square(r)[:, None] * (1 + _ROUNDING)).all())
 
 
 def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:

@@ -131,22 +131,28 @@ class PercInstance:
             raise ValueError("core and shell must be nonempty")
 
 
+def check_layers(layers: int, core_radius: int) -> None:
+    """tiling_instance's rule, which needs only the layer count: a ball of
+    one layer has no complete vertex, and from two layers on the center
+    is complete, so the core is empty exactly when layers < 2."""
+    if layers < 2:
+        raise InvalidInput(
+            f"layer count must be at least 2, got {layers}: the core, the "
+            f"complete vertices within {core_radius} of the center, is empty")
+
+
 def tiling_instance(ball, core_radius: int) -> PercInstance:
     """Core/shell instance on a TilingBall or DualBall.
 
     The core is the complete vertices within graph distance core_radius
     of vertex 0; the shell is the set of combinatorially incomplete
     vertices (degree below the regular value).  A ball of one layer has
-    no complete vertex, and is refused.
+    no complete vertex, and is refused (check_layers).
     """
+    check_layers(getattr(ball, "primal", ball).layers, core_radius)
     dist = bfs_distances(ball.n_vertices, ball.edges, 0, core_radius)
     shell = ~ball.interior_vertex_mask
     core = (dist >= 0) & ~shell
-    if not core.any():
-        layers = getattr(ball, "primal", ball).layers
-        raise InvalidInput(
-            f"layer count must be at least 2, got {layers}: the core, the "
-            f"complete vertices within {core_radius} of the center, is empty")
     return PercInstance(ball.n_vertices, ball.edges, core, shell)
 
 
@@ -564,16 +570,20 @@ def _pass_counts(inst: PercInstance, order, levels, p, reverse: bool):
                       inst.core, inst.shell, cuts)
 
 
+# core radius of both instances of a tiling sweep
+SWEEP_CORE = 2
+
+
 def tiling_signature_sweep(p_gon: int, q_deg: int, layers: int, p_values,
                            replicas: int, master_seed: int,
                            mapper=map) -> SweepResult:
     """Bond percolation sweep on one {p,q} ball with coupled uniforms per
     replica: an edge is open at p iff u < p, its dual edge iff u >= p.
-    Both cores have radius 2."""
+    Both cores have radius SWEEP_CORE."""
     ball = build_ball(p_gon, q_deg, layers)
     dual = dual_ball(ball)
-    inst = tiling_instance(ball, 2)
-    dinst = tiling_instance(dual, 2)
+    inst = tiling_instance(ball, SWEEP_CORE)
+    dinst = tiling_instance(dual, SWEEP_CORE)
     p = np.asarray(p_values, dtype=float)
     tag = f"sweep-{p_gon}-{q_deg}-L{layers}"
 

@@ -32,6 +32,13 @@ _DISK = ('<circle cx="0" cy="0" r="1" fill="none" stroke="#000" '
          'stroke-width="0.006"/>\n')
 
 
+# the coordinates' last written decimal.  An arc that bows less than this
+# from its chord is written as the chord: its radius, large and
+# ill-conditioned in the endpoints, would print rounding noise (a 1e-16
+# move of an endpoint shifted a radius of 1442.24 in its 5th decimal)
+_RESOLUTION = 1e-5
+
+
 def _fmt(x: float) -> str:
     # a coordinate that rounds to zero reads 0.00000 whatever the sign of
     # its rounding residue
@@ -62,10 +69,16 @@ def _edge_d(za: complex, zb: complex) -> str:
         large = 1 if gap > math.pi else 0
         return f"A 1 1 0 {large} 1 {_fmt(zb.real)} {_fmt(zb.imag)}"
     g = _geo_params(za, zb)
-    if g is None:
+    if g is None or _sagitta(abs(zb - za), g[1]) < _RESOLUTION:
         return f"L {_fmt(zb.real)} {_fmt(zb.imag)}"
     _, r, sweep = g
     return f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(zb.real)} {_fmt(zb.imag)}"
+
+
+def _sagitta(chord: float, r: float) -> float:
+    """How far the minor arc of radius r over a chord bows from it."""
+    h = 0.5 * chord
+    return h * h / (r + math.sqrt(max(r * r - h * h, 0.0)))
 
 
 def _polygon_d(zs) -> str:

@@ -1,11 +1,13 @@
 """Reference hyperbolic geometry: distances, the isometry group of the
-Poincare disk and the scalar hyperboloid circumcenter.
+Poincare disk and the hyperboloid circumcenter, in floats and in decimal
+arithmetic of any precision.
 
 The library computes with closed forms and array code; these scalar
 constructions check it.  Points are `hyperperc.hypgeo.HPoint`s.
 """
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -166,3 +168,37 @@ def circumcenter(a: HPoint, b: HPoint, c: HPoint):
     rho = math.acosh(max(m[2], 1.0))
     theta = math.atan2(m[1], m[0]) % TWO_PI
     return HPoint(rho, theta)
+
+
+def circumcenter_decimal(corners, digits: int = 50):
+    """`circumcenter`'s construction in `digits`-digit decimal arithmetic,
+    from three disk points (x, y) given as floats, whose decimal values
+    are exact.  Returns (rho, mx, my) as Decimals, (mx, my) pointing
+    along the direction theta, or None when no finite center exists.
+
+    The lift of a disk point z, (2x, 2y, 1 + |z|^2) / (1 - |z|^2), is a
+    quotient of the exact inputs, so every digit that the float routines
+    lose near the rim is kept here.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        lifts = []
+        for x, y in corners:
+            x, y = decimal.Decimal(x), decimal.Decimal(y)
+            s = x * x + y * y
+            lifts.append((2 * x / (1 - s), 2 * y / (1 - s), (1 + s) / (1 - s)))
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = lifts
+        # eta (A - B) x eta (B - C), eta = diag(-1, -1, 1)
+        ux, uy, uz = bx - ax, by - ay, az - bz
+        vx, vy, vz = cx - bx, cy - by, bz - cz
+        mx = uy * vz - uz * vy
+        my = uz * vx - ux * vz
+        mz = ux * vy - uy * vx
+        s = mz * mz - mx * mx - my * my
+        if s <= 0:
+            return None
+        if mz < 0:
+            mx, my, mz = -mx, -my, -mz
+        cosh = mz / s.sqrt()
+        rho = (cosh + (cosh * cosh - 1).sqrt()).ln()
+        return rho, mx, my

@@ -12,7 +12,7 @@ import pytest
 import scipy
 from hypothesis import given, strategies as st
 
-from hyperperc import _kernels, tilinggraph
+from hyperperc import _kernels, cli, tilinggraph
 from hyperperc.cli import (
     MAX_GRID_POINTS,
     PC_CURVE_HEADER,
@@ -428,6 +428,25 @@ def test_vertex_budget_is_checked_before_the_base_face(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         "error: vertex budget 50 exceeded: the base face of the {60,3} ball "
         "has 60 vertices"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers,message", [
+    ("3,1", "layer count must be at least 2, got 1: the core, the complete "
+            "vertices within 2 of the center, is empty"),
+    ("3,0", "layer count must be at least 2, got 0: the core, the complete "
+            "vertices within 2 of the center, is empty"),
+], ids=["one-layer", "no-layer"])
+def test_phase_sweep_checks_every_layer_count_before_the_first_sweep(
+        layers, message, tmp_path, capsys, monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(cli, "tiling_signature_sweep",
+                        lambda *a, **k: sweeps.append(a))
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--pq", "3,7", "--L", layers, "--p", "0.3",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
+    assert sweeps == []
     assert not out.exists()
 
 

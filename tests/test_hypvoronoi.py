@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from dataclasses import replace
@@ -384,12 +385,12 @@ def assert_stars_match(stars, V, cells):
         assert {frozenset(f) for f in s.faces.tolist()} == faces
         assert s.neighbours.tolist() == nbrs
         assert s.interior == interior
-        # a face's corners may come in another order than in V, and at
-        # the sampling radius and beyond the hyperboloid circumcenter
-        # keeps only about 7 digits
+        # the star's circles come from the inverted hull, V's from the
+        # corners in Qhull's order: they differed by 1.4e-12 of rho at
+        # most over 175 000 faces (lambda 0.05-8)
         np.testing.assert_allclose(np.sort(s.vor_rho),
                                    np.sort(V.vor_rho[V.cell_faces(int(x))]),
-                                   rtol=1e-6)
+                                   rtol=1e-10)
 
 
 def neighbours_off(V, x, faces):
@@ -556,23 +557,44 @@ class TestLocalStars:
 
     def test_face_without_a_circle_fails_the_proof(self, monkeypatch,
                                                     qhull_sizes):
-        # a fan face whose circle comes out NaN is not proven, so the star
-        # grows, here to the whole complex, and still equals delaunay()'s
+        # a fan face whose circle comes out NaN, here from a NaN normal of
+        # its hull edge, is not proven, so the star grows, here to the
+        # whole complex, and still equals delaunay()'s
         pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
         V = delaunay(pts)
-        circles = hypvoronoi._euclidean_circumcircles
+        hull = hypvoronoi.ConvexHull    # counted
 
-        def one_nan(xy, simplices):
-            cx, cy, r2 = circles(xy, simplices)
-            if len(xy) < len(pts):     # a star's nodes, not the sample
-                cx[0] = cy[0] = r2[0] = np.nan
-            return cx, cy, r2
+        def one_nan(q):
+            h = hull(q)
+            h.equations[0, :2] = np.nan
+            return h
 
-        monkeypatch.setattr(hypvoronoi, "_euclidean_circumcircles", one_nan)
+        monkeypatch.setattr(hypvoronoi, "ConvexHull", one_nan)
         x = int(np.flatnonzero(pts.rho <= 4.5)[0])
         del qhull_sizes[:]
         assert_stars_match(LocalStars(pts), V, [x])
         assert qhull_sizes[0] == FIRST and qhull_sizes[-1] == len(pts)
+
+    def test_nucleus_at_a_circle_fails_the_proof(self, qhull_sizes):
+        # a nucleus outside a fan face's circumcircle by 1e-10 of its
+        # radius lies within the emptiness test's margin, so no hull
+        # proves x's fan, and x's star comes from the whole complex
+        pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
+        x = int(np.flatnonzero(pts.rho <= 4.5)[0])
+        xy = pts.disk_xy
+        face = LocalStars(pts).star(x).faces[:1]
+        (cx,), (cy,), (r,) = hypvoronoi._euclidean_circumcircles(xy, face)
+        # across the circle from x
+        c = complex(cx, cy)
+        out = c - complex(*xy[x])
+        z = c + r * (1 + 1e-10) * out / abs(out)
+        at = replace(pts, rho=np.append(pts.rho, 2 * math.atanh(abs(z))),
+                     theta=np.append(pts.theta, cmath.phase(z) % (2 * math.pi)),
+                     white=np.append(pts.white, True))
+        V = delaunay(at)
+        del qhull_sizes[:]
+        assert_stars_match(LocalStars(at), V, [x])
+        assert qhull_sizes[0] == FIRST and qhull_sizes[-1] == len(at)
 
     def test_refused_hull_fails_the_proof(self, monkeypatch, qhull_sizes):
         # a hull that Qhull refuses counts as a failed proof: the star

@@ -131,3 +131,33 @@ def test_render_tiling_styles_by_state():
     bold = sum(1 for e in edges if e.get("stroke") == "#d62728")
     assert bold == int(open_edges.sum())
 
+
+
+def test_an_arc_flatter_than_the_output_is_written_as_its_chord():
+    # a short edge near the rim on a geodesic through the middle of the
+    # disk, from the lambda 0.5, R 7, seed 2 render: an arc of radius
+    # 1442.24, whose 5th decimal a 1-ulp move of an endpoint changed,
+    # bowing 1.4e-9 from its chord
+    za = complex(-0.8777936034231787, 0.4705252723279176)
+    zb = complex(-0.8813634645945174, 0.472438824905351)
+    _, r, _ = svg._geo_params(za, zb)
+    assert r > 1000
+    d = svg._edge_d(za, zb)
+    assert d == "L -0.88136 0.47244"
+    for ulps in (-2, -1, 1, 2):
+        for moved in ((za, _ulps(zb, ulps)), (_ulps(za, ulps), zb)):
+            assert svg._edge_d(*moved) == d
+    assert svg._edge_d(_ulps(zb, -1), za) == "L -0.87779 0.47053"
+    # a short edge on a small circle still bows: an arc
+    zc = complex(-0.87807, 0.46703)
+    zd = complex(-0.88350, 0.46842)
+    assert svg._edge_d(zc, zd).startswith("A ")
+
+
+def _ulps(z, k):
+    """z with both coordinates moved by k units in the last place."""
+    def move(x):
+        for _ in range(abs(k)):
+            x = np.nextafter(x, math.copysign(math.inf, k))
+        return float(x)
+    return complex(move(z.real), move(z.imag))
