@@ -51,7 +51,7 @@ from .percolation import (
     voronoi_signature_sweep,
 )
 from .pointprocess import ColoredPointSet, check_sample_size, replica_rng
-from .tilinggraph import build_ball
+from .tilinggraph import ball_vertices, build_ball
 
 PHASE_HEADER = ("model,p,lambda,pgon,qdeg,R,replicas,label,"
                 "theta_w,theta_b,unique_w,unique_b,kw,kb,seed")
@@ -386,6 +386,8 @@ def cmd_phase_sweep(args, mapper):
         layer_counts = parse_int_list(args.layers or "5")
         for L in layer_counts:    # every ball, before the first sweep
             check_layers(L, SWEEP_CORE)
+        # the smaller balls are the largest's first rounds
+        ball_vertices(p, q, max(layer_counts))
         for L in layer_counts:
             sw = tiling_signature_sweep(p, q, L, p_values, args.replicas,
                                         args.seed, mapper=mapper)

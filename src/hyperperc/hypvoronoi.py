@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -226,15 +225,35 @@ _ROUNDING = 1e-9
 # from a star's inverted hull, moved by at most 3e-11 of its radius over
 # 140 000 faces of radius up to 10.
 _VERTEX_ROUNDING = 1e-5
+# what LocalStars._fan returns for a fan it cannot prove
+_UNPROVEN = object()
 
 
-class Star(NamedTuple):
-    """A cell's Delaunay star, as delaunay() of the whole sample has it."""
+class Star:
+    """A cell's Delaunay star, as delaunay() of the whole sample has it: its
+    kept faces (m, 3) in sample indices, their Voronoi vertices' polar
+    radii vor_rho (m,), the other corners of the kept faces, ascending, and
+    the interior flag; indexed as the tuple of these four.  A local star
+    also holds its faces' Euclidean circumcircles, a list of (centre x,
+    centre y, radius), and computes vor_rho from them when it is first
+    read."""
 
-    faces: np.ndarray      # (m, 3) kept faces, sample indices
-    vor_rho: np.ndarray    # (m,) their Voronoi vertices' polar radii
-    neighbours: np.ndarray  # the other corners of the kept faces, ascending
-    interior: bool
+    __slots__ = ("faces", "neighbours", "interior", "circles", "_vor_rho")
+
+    def __init__(self, faces, vor_rho, neighbours, interior, circles=None):
+        self.faces, self._vor_rho = faces, vor_rho
+        self.neighbours, self.interior = neighbours, interior
+        self.circles = circles
+
+    @property
+    def vor_rho(self) -> np.ndarray:
+        if self._vor_rho is None:
+            rows = np.array(self.circles).reshape(-1, 3)
+            self._vor_rho, _ = circumcenters_arrays(*rows.T)
+        return self._vor_rho
+
+    def __getitem__(self, i):
+        return (self.faces, self.vor_rho, self.neighbours, self.interior)[i]
 
 
 class LocalStars:
@@ -252,20 +271,32 @@ class LocalStars:
     face with no candidate in its circumdisk; these faces close a fan
     around x.  A face is proven a Delaunay triangle of the sample when no
     nucleus lies in its open circumdisk or within rounding of its circle,
-    a test that the hull edge's line equation gives in inversion space
-    (`_fan`): a circumdisk inside the candidates' ball {key < t}, t the
-    key of the nearest nucleus left out, is checked against the
-    candidates, any other against the whole sample as well.  A proven fan
-    is x's whole star.  If the hull does not hold the origin, Qhull
-    refuses it or a face is not proven, more nuclei are taken, up to the
-    whole sample, whose complex delaunay() builds.  On the voronoi-pc
-    benchmark 531 stars took 532 hulls and no whole complex.  Faces,
-    Voronoi vertices and the interior flag follow delaunay()'s rule
-    (`_filter`), face by face.  The vertices agree with delaunay()'s to
-    rounding, since the star's circles come from the hull's lines and
-    delaunay()'s from the corners, so a star on which the keep or the
-    interior test is within rounding of its bound comes from the whole
-    complex as well, and so has delaunay()'s flag by construction.
+    a test that the hull edge's line equation gives in inversion space: a
+    circumdisk inside the candidates' ball {key < t}, t the key of the
+    nearest nucleus left out, is checked against the candidates, any other
+    against the whole sample as well.  A proven fan is x's whole star.  If
+    the hull does not hold the origin, Qhull refuses it or a face is not
+    proven, more nuclei are taken, up to the whole sample, whose complex
+    delaunay() builds.  On the voronoi-pc benchmark 531 stars took 532
+    hulls and no whole complex.
+
+    One scalar pass over the hull's edges (`_fan`) gives each face's
+    circle, its row of the emptiness proof, which one matrix product
+    checks against every candidate, and its keep test, by _filter's rule.
+    The interior flag needs the Voronoi vertices only when the circles
+    leave it open: a face's vertex lies inside its circumdisk, so its
+    radius is at most 2 artanh(|c| + r).  When every kept face reaches at
+    most tanh((R - 1 - _VERTEX_ROUNDING R) / 2), less a rounding margin,
+    every vertex lies within R - 1 and clear of the interior test's guard,
+    and the star is interior exactly when every face is kept.  On the
+    voronoi-pc benchmark this bound settled 463 of 531 stars; the others,
+    and any star whose vor_rho is read, take their vertices from
+    hypgeo.circumcenters_arrays.  The vertices agree with
+    delaunay()'s to rounding, since the star's circles come from the
+    hull's lines and delaunay()'s from the corners, so a star on which the
+    keep or the interior test is within rounding of its bound comes from
+    the whole complex as well, and so has delaunay()'s flag by
+    construction.
     """
 
     def __init__(self, points: ColoredPointSet):
@@ -274,6 +305,11 @@ class LocalStars:
         self._x, self._y = xy[:, 0].copy(), xy[:, 1].copy()
         self._w = 1.0 - (self._x * self._x + self._y * self._y)
         self._inv_w = 1.0 / self._w
+        # the largest reach |c| + r of a kept face that puts its Voronoi
+        # vertex within R - 1 - _VERTEX_ROUNDING R of the origin
+        R = points.R
+        self._settled = (math.tanh((R - 1.0 - _VERTEX_ROUNDING * R) / 2.0)
+                         * (1 - _ROUNDING))
         self._whole = None
         self._stars = {}
 
@@ -305,86 +341,99 @@ class LocalStars:
         while k < n:
             part = np.argpartition(key, k - 1)
             near, t = part[:k - 1], key[part[k - 1]]
-            fan = self._fan(x, near, t, r2[near])
-            if fan is not None:
-                return self._fan_star(x, *fan)
+            star = self._fan(x, near, t, r2[near])
+            if star is not _UNPROVEN:
+                return star
             k *= STAR_GROWTH
         return None
 
     def _fan(self, x, near, t, d2):
-        """x's fan over its candidates `near`, when the hull of their
-        images holds the origin and every face is proven; else None.  The
-        fan is the hull's edges (index pairs into near), its vertices and
-        the faces' circumcircles, rows (centre x, centre y, radius).  d2
-        holds the candidates' squared distances to x, t the key of the
-        nearest nucleus left out."""
+        """x's star over its candidates `near` when the hull of their
+        images holds the origin and every face is proven, None when the
+        keep or the interior test is within rounding of its bound, and
+        _UNPROVEN otherwise.  d2 holds the candidates' squared distances
+        to x, t the key of the nearest nucleus left out."""
         # the images q = (p - x) / |p - x|^2, and |q|^2 as a third column
-        q = np.ones((len(near), 3))
-        q[:, :2] = self._xy[near]
-        q[:, :2] -= self._xy[x]
+        q = np.empty((len(near), 3))
+        np.subtract(self._xy[near], self._xy[x], out=q[:, :2])
+        q[:, 2] = 1.0
         q /= d2[:, None]
         try:
             hull = ConvexHull(q[:, :2])
         except QhullError:
-            return None
-        # the origin strictly inside the hull (every offset negative), so
-        # the faces close a fan around x
-        eq = hull.equations
-        if not eq[:, 2].max() < 0.0:
-            return None
-        # hull edge j lies on the line n.q + off = 0, the image of the
-        # circumcircle of x and the edge's ends.  Its centre is x + u with
-        # 2u = n / -off, and a nucleus p of image q has the power
-        # |p - x|^2 (1 - 2u.q) to it, so |p - c|^2 >= r^2 (1 + _ROUNDING)
-        # reads 2u.q + _ROUNDING |u|^2 |q|^2 <= 1.  Every candidate but the
-        # face's own corners must pass it
-        w = eq / -eq[:, 2:]        # rows (2u, -1)
-        circles = 0.5 * w          # rows (u, r) once r is in
-        circles[:, 2] = r = np.hypot(circles[:, 0], circles[:, 1])
-        w[:, 2] = _ROUNDING * np.square(r)
-        power = q @ w.T
+            return _UNPROVEN
+        zx, zy = self._xy[x].tolist()
+        # the candidates' ball {key < t} is the Euclidean disk of centre
+        # z_x / (1 + t) and radius br
+        bx, by = zx / (1.0 + t), zy / (1.0 + t)
+        br = math.sqrt(t * (t + self._w[x])) / (1.0 + t) * (1 - _ROUNDING)
+        hypot = math.hypot
+        # the proof's rows (2u, _ROUNDING |u|^2), column by column
+        col_x, col_y, col_m = [], [], []
+        circles, out, kept = [], [], []
+        rim, top = False, -math.inf
+        for j, (a, b, off) in enumerate(hull.equations.tolist()):
+            # the origin strictly inside the hull (every offset negative),
+            # so the faces close a fan around x
+            if not off < 0.0:
+                return _UNPROVEN
+            # hull edge j lies on the line n.q + off = 0, the image of the
+            # circumcircle of x and the edge's ends.  Its centre is x + u
+            # with 2u = n / -off, and a nucleus p of image q has the power
+            # |p - x|^2 (1 - 2u.q) to it, so |p - c|^2 >= r^2 (1 +
+            # _ROUNDING) reads 2u.q + _ROUNDING |u|^2 |q|^2 <= 1
+            vx, vy = a / -off, b / -off    # 2u
+            ux, uy = 0.5 * vx, 0.5 * vy
+            r = hypot(ux, uy)
+            col_x.append(vx)
+            col_y.append(vy)
+            col_m.append(_ROUNDING * (r * r))
+            cx, cy = ux + zx, uy + zy
+            circles.append((cx, cy, r))
+            # a circumdisk that leaves the candidates' ball is checked
+            # against the whole sample as well
+            if hypot(cx - bx, cy - by) + r >= br:
+                out.append(j)
+            # kept when the circumdisk lies inside the unit disk
+            reach = hypot(cx, cy) + r
+            if abs(reach - 1.0) <= _ROUNDING:
+                rim = True
+            if reach < 1.0:
+                kept.append(j)
+                if reach > top:
+                    top = reach
+        # every candidate but the face's own corners passes every row
+        power = np.dot(q, np.array((col_x, col_y, col_m)))
         pairs = hull.simplices
         power[pairs, np.arange(len(pairs))[:, None]] = 0.0
-        if not (power <= 1.0).all():
-            return None
-        circles[:, :2] += self._xy[x]
-        # a face whose circumdisk leaves the candidates' ball {key < t},
-        # the Euclidean disk of centre z_x / (1 + t), against the whole
-        # sample as well
-        bx, by = (self._xy[x] / (1.0 + t)).tolist()
-        br = math.sqrt(t * (t + self._w[x])) / (1.0 + t) * (1 - _ROUNDING)
-        out = [j for j, (cx, cy, r) in enumerate(circles.tolist())
-               if math.hypot(cx - bx, cy - by) + r >= br]
+        if not power.max() <= 1.0:    # NaN, from a face without a circle, fails
+            return _UNPROVEN
         if out:
             faces = np.full((len(out), 3), x)
             faces[:, :2] = near[pairs[out]]
-            if not _clear(self._x, self._y, faces, *circles[out].T):
-                return None
-        return near, pairs, hull.vertices, circles
-
-    def _fan_star(self, x, near, pairs, ring, circles):
-        """The star of x from its proven fan, by _filter's rule; None when
-        the keep or the interior test is within rounding of its bound."""
-        kept = []
-        for j, (cx, cy, r) in enumerate(circles.tolist()):
-            reach = math.hypot(cx, cy) + r
-            if abs(reach - 1.0) <= _ROUNDING:
-                return None
-            if reach < 1.0:
-                kept.append(j)
-        interior = len(kept) == len(circles)    # every face kept
-        if not interior:
-            pairs, circles = pairs[kept], circles[kept]
+            if not _clear(self._x, self._y, faces,
+                          *np.array([circles[j] for j in out]).T):
+                return _UNPROVEN
+        if rim:
+            return None
+        interior = len(kept) == len(circles)
+        if interior:
+            ring = hull.vertices
+        else:
+            pairs = pairs[kept]
+            circles = [circles[j] for j in kept]
             ring = np.unique(pairs)
-        vr, _ = circumcenters_arrays(*circles.T)
-        R = self.points.R
-        for v in vr.tolist():
-            if abs(v - (R - 1.0)) <= _VERTEX_ROUNDING * R:
-                return None
-            interior = interior and v <= R - 1.0
+        vr = None
+        if top > self._settled:
+            vr, _ = circumcenters_arrays(*np.array(circles).reshape(-1, 3).T)
+            R = self.points.R
+            for v in vr.tolist():
+                if abs(v - (R - 1.0)) <= _VERTEX_ROUNDING * R:
+                    return None
+                interior = interior and v <= R - 1.0
         faces = np.full((len(pairs), 3), x)
         faces[:, :2] = near[pairs]
-        return Star(faces, vr, np.sort(near[ring]), interior)
+        return Star(faces, vr, np.sort(near[ring]), interior, circles)
 
     def _from_whole(self, x):
         V = self._whole

@@ -198,6 +198,39 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
     )
 
 
+def ball_vertices(p_gon: int, q_deg: int, layers: int) -> int:
+    """build_ball(p_gon, q_deg, layers).n_vertices, counted round by round
+    without a face: build_ball's refusals, TooLarge at the same round with
+    the same message.
+
+    A round on a boundary of c vertices of degree sum s attaches
+    F = q c - s faces: q - d for a vertex of degree d, one fewer for C[-1],
+    which the first face's edge reaches, and one more for C[0].  Its
+    faces' r sum to c, so it adds (p - 2) F - c fresh vertices, the next
+    boundary.  A fresh vertex has degree 2, plus one for each face whose
+    a it is, plus one for the round's first fresh vertex.  The round's
+    first face holds fresh vertices (a fan face of C[0], or, for q = 3,
+    C[0]'s closing face over no saturated vertex), so every other face's
+    a is fresh, and the next degree sum is 2 ((p - 2) F - c) + F.
+    """
+    build_ball(p_gon, q_deg, min(layers, 1))    # the input checks
+    p, q = p_gon, q_deg
+    n = c = p
+    s = 2 * p
+    for round_no in range(1, layers):
+        faces = q * c - s
+        bound = n + (p - 2) * faces
+        if bound > MAX_VERTICES:
+            raise TooLarge(
+                f"vertex budget {MAX_VERTICES} exceeded: round {round_no} of "
+                f"the {{{p},{q}}} ball may need up to {bound} vertices"
+            )
+        c = (p - 2) * faces - c
+        n += c
+        s = 2 * c + faces
+    return n
+
+
 def dual_ball(ball: TilingBall) -> DualBall:
     """Interior dual graph: faces become vertices, e-dagger crosses e.
 

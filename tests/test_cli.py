@@ -450,6 +450,28 @@ def test_phase_sweep_checks_every_layer_count_before_the_first_sweep(
     assert not out.exists()
 
 
+def test_phase_sweep_checks_the_largest_ball_before_the_first_sweep(
+        tmp_path, capsys, monkeypatch):
+    # {3,7} balls of 3 and 6 layers have 48 and 960 vertices: under a
+    # budget of 100 the list is refused before L=3's sweep, with
+    # build_ball's own message for L=6
+    monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 100)
+    sweeps = []
+    monkeypatch.setattr(cli, "tiling_signature_sweep",
+                        lambda *a, **k: sweeps.append(a))
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--pq", "3,7", "--L", "3,6", "--p", "0.3",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: vertex budget 100 exceeded: round 3 of the {3,7} ball may "
+        "need up to 168 vertices"]
+    with pytest.raises(tilinggraph.TooLarge,
+                       match=r"round 3 of the \{3,7\} ball may need up to 168 "):
+        tilinggraph.build_ball(3, 7, 6)
+    assert sweeps == []
+    assert not out.exists()
+
+
 def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gen-tiling", "--pq", "3,7", "--L", "3", "--threads", "two",

@@ -497,6 +497,60 @@ class TestLocalStars:
         np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
         assert max(qhull_sizes) < len(pts) - 1
 
+    @pytest.mark.parametrize("lam,R_window", GRID)
+    def test_circles_are_the_faces_circumcircles(self, lam, R_window):
+        # each circle read off a hull edge's line in inversion space is
+        # its face's circumcircle through the corners: centres and radii
+        # agreed to 4e-14 of the radius on these cells
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 73, "local-stars-grid", 0)
+        stars = LocalStars(pts)
+        for x in np.flatnonzero(pts.rho <= R_window).tolist():
+            s = stars.star(x)
+            cx, cy, r = np.array(s.circles).reshape(-1, 3).T
+            want_x, want_y, want_r = hypvoronoi._euclidean_circumcircles(
+                pts.disk_xy, s.faces)
+            assert (np.hypot(cx - want_x, cy - want_y) <= 1e-10 * want_r).all()
+            assert (np.abs(r - want_r) <= 1e-10 * want_r).all()
+
+    @pytest.mark.parametrize("lam,R_window", GRID)
+    def test_interior_bound_agrees_with_the_vertices(self, lam, R_window,
+                                                      monkeypatch):
+        # on every cell off the Euclidean hull, nearest the origin first,
+        # the interior flag that the circles' reach settles equals the
+        # flag of the full vertex test, which a bound of -inf forces on
+        # every star.  A vertex lies inside its circumdisk, the bound's
+        # ground, and a star settled without its vertices reaches no
+        # farther than R - 1 less the interior test's margin
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 73, "local-stars-grid", 0)
+        hull = set(_EuclideanDelaunay(pts.disk_xy).convex_hull.ravel())
+        cells = [x for x in np.argsort(pts.rho).tolist() if x not in hull]
+        R = pts.R
+        calls = []
+        vertices = hypvoronoi.circumcenters_arrays
+
+        def counted(*circles):
+            calls.append(circles)
+            return vertices(*circles)
+
+        monkeypatch.setattr(hypvoronoi, "circumcenters_arrays", counted)
+        bound, full = LocalStars(pts), LocalStars(pts)
+        full._settled = -math.inf
+        settled = 0
+        for x in cells:
+            before = len(calls)
+            s = bound.star(x)
+            cx, cy, r = np.array(s.circles).reshape(-1, 3).T
+            far = 2.0 * np.arctanh(np.hypot(cx, cy) + r)
+            if len(calls) == before and len(far):
+                settled += 1
+                assert far.max() <= R - 1.0 - hypvoronoi._VERTEX_ROUNDING * R
+            assert (s.vor_rho <= far).all()
+            t = full.star(x)
+            assert s.interior == t.interior
+            assert s.faces.tolist() == t.faces.tolist()
+            assert s.neighbours.tolist() == t.neighbours.tolist()
+        assert settled > 0
+
     def test_stars_own_their_arrays(self):
         # a star kept for the invasion holds arrays of the size of its
         # fan, not views of the n-long arrays of the sample

@@ -1,12 +1,19 @@
 import gc
 import platform
+import re
 
 import numpy as np
 import pytest
 
 from hyperperc import tilinggraph
 from hyperperc.graphs import edges_of_keys, side_keys
-from hyperperc.tilinggraph import NotHyperbolic, TooLarge, build_ball, dual_ball
+from hyperperc.tilinggraph import (
+    NotHyperbolic,
+    TooLarge,
+    ball_vertices,
+    build_ball,
+    dual_ball,
+)
 
 from oracle_tiling import (
     build_ball_dicts,
@@ -45,6 +52,40 @@ class TestBuildBall:
             with pytest.raises(TooLarge, match=f"round {L - 1} "):
                 build_ball(p, q, L)
             monkeypatch.undo()
+
+    # every hyperbolic {p,q} with p, q <= 10
+    HYPERBOLIC = [(p, q) for p in range(3, 11) for q in range(3, 11)
+                  if (p - 2) * (q - 2) > 4]
+
+    @pytest.mark.parametrize("p,q", HYPERBOLIC)
+    def test_vertex_count_without_faces(self, p, q, monkeypatch):
+        # the counted balls have build_ball's sizes, up to 5 * 10^4
+        # vertices, and under a budget of each smaller ball's size both
+        # refuse the largest at the same round with the same message
+        sizes = []
+        for L in range(1, 40):
+            sizes.append(build_ball(p, q, L).n_vertices)
+            assert ball_vertices(p, q, L) == sizes[-1]
+            if sizes[-1] > 5 * 10**4:
+                break
+        for budget in sorted(set(sizes))[:-1]:
+            monkeypatch.setattr(tilinggraph, "MAX_VERTICES", budget)
+            with pytest.raises(TooLarge) as built:
+                build_ball(p, q, L)
+            with pytest.raises(TooLarge) as counted:
+                ball_vertices(p, q, L)
+            assert str(counted.value) == str(built.value)
+
+    @pytest.mark.parametrize("p,q,L", [(3, 6, 3), (4, 4, 2), (3, 7, 0),
+                                       (3, 7, -2), (60, 3, 2)])
+    def test_vertex_count_refuses_what_build_ball_refuses(self, p, q, L,
+                                                          monkeypatch):
+        monkeypatch.setattr(tilinggraph, "MAX_VERTICES", 50)
+        with pytest.raises(ValueError) as built:
+            build_ball(p, q, L)
+        with pytest.raises(type(built.value),
+                           match=re.escape(str(built.value))):
+            ball_vertices(p, q, L)
 
     def test_interior_degrees(self):
         b = build_ball(3, 7, 4)
