@@ -21,7 +21,7 @@ The filtration loop runs over Python lists, because in a per-edge loop
 the numpy scalar that each array access boxes costs more than the
 union-find step; invasion likewise reads each site's neighbours as a
 list, which csr_neighbours keeps per site.  Cluster labels come from
-scipy's connected components.
+scipy's connected components, imported by the labelling only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 # perfbench records this in each run's environment and refuses to compare
 # runs whose backends differ; the kernels have one implementation
@@ -183,7 +182,9 @@ def label_clusters_kernel(n, eu, ev, edge_open, site_open):
     labels[i] is the minimal member index of i's cluster, or -1 for
     closed sites.
     """
-    # lazy: csgraph adds 3 MB and ~25 ms of import; thresholds never need it
+    # lazy: scipy.sparse and its csgraph cost about 0.15 s of import, and
+    # no threshold or sweep needs them
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     keep = edge_open & site_open[eu] & site_open[ev]

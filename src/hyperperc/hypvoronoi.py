@@ -4,13 +4,15 @@ The hyperbolic Delaunay complex equals the sub-complex of the Euclidean
 Delaunay triangulation of the Poincare images whose circumdisks stay
 inside the open unit disk.  A whole complex (`delaunay`, for the sweeps,
 the densities and the pictures) runs Euclidean Delaunay (Qhull) on the
-whole sample and filters faces (`_filter`).  A reach threshold needs only
+whole sample and filters faces (`_filter`); scipy.spatial is imported
+then, and only then (`_EuclideanDelaunay`).  A reach threshold needs only
 the stars of the few cells its invasion takes, so `LocalStars` builds
-each when asked from one 2-D convex hull: the images of the cell's
-nearest nuclei under inversion about it, whose hull edges are the cell's
-fan of faces, each proven empty in that inversion space.  Both keep
-faces and mark interior nuclei by one rule, and both take a face's
-Voronoi vertex, its hyperbolic circumcenter, from its Euclidean
+each when asked, in numpy and plain Python, from one ring: the convex
+hull of the images of the cell's nearest nuclei under inversion about
+it, found by a Graham scan about the origin (`_ring`), whose edges are
+the cell's fan of faces, each proven empty in that inversion space.
+Both keep faces and mark interior nuclei by one rule, and both take a
+face's Voronoi vertex, its hyperbolic circumcenter, from its Euclidean
 circumcircle in closed form (`hypgeo.circumcenters_arrays`).
 """
 
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial import Delaunay as _EuclideanDelaunay
 
 from .graphs import edges_of_keys, side_keys
 from .hypgeo import (
@@ -125,15 +125,25 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
     return xy
 
 
-def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
-    n = len(points)
-    # Qhull; cocircular ties broken by joggle-free merge
+def _EuclideanDelaunay(xy):
+    """Qhull's Euclidean Delaunay triangulation of the points xy, with
+    cocircular ties broken by joggle-free merge.  scipy.spatial is
+    imported here, by the whole complexes only: a threshold's stars never
+    need it."""
+    from scipy.spatial import Delaunay, QhullError
+
     try:
-        tri = _EuclideanDelaunay(xy)
+        return Delaunay(xy)
     except QhullError as e:
         # e.g. every nucleus on one line: Qhull's report, first line only
-        raise DegenerateInput(f"Qhull cannot triangulate the {n} nuclei: "
-                              f"{str(e).strip().splitlines()[0]}") from None
+        raise DegenerateInput(f"Qhull cannot triangulate the {len(xy)} "
+                              f"nuclei: {str(e).strip().splitlines()[0]}"
+                              ) from None
+
+
+def _whole_complex(points: ColoredPointSet, xy: np.ndarray) -> VoronoiComplex:
+    n = len(points)
+    tri = _EuclideanDelaunay(xy)
     simplices = tri.simplices
     faces, vr, vt, interior = _filter(
         simplices, _euclidean_circumcircles(xy, simplices), _hull_mask(tri),
@@ -222,7 +232,7 @@ _ROUNDING = 1e-9
 # relative margin of the interior test: a star with a Voronoi vertex this
 # close to R - 1 comes from the whole complex.  One face's hyperbolic
 # circumcenter, from its circle through its corners in another order or
-# from a star's inverted hull, moved by at most 3e-11 of its radius over
+# from a star's ring, moved by at most 3e-11 of its radius over
 # 140 000 faces of radius up to 10.
 _VERTEX_ROUNDING = 1e-5
 # what LocalStars._fan returns for a fan it cannot prove
@@ -265,22 +275,27 @@ class LocalStars:
     z -> (z - z_x) / |z - z_x|^2, keeps each nucleus's direction from x and
     maps the circle through x, a and b to the line through the images of a
     and b, and that circle's open disk to the open half-plane beyond the
-    line from the origin.  So when the origin lies strictly inside the 2-D
-    convex hull (Qhull) of the candidates' images, x lies inside the
-    candidates' hull, and each edge of the images' hull makes with x a
-    face with no candidate in its circumdisk; these faces close a fan
-    around x.  A face is proven a Delaunay triangle of the sample when no
-    nucleus lies in its open circumdisk or within rounding of its circle,
-    a test that the hull edge's line equation gives in inversion space: a
-    circumdisk inside the candidates' ball {key < t}, t the key of the
+    line from the origin.  The ring of the images (`_ring`) is a Graham
+    scan about the origin: the images in angular order, from the one
+    farthest from the origin, a hull vertex, with every vertex at which
+    the ring does not turn strictly left dropped.  When the origin lies
+    strictly left of each of its edges, x lies inside the candidates'
+    hull, and each edge makes with x a face whose circle, read off the
+    edge's line in inversion space, closes with the others a fan around
+    x.  A face is proven a Delaunay triangle of the sample when no
+    nucleus lies in its open circumdisk or within rounding of its circle:
+    a circumdisk inside the candidates' ball {key < t}, t the key of the
     nearest nucleus left out, is checked against the candidates, any other
-    against the whole sample as well.  A proven fan is x's whole star.  If
-    the hull does not hold the origin, Qhull refuses it or a face is not
+    against the whole sample as well.  Every candidate then lies on the
+    origin's side of every edge, so the proof also shows that the ring is
+    the images' hull.  A proven fan is x's whole star.  If the ring has
+    fewer than 3 vertices or an edge with the origin not strictly to its
+    left (one with a NaN or infinite end included), or a face is not
     proven, more nuclei are taken, up to the whole sample, whose complex
     delaunay() builds.  On the voronoi-pc benchmark 531 stars took 532
-    hulls and no whole complex.
+    rings and no whole complex.
 
-    One scalar pass over the hull's edges (`_fan`) gives each face's
+    One scalar pass over the ring's edges (`_fan`) gives each face's
     circle, its row of the emptiness proof, which one matrix product
     checks against every candidate, and its keep test, by _filter's rule.
     The interior flag needs the Voronoi vertices only when the circles
@@ -293,7 +308,7 @@ class LocalStars:
     and any star whose vor_rho is read, take their vertices from
     hypgeo.circumcenters_arrays.  The vertices agree with
     delaunay()'s to rounding, since the star's circles come from the
-    hull's lines and delaunay()'s from the corners, so a star on which the
+    ring's lines and delaunay()'s from the corners, so a star on which the
     keep or the interior test is within rounding of its bound comes from
     the whole complex as well, and so has delaunay()'s flag by
     construction.
@@ -326,8 +341,8 @@ class LocalStars:
         return got
 
     def _local(self, x):
-        """x's star from the hulls of ever more of its nearest nuclei,
-        inverted about x; None, for the whole complex, when no hull short
+        """x's star from the rings of ever more of its nearest nuclei,
+        inverted about x; None, for the whole complex, when no ring short
         of the whole sample proves x's fan or a rounding guard fires."""
         if self._whole is not None:
             return None
@@ -348,7 +363,7 @@ class LocalStars:
         return None
 
     def _fan(self, x, near, t, d2):
-        """x's star over its candidates `near` when the hull of their
+        """x's star over its candidates `near` when the ring of their
         images holds the origin and every face is proven, None when the
         keep or the interior test is within rounding of its bound, and
         _UNPROVEN otherwise.  d2 holds the candidates' squared distances
@@ -358,9 +373,8 @@ class LocalStars:
         np.subtract(self._xy[near], self._xy[x], out=q[:, :2])
         q[:, 2] = 1.0
         q /= d2[:, None]
-        try:
-            hull = ConvexHull(q[:, :2])
-        except QhullError:
+        ring = _ring(q)
+        if len(ring) < 3:
             return _UNPROVEN
         zx, zy = self._xy[x].tolist()
         # the candidates' ball {key < t} is the Euclidean disk of centre
@@ -372,17 +386,21 @@ class LocalStars:
         col_x, col_y, col_m = [], [], []
         circles, out, kept = [], [], []
         rim, top = False, -math.inf
-        for j, (a, b, off) in enumerate(hull.equations.tolist()):
-            # the origin strictly inside the hull (every offset negative),
-            # so the faces close a fan around x
-            if not off < 0.0:
+        ends = q[ring, :2].tolist()
+        for j, ((xi, yi), (xj, yj)) in enumerate(zip(ends,
+                                                     ends[1:] + ends[:1])):
+            # the origin strictly left of every edge, so the ring winds
+            # once around it and the faces close a fan around x; an edge
+            # with a NaN or infinite end fails
+            d = xi * yj - yi * xj
+            if not 0.0 < d < math.inf:
                 return _UNPROVEN
-            # hull edge j lies on the line n.q + off = 0, the image of the
-            # circumcircle of x and the edge's ends.  Its centre is x + u
-            # with 2u = n / -off, and a nucleus p of image q has the power
-            # |p - x|^2 (1 - 2u.q) to it, so |p - c|^2 >= r^2 (1 +
-            # _ROUNDING) reads 2u.q + _ROUNDING |u|^2 |q|^2 <= 1
-            vx, vy = a / -off, b / -off    # 2u
+            # edge j lies on the line 2u.q = 1 through its ends, the image
+            # of the circumcircle of x and the edge's ends, whose centre is
+            # x + u.  A nucleus p of image q has the power |p - x|^2 (1 -
+            # 2u.q) to it, so |p - c|^2 >= r^2 (1 + _ROUNDING) reads 2u.q +
+            # _ROUNDING |u|^2 |q|^2 <= 1
+            vx, vy = (yj - yi) / d, (xi - xj) / d    # 2u
             ux, uy = 0.5 * vx, 0.5 * vy
             r = hypot(ux, uy)
             col_x.append(vx)
@@ -402,9 +420,14 @@ class LocalStars:
                 kept.append(j)
                 if reach > top:
                     top = reach
-        # every candidate but the face's own corners passes every row
+        # every candidate but the face's own corners passes every row, so
+        # every candidate lies on the origin's side of every edge and the
+        # ring is the images' convex hull
         power = np.dot(q, np.array((col_x, col_y, col_m)))
-        pairs = hull.simplices
+        pairs = np.empty((len(ring), 2), dtype=np.int64)
+        pairs[:, 0] = ring
+        pairs[:-1, 1] = ring[1:]
+        pairs[-1, 1] = ring[0]
         power[pairs, np.arange(len(pairs))[:, None]] = 0.0
         if not power.max() <= 1.0:    # NaN, from a face without a circle, fails
             return _UNPROVEN
@@ -417,9 +440,7 @@ class LocalStars:
         if rim:
             return None
         interior = len(kept) == len(circles)
-        if interior:
-            ring = hull.vertices
-        else:
+        if not interior:
             pairs = pairs[kept]
             circles = [circles[j] for j in kept]
             ring = np.unique(pairs)
@@ -457,6 +478,32 @@ class LocalStars:
         origin."""
         s = self.star(int(np.argmin(self.points.rho)))
         return _core_rule(self.points.rho, s.faces, s.vor_rho, 0.0)
+
+
+def _ring(q):
+    """The images q (rows x, y, |q|^2) that a Graham scan about the origin
+    keeps, as indices, counter-clockwise from the image farthest from the
+    origin, a vertex of their hull: the vertices of that hull when it
+    holds the origin strictly inside.  LocalStars._fan checks the ring's
+    turns and proves every candidate inside it."""
+    xs, ys = q[:, 0].tolist(), q[:, 1].tolist()
+    order = np.argsort(np.arctan2(q[:, 1], q[:, 0])).tolist()
+    k = order.index(int(np.argmax(q[:, 2])))
+    ring = order[k:k + 1]
+    # back to the first image, to close the ring over the last turns
+    for j in order[k + 1:] + order[:k + 1]:
+        xj, yj = xs[j], ys[j]
+        # drop the last vertex while the turn at it is not strictly left;
+        # a NaN turn stays, for the fan to refuse
+        while len(ring) > 1:
+            a, b = ring[-2], ring[-1]
+            xb, yb = xs[b], ys[b]
+            if not (xb - xs[a]) * (yj - yb) - (yb - ys[a]) * (xj - xb) <= 0.0:
+                break
+            ring.pop()
+        ring.append(j)
+    ring.pop()
+    return ring
 
 
 def _clear(xs, ys, faces, cx, cy, r):

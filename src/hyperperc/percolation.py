@@ -26,6 +26,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# np.median loads numpy.ma when it is first called: here, so that the first
+# estimate does not pay for it
+import numpy.ma  # noqa: F401
 
 from ._kernels import (
     bond_cluster,
@@ -44,8 +47,13 @@ from .hypvoronoi import (
     delaunay,
     shell_cell_mask,
 )
-from .pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
-from .tilinggraph import TilingBall, build_ball, dual_ball
+from .pointprocess import (
+    ColoredPointSet,
+    check_sample_size,
+    replica_rng,
+    sample_poisson_ball,
+)
+from .tilinggraph import TilingBall, ball_vertices, build_ball, dual_ball
 
 
 class NoCrossing(NumericFailure):
@@ -435,10 +443,13 @@ def tiling_pc(p_gon: int, q_deg: int, ladder, p_grid, replicas: int,
               master_seed: int, mode: str = "bond",
               use_dual: bool = False, mapper=map) -> PcEstimate:
     """Crossing estimate of p_c for bond/site percolation on a {p,q} ball;
-    the ladder of layer counts and the grid are checked first."""
+    the ladder of layer counts, the grid and the top rung's vertex budget
+    are checked first."""
     if mode not in ("bond", "site"):
         raise InvalidInput(f"mode must be bond or site, got {mode!r}")
     _check_ladder(ladder, p_grid)
+    # the smaller balls are the largest's first rounds
+    ball_vertices(p_gon, q_deg, max(ladder))
     pairs = []
     for L in ladder:
         ball = build_ball(p_gon, q_deg, L)
@@ -465,10 +476,13 @@ def tiling_pu(p_gon: int, q_deg: int, ladder, p_grid, replicas: int,
 def voronoi_pc(lam: float, window_ladder, p_grid, replicas: int,
                master_seed: int, mapper=map) -> PcEstimate:
     """Crossing estimate of p_c(lambda) for Voronoi color percolation;
-    the ladder of window radii and the grid are checked first."""
+    the ladder of window radii, the grid and each window's nuclei budget
+    are checked first."""
     windows = [w if isinstance(w, Window) else Window.with_margin(float(w))
                for w in window_ladder]
     _check_ladder([w.R_window for w in windows], p_grid)
+    for w in windows:
+        check_sample_size(lam, w.R_sample)
     pairs = []
     for window in windows:
         tag = f"vorpc-lam{lam:g}-Rw{window.R_window:g}"

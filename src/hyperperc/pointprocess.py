@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random when it is first used: here, so that the first
+# replica does not pay for it
+import numpy.random  # noqa: F401
 
 from .hypgeo import WORKING_RADIUS, CapExceeded, InvalidInput, ball_area
 

@@ -352,6 +352,8 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["pc-estimate", "--pq", "3,7", "--ladder", "1,2,3", "--replicas", "5"],
     # all nuclei on one geodesic: Qhull cannot triangulate them
     ["render", "--sample", "{tmp}/flat-sample.txt"],
+    # a top rung past the vertex budget, refused before the first rung runs
+    ["pc-estimate", "--pq", "3,7", "--ladder", "5,6,40"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

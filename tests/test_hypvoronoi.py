@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.spatial import Delaunay as _EuclideanDelaunay
-from scipy.spatial import QhullError
 
 from hyperperc.hypgeo import HPoint, ball_area, polygon_area
 from hyperperc import _kernels, hypvoronoi
@@ -385,9 +385,9 @@ def assert_stars_match(stars, V, cells):
         assert {frozenset(f) for f in s.faces.tolist()} == faces
         assert s.neighbours.tolist() == nbrs
         assert s.interior == interior
-        # the star's circles come from the inverted hull, V's from the
-        # corners in Qhull's order: they differed by 1.4e-12 of rho at
-        # most over 175 000 faces (lambda 0.05-8)
+        # the star's circles come from its ring's lines in inversion
+        # space, V's from the corners in Qhull's order: they differed by
+        # 5.0e-12 of rho at most over 42 000 faces (lambda 0.05-8)
         np.testing.assert_allclose(np.sort(s.vor_rho),
                                    np.sort(V.vor_rho[V.cell_faces(int(x))]),
                                    rtol=1e-10)
@@ -402,25 +402,25 @@ def neighbours_off(V, x, faces):
 
 
 @pytest.fixture
-def qhull_sizes(monkeypatch):
-    """The number of points of every Qhull call in hypvoronoi: the convex
-    hulls of a star's inverted candidates, STAR_NUCLEI - 1 images at
-    first, and the Delaunay triangulations of whole samples."""
+def hull_sizes(monkeypatch):
+    """The number of points of every hull in hypvoronoi: the rings of a
+    star's inverted candidates, STAR_NUCLEI - 1 images at first, and the
+    Qhull Delaunay triangulations of whole samples."""
     sizes = []
 
-    def counted(qhull):
+    def counted(hull):
         def call(points):
             sizes.append(len(points))
-            return qhull(points)
+            return hull(points)
         return call
 
-    for name in ("ConvexHull", "_EuclideanDelaunay"):
+    for name in ("_ring", "_EuclideanDelaunay"):
         monkeypatch.setattr(hypvoronoi, name,
                             counted(getattr(hypvoronoi, name)))
     return sizes
 
 
-# images in the hull of a star's first candidates, and after each growth
+# images in the ring of a star's first candidates, and after each growth
 FIRST = hypvoronoi.STAR_NUCLEI - 1
 GROWN = {hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH ** j - 1
          for j in range(1, 6)}
@@ -433,19 +433,19 @@ class TestLocalStars:
                (2.0, 4.0, 0), (2.0, 4.0, 1)]
 
     @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
-    def test_every_window_cell(self, lam, R_window, rep, qhull_sizes):
+    def test_every_window_cell(self, lam, R_window, rep, hull_sizes):
         pts, _ = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
         V = delaunay(pts)
         stars = LocalStars(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
         # no star needed the whole sample
-        assert max(qhull_sizes) < len(pts)
+        assert max(hull_sizes) < len(pts)
         np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
 
     @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
-    def test_one_hull_per_star(self, lam, R_window, rep, qhull_sizes):
-        # each star takes one hull of its first candidates and one more
+    def test_one_hull_per_star(self, lam, R_window, rep, hull_sizes):
+        # each star takes one ring of its first candidates and one more
         # per growth, none of the whole sample, and a star asked for again
         # takes none; whether the cells come in shuffled order or as an
         # invasion takes them
@@ -455,14 +455,14 @@ class TestLocalStars:
         shuffled = np.random.default_rng(rep).permutation(
             np.flatnonzero(inside))
         stars = LocalStars(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(stars, V, shuffled)
-        assert qhull_sizes.count(FIRST) == len(shuffled)
-        assert set(qhull_sizes) <= {FIRST} | GROWN
-        assert max(qhull_sizes) < len(pts) - 1
-        calls = len(qhull_sizes)
+        assert hull_sizes.count(FIRST) == len(shuffled)
+        assert set(hull_sizes) <= {FIRST} | GROWN
+        assert max(hull_sizes) < len(pts) - 1
+        calls = len(hull_sizes)
         assert_stars_match(stars, V, shuffled[::-1])
-        assert len(qhull_sizes) == calls
+        assert len(hull_sizes) == calls
 
         stars = LocalStars(pts)
         taken = []
@@ -476,11 +476,11 @@ class TestLocalStars:
             nb = stars.star(w).neighbours
             return nb.tolist(), nb
 
-        del qhull_sizes[:]
+        del hull_sizes[:]
         _kernels._invade(neighbours, u, [(0.0, int(np.argmin(pts.rho)))])
         assert len(taken) > len(shuffled) // 2
-        assert qhull_sizes.count(FIRST) == len(taken)
-        assert set(qhull_sizes) <= {FIRST} | GROWN
+        assert hull_sizes.count(FIRST) == len(taken)
+        assert set(hull_sizes) <= {FIRST} | GROWN
         assert_stars_match(stars, V, taken)
 
     # (lambda, R_window) from sparse to dense; one replica each
@@ -488,20 +488,20 @@ class TestLocalStars:
             (4.0, 2.5), (8.0, 2.0)]
 
     @pytest.mark.parametrize("lam,R_window", GRID)
-    def test_intensities(self, lam, R_window, qhull_sizes):
+    def test_intensities(self, lam, R_window, hull_sizes):
         pts, _ = voronoi_sample(lam, R_window + 2.0, 73, "local-stars-grid", 0)
         V = delaunay(pts)
         stars = LocalStars(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
         np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
-        assert max(qhull_sizes) < len(pts) - 1
+        assert max(hull_sizes) < len(pts) - 1
 
     @pytest.mark.parametrize("lam,R_window", GRID)
     def test_circles_are_the_faces_circumcircles(self, lam, R_window):
-        # each circle read off a hull edge's line in inversion space is
+        # each circle read off a ring edge's line in inversion space is
         # its face's circumcircle through the corners: centres and radii
-        # agreed to 4e-14 of the radius on these cells
+        # agreed to 5e-14 of the radius on these cells
         pts, _ = voronoi_sample(lam, R_window + 2.0, 73, "local-stars-grid", 0)
         stars = LocalStars(pts)
         for x in np.flatnonzero(pts.rho <= R_window).tolist():
@@ -565,37 +565,37 @@ class TestLocalStars:
             for a in star[:3]:
                 assert a.base is None or a.base.size < 3 * len(star.faces)
 
-    def test_growth(self, qhull_sizes):
+    def test_growth(self, hull_sizes):
         # at lambda = 1/4 the first candidates often miss a nucleus that
         # lies in a face's circumdisk, so stars grow
         pts, _ = voronoi_sample(0.25, 8.5, 73, "local-stars-growth", 0)
         V = delaunay(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(pts), V, np.flatnonzero(pts.rho <= 6.5))
         grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH - 1
-        assert grown in qhull_sizes
-        assert qhull_sizes.count(FIRST) > len(qhull_sizes) // 2
+        assert grown in hull_sizes
+        assert hull_sizes.count(FIRST) > len(hull_sizes) // 2
 
-    def test_small_sample_is_triangulated_whole(self, qhull_sizes):
+    def test_small_sample_is_triangulated_whole(self, hull_sizes):
         pts = small_sample(1.0, 0, max_n=hypvoronoi.STAR_NUCLEI)
         V = delaunay(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         stars = LocalStars(pts)
         assert_stars_match(stars, V, range(len(pts)))
-        assert qhull_sizes == [len(pts)]
+        assert hull_sizes == [len(pts)]
 
     @pytest.mark.parametrize("rep", range(3))
-    def test_stars_that_reach_the_whole_sample(self, rep, qhull_sizes):
+    def test_stars_that_reach_the_whole_sample(self, rep, hull_sizes):
         # the inverted hull of a hull nucleus's candidates never holds the
         # origin, so its star grows to the whole sample, which is then
         # triangulated once, in its own order
         pts, _ = voronoi_sample(1.0, 4.5, 79, "local-stars-whole", rep)
         assert hypvoronoi.STAR_NUCLEI < len(pts) <= 400
         V = delaunay(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         stars = LocalStars(pts)
         assert_stars_match(stars, V, range(len(pts)))
-        assert qhull_sizes.count(len(pts)) == 1
+        assert hull_sizes.count(len(pts)) == 1
         assert not V.interior_mask.all()
 
     def test_collinear_corners_are_never_proven(self):
@@ -610,26 +610,27 @@ class TestLocalStars:
         assert not np.isfinite(hypvoronoi._reach((cx, cy, r2))).any()
 
     def test_face_without_a_circle_fails_the_proof(self, monkeypatch,
-                                                    qhull_sizes):
-        # a fan face whose circle comes out NaN, here from a NaN normal of
-        # its hull edge, is not proven, so the star grows, here to the
-        # whole complex, and still equals delaunay()'s
+                                                    hull_sizes):
+        # a fan face whose corners lie on one line has no circle, here
+        # after the ring's second image moves onto the ray of its first,
+        # so it is not proven, the star grows, here to the whole complex,
+        # and still equals delaunay()'s
         pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
         V = delaunay(pts)
-        hull = hypvoronoi.ConvexHull    # counted
+        ring = hypvoronoi._ring    # counted
 
-        def one_nan(q):
-            h = hull(q)
-            h.equations[0, :2] = np.nan
-            return h
+        def collinear(q):
+            r = ring(q)
+            q[r[1], :2] = 2.0 * q[r[0], :2]
+            return r
 
-        monkeypatch.setattr(hypvoronoi, "ConvexHull", one_nan)
+        monkeypatch.setattr(hypvoronoi, "_ring", collinear)
         x = int(np.flatnonzero(pts.rho <= 4.5)[0])
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(pts), V, [x])
-        assert qhull_sizes[0] == FIRST and qhull_sizes[-1] == len(pts)
+        assert hull_sizes[0] == FIRST and hull_sizes[-1] == len(pts)
 
-    def test_nucleus_at_a_circle_fails_the_proof(self, qhull_sizes):
+    def test_nucleus_at_a_circle_fails_the_proof(self, hull_sizes):
         # a nucleus outside a fan face's circumcircle by 1e-10 of its
         # radius lies within the emptiness test's margin, so no hull
         # proves x's fan, and x's star comes from the whole complex
@@ -646,33 +647,33 @@ class TestLocalStars:
                      theta=np.append(pts.theta, cmath.phase(z) % (2 * math.pi)),
                      white=np.append(pts.white, True))
         V = delaunay(at)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(at), V, [x])
-        assert qhull_sizes[0] == FIRST and qhull_sizes[-1] == len(at)
+        assert hull_sizes[0] == FIRST and hull_sizes[-1] == len(at)
 
-    def test_refused_hull_fails_the_proof(self, monkeypatch, qhull_sizes):
-        # a hull that Qhull refuses counts as a failed proof: the star
-        # takes more nuclei and still equals delaunay()'s
+    def test_refused_hull_fails_the_proof(self, monkeypatch, hull_sizes):
+        # a ring of fewer than 3 vertices counts as a failed proof: the
+        # star takes more nuclei and still equals delaunay()'s
         pts, _ = voronoi_sample(1.0, 6.5, 71, "local-stars", 0)
         V = delaunay(pts)
-        hull = hypvoronoi.ConvexHull    # counted
+        ring = hypvoronoi._ring    # counted
         refused = []
 
         def refuse_first(q):
             if len(q) == FIRST:
                 refused.append(len(q))
-                raise QhullError("refused")
-            return hull(q)
+                return [0, 1]
+            return ring(q)
 
-        monkeypatch.setattr(hypvoronoi, "ConvexHull", refuse_first)
+        monkeypatch.setattr(hypvoronoi, "_ring", refuse_first)
         cells = np.flatnonzero(pts.rho <= 4.5)[:20]
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(pts), V, cells)
         assert refused == [FIRST] * len(cells)
         grown = hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH - 1
-        assert qhull_sizes == [grown] * len(cells)
+        assert hull_sizes == [grown] * len(cells)
 
-    def test_vertex_at_the_interior_bound(self, qhull_sizes):
+    def test_vertex_at_the_interior_bound(self, hull_sizes):
         # give the sample the radius R at which a cell's largest Voronoi
         # vertex lies at R - 1 exactly: the local vertices may differ from
         # delaunay()'s by rounding there, so the star comes from the whole
@@ -693,21 +694,21 @@ class TestLocalStars:
             at = replace(pts, R=float(vmax[x]) + 1.0)
             W = delaunay(at)
             assert W.interior_mask[x]
-            del qhull_sizes[:]
+            del hull_sizes[:]
             assert_stars_match(LocalStars(at), W, [x])
-            assert qhull_sizes[-1] == len(pts)
+            assert hull_sizes[-1] == len(pts)
             # the same after x's neighbours off its faces at the bound,
             # whose stars are local
             at_bound = W.faces[np.abs(W.vor_rho - (at.R - 1.0))
                                <= hypvoronoi._VERTEX_ROUNDING * at.R]
             stars = LocalStars(at)
-            del qhull_sizes[:]
+            del hull_sizes[:]
             assert_stars_match(stars, W, neighbours_off(W, x, at_bound))
-            assert max(qhull_sizes) < len(pts)
+            assert max(hull_sizes) < len(pts)
             assert_stars_match(stars, W, [x])
-            assert qhull_sizes[-1] == len(pts)
+            assert hull_sizes[-1] == len(pts)
 
-    def test_face_at_the_unit_circle(self, monkeypatch, qhull_sizes):
+    def test_face_at_the_unit_circle(self, monkeypatch, hull_sizes):
         # two window cells have a face whose circumdisk comes within 6e-6
         # of the unit circle: a local star, unless the keep test's margin
         # reaches that far, when the star comes from the whole complex
@@ -719,21 +720,21 @@ class TestLocalStars:
         face = V.faces[np.argmin(gap)]
         x = int(face[np.argmin(pts.rho[face])])
         assert gap.min() < 1e-5
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(pts), V, [x])
-        assert max(qhull_sizes) < len(pts)
+        assert max(hull_sizes) < len(pts)
         monkeypatch.setattr(hypvoronoi, "_ROUNDING", 1e-5)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(LocalStars(pts), V, [x])
-        assert qhull_sizes[-1] == len(pts)
+        assert hull_sizes[-1] == len(pts)
         # the same after x's neighbours off the faces within the margin
         stars = LocalStars(pts)
-        del qhull_sizes[:]
+        del hull_sizes[:]
         assert_stars_match(stars, V,
                            neighbours_off(V, x, V.faces[gap <= 1e-5]))
-        assert max(qhull_sizes) < len(pts)
+        assert max(hull_sizes) < len(pts)
         assert_stars_match(stars, V, [x])
-        assert qhull_sizes[-1] == len(pts)
+        assert hull_sizes[-1] == len(pts)
 
     def test_no_cell_near_the_unit_circle_is_served(self, monkeypatch):
         # with the keep test's margin at 1e-5, every window cell with a
@@ -779,3 +780,115 @@ class TestLocalStars:
             with pytest.raises(DegenerateInput) as local:
                 LocalStars(bad)
             assert str(local.value) == str(whole.value)
+
+
+def images(q_xy):
+    """Rows (x, y, |q|^2) of the points q_xy, as LocalStars._fan hands
+    them to hypvoronoi._ring."""
+    q_xy = np.asarray(q_xy, dtype=float)
+    return np.column_stack([q_xy, np.square(q_xy).sum(axis=1)])
+
+
+def fan_over(zs, x=0):
+    """LocalStars._fan of nucleus x over every other point of zs (disk
+    coordinates) as its candidates, with no nucleus left out."""
+    z = np.asarray(zs, dtype=complex)
+    pts = ColoredPointSet(rho=2.0 * np.arctanh(np.abs(z)),
+                          theta=np.angle(z) % (2.0 * math.pi),
+                          white=np.ones(len(z), dtype=bool), lam=1.0, p=0.5,
+                          R=6.0, seed=0)
+    stars = LocalStars(pts)
+    near = np.delete(np.arange(len(z)), x)
+    d2 = np.square(stars._xy[near] - stars._xy[x]).sum(axis=1)
+    return stars._fan(x, near, 1e12, d2)
+
+
+def as_rotation_of(ring, vertices):
+    """Whether the list ring is the cyclic sequence vertices."""
+    vertices = list(vertices)
+    return (len(ring) == len(vertices) and ring[0] in vertices
+            and ring == np.roll(vertices, -vertices.index(ring[0])).tolist())
+
+
+# x at the origin and six nuclei around it, whose star is its six faces
+HEXAGON = [0j] + [0.3 * cmath.exp(1j * math.pi * k / 3) for k in range(6)]
+
+
+class TestRing:
+    """The Graham scan about the origin that gives a star its fan, against
+    Qhull's hull, and the fans it refuses."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_qhull_on_clouds_around_the_origin(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 200))
+        q = images(rng.standard_normal((n, 2)) * rng.uniform(0.1, 10.0, 2)
+                   + rng.uniform(-0.3, 0.3, 2))
+        hull = ConvexHull(q[:, :2])
+        if not (hull.equations[:, 2] < 0).all():
+            pytest.skip("the cloud's hull misses the origin")
+        # counter-clockwise, as Qhull lists a 2-D hull's vertices
+        assert as_rotation_of(hypvoronoi._ring(q), hull.vertices)
+
+    @pytest.mark.parametrize("lam,R_window", [(0.25, 5.5), (1.0, 4.5),
+                                              (4.0, 2.5)])
+    def test_equals_qhull_on_real_stars(self, lam, R_window, monkeypatch):
+        # the inverted candidates of every window cell, as voronoi-pc's
+        # stars take them, first and grown
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", 0)
+        seen = []
+        ring = hypvoronoi._ring
+
+        def kept(q):
+            r = ring(q)
+            seen.append((q.copy(), r))
+            return r
+
+        monkeypatch.setattr(hypvoronoi, "_ring", kept)
+        stars = LocalStars(pts)
+        for x in np.flatnonzero(pts.rho <= R_window).tolist():
+            stars.star(x)
+        assert len(seen) >= np.count_nonzero(pts.rho <= R_window)
+        for q, r in seen:
+            hull = ConvexHull(q[:, :2])
+            assert (hull.equations[:, 2] < 0).all()
+            assert as_rotation_of(r, hull.vertices)
+
+    def test_proves_a_fan(self):
+        star = fan_over(HEXAGON)
+        assert isinstance(star, hypvoronoi.Star)
+        assert star.neighbours.tolist() == list(range(1, 7))
+        assert len(star.faces) == 6
+
+    @pytest.mark.parametrize("zs", [
+        # every other nucleus on one side of x: the origin outside
+        [0j, 0.3 + 0.2j, -0.3 + 0.2j, 0.4j, 0.1 + 0.5j],
+        # two nuclei on either side of x, the rest above: the origin on
+        # the edge between their images
+        [0j, 0.3, -0.3, 0.4j, 0.2 + 0.3j, -0.2 + 0.3j],
+        # two candidates
+        [0j, 0.3, -0.2 + 0.3j],
+        # every candidate on one line through x: a ring of 2 vertices
+        [0j, 0.1 + 0.1j, 0.2 + 0.2j, -0.3 - 0.3j, 0.4 + 0.4j],
+    ], ids=["outside", "on-an-edge", "two-points", "one-line"])
+    def test_refuses(self, zs):
+        assert fan_over(zs) is hypvoronoi._UNPROVEN
+
+    @pytest.mark.parametrize("bad", [
+        (np.nan, np.nan, np.nan),
+        (np.inf, np.inf, np.inf),
+        (np.inf, -np.inf, np.inf),
+        # a duplicate nucleus: (0, 0) / 0
+        (np.nan, np.nan, np.inf),
+    ], ids=["nan", "inf", "inf-mixed", "duplicate"])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_refuses_a_nan_or_inf_image(self, bad, at, monkeypatch):
+        # without a warning, which the test configuration makes an error
+        ring = hypvoronoi._ring
+
+        def spoiled(q):
+            q[at] = bad
+            return ring(q)
+
+        monkeypatch.setattr(hypvoronoi, "_ring", spoiled)
+        assert fan_over(HEXAGON) is hypvoronoi._UNPROVEN

@@ -238,6 +238,37 @@ def test_estimates_refuse_a_bad_ladder_before_the_first_replica(
     assert calls == []
 
 
+def test_estimates_refuse_an_oversized_top_rung_before_the_first_build(
+        monkeypatch):
+    # the top rung's vertex budget and nuclei budget are checked before
+    # any ball is built or any sample drawn
+    import hyperperc.percolation as P
+    from hyperperc.hypgeo import CapExceeded
+    from hyperperc.tilinggraph import TooLarge
+
+    built = []
+
+    def spy(name):
+        fn = getattr(P, name)
+
+        def call(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("build_ball", "dual_ball", "sample_poisson_ball"):
+        monkeypatch.setattr(P, name, spy(name))
+    with pytest.raises(TooLarge, match=r"round 15 of the \{3,7\} ball"):
+        tiling_pc(3, 7, (5, 6, 40), LADDER_GRID, 400, 42)
+    with pytest.raises(TooLarge, match=r"of the \{3,7\} ball"):
+        P.tiling_pu(3, 7, (5, 6, 40), LADDER_GRID, 400, 42)
+    with pytest.raises(CapExceeded, match="got R=12.5$"):
+        voronoi_pc(1.0, (3.5, 4.5, 10.5), LADDER_GRID, 100, 42)
+    with pytest.raises(CapExceeded, match="nuclei budget"):
+        voronoi_pc(8.0, (3.5, 4.5, 9.5), LADDER_GRID, 100, 42)
+    assert built == []
+
+
 class TestBootstrapOracle:
     """estimate_pc against the loop over resamples of
     tests/oracle_perc.py: same draws, same crossings, same floats."""
