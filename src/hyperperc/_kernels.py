@@ -5,11 +5,15 @@ filtration, and cluster labels.
 Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one cluster
 traversal.  It takes each site at its minimax (bottleneck) level from the
 core: the first shell site gives the reach threshold, and stopped at
-level p it has taken exactly the core's p-cluster.  It reads each taken
-site's adjacency and mark ids (edge ids for bond, the sites for site)
-through one protocol, so one loop serves a tiling's CSR adjacency and a
-Voronoi replica's stars, built as the invasion reaches them, and gathers
-the marks of the sites it takes only.
+level p it has taken exactly the core's p-cluster.  A reach threshold
+ends sooner, at a slot into a site known to be shell at a level at most
+the running maximum: that maximum never exceeds the threshold, since
+every core-to-shell path leaves the taken set and each new maximum is
+its cheapest exit, and the slot closes a path at or below it.  The
+invasion reads each taken site's adjacency and mark ids (edge ids for
+bond, the sites for site) through one protocol, so one loop serves a
+tiling's CSR adjacency and a Voronoi replica's stars, built as the
+invasion reaches them, and gathers the marks of the sites it takes only.
 `filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
 2000) and gives the phase sweeps their core-to-shell counts on a whole
 p-grid.  Each edge end is found with path halving, and each root keeps
@@ -85,17 +89,29 @@ def filtration(n, eu, ev, order, core, shell, cuts):
     return np.array(counts, dtype=np.int64)
 
 
-def _invade(neighbours, marks, start, stop=2.0):
-    """Invasion percolation from the core, until the first shell site or
-    the first level above `stop`.  Returns (top, taken): taken[w] is the
+def _invade(neighbours, marks, start, stop=2.0, shell=None):
+    """Invasion percolation from the core, until the first shell site,
+    the first level above `stop`, or a slot into a known shell site at
+    most the running maximum.  Returns (top, taken): taken[w] is the
     running maximum when site w was taken, its minimax level from the
-    core, and top is that of the shell site, 2.0 if none was taken.
+    core, and top is the level at which the core reaches the shell, 2.0
+    if it does not.
 
     `start` holds the (level, site) pairs of the core sites, each entering
     at its own level.  neighbours(w) gives site w's adjacency as (sites,
     ids), a list of sites and an index array, the slot into sites[j]
     costing marks[ids[j]], or None if w is a shell site.  The lowest
-    boundary level is taken next."""
+    boundary level is taken next.
+
+    shell[w], if given, is true for a site that neighbours would call
+    shell, known before its adjacency is read.  A slot into such a site
+    at a level <= top returns top at once, and top is then exact:
+    - top never exceeds the reach level, since each new maximum is the
+      cheapest exit from the taken set, which every core-to-shell path
+      leaves;
+    - the slot closes a core-to-shell path at level <= top, and every pop
+      before it would have left top unchanged.
+    Without shell, the invasion runs until it takes a shell site."""
     taken = {}
     heap = list(start)
     heapify(heap)
@@ -116,19 +132,21 @@ def _invade(neighbours, marks, start, stop=2.0):
         # a slot into a taken site would only be popped and dropped
         for slot in zip(marks[ids].tolist(), sites):
             if slot[1] not in taken:
+                if slot[0] <= top and shell is not None and shell[slot[1]]:
+                    return top, taken
                 heappush(heap, slot)
     return 2.0, taken
 
 
 def csr_neighbours(indptr, indices, ids, shell):
     """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
-    ids is its edge_id for bond marks and its indices for site marks.
+    ids is its edge_id for bond marks and its indices for site marks, and
+    shell the shell flags as a list, which the reach thresholds share.
 
     Built once per graph and shared by its replicas: each site's
     neighbour list and id slice are kept after the first invasion that
     takes it, so the memo holds only sites some replica has taken."""
     indptr = indptr.tolist()
-    shell = shell.tolist()
     memo = {}
 
     def neighbours(w):
@@ -148,24 +166,27 @@ def _at_zero(core):
     return [(0.0, w) for w in np.flatnonzero(core).tolist()]
 
 
-def bond_reach_threshold(neighbours, uniforms, core):
+def bond_reach_threshold(neighbours, uniforms, core, shell=None):
     """Level at which some core site first joins some shell site when
     edges open in increasing uniforms, 2.0 if they never join; core sites
     enter at 0.0.  neighbours(w) is _invade's with ids = edge ids, as
-    csr_neighbours(indptr, indices, edge_id, shell) gives it."""
-    return _invade(neighbours, uniforms, _at_zero(core))[0]
+    csr_neighbours(indptr, indices, edge_id, shell) gives it, and shell
+    the flags of the sites known to be shell (_invade's)."""
+    return _invade(neighbours, uniforms, _at_zero(core), shell=shell)[0]
 
 
-def site_reach_threshold(neighbours, uniforms, core):
+def site_reach_threshold(neighbours, uniforms, core, shell=None):
     """Level at which some core site first joins some shell site when
     sites open in increasing uniforms, 2.0 if they never join.
     neighbours(w) is _invade's with ids = sites, built as the invasion
-    reaches w if need be.  Each core site enters at its own uniform and
-    each step costs the uniform of the site it enters, so a path costs its
-    largest uniform."""
+    reaches w if need be, and shell the flags of the sites known to be
+    shell before then (_invade's).  Each core site enters at its own
+    uniform and each step costs the uniform of the site it enters, so a
+    path costs its largest uniform."""
     sites = np.flatnonzero(core)
     return _invade(neighbours, uniforms,
-                   zip(uniforms[sites].tolist(), sites.tolist()))[0]
+                   zip(uniforms[sites].tolist(), sites.tolist()),
+                   shell=shell)[0]
 
 
 def bond_cluster(neighbours, uniforms, core, p):

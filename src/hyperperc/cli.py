@@ -29,7 +29,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy
 
 from . import svg
 from ._kernels import BACKEND
@@ -201,6 +200,10 @@ def _git_describe():
 
 
 def write_summary(path: str, config: dict, results, wall_time) -> None:
+    # lazy: the summary alone reads scipy's version, and importing the
+    # package would load 10 scipy modules on every start
+    import scipy
+
     doc = {
         "backend": BACKEND,
         "config": config,

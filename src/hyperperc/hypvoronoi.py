@@ -292,7 +292,7 @@ class LocalStars:
     fewer than 3 vertices or an edge with the origin not strictly to its
     left (one with a NaN or infinite end included), or a face is not
     proven, more nuclei are taken, up to the whole sample, whose complex
-    delaunay() builds.  On the voronoi-pc benchmark 531 stars took 532
+    delaunay() builds.  On the voronoi-pc benchmark 392 stars took 393
     rings and no whole complex.
 
     One scalar pass over the ring's edges (`_fan`) gives each face's
@@ -304,7 +304,7 @@ class LocalStars:
     most tanh((R - 1 - _VERTEX_ROUNDING R) / 2), less a rounding margin,
     every vertex lies within R - 1 and clear of the interior test's guard,
     and the star is interior exactly when every face is kept.  On the
-    voronoi-pc benchmark this bound settled 463 of 531 stars; the others,
+    voronoi-pc benchmark this bound settled 357 of 392 stars; the others,
     and any star whose vor_rho is read, take their vertices from
     hypgeo.circumcenters_arrays.  The vertices agree with
     delaunay()'s to rounding, since the star's circles come from the

@@ -190,12 +190,13 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     result bit for bit).
     """
     indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
-    neighbours = csr_neighbours(indptr, indices, edge_id, inst.shell)
+    shell = inst.shell.tolist()
+    neighbours = csr_neighbours(indptr, indices, edge_id, shell)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(len(inst.edges))
-        return bond_reach_threshold(neighbours, u, inst.core)
+        return bond_reach_threshold(neighbours, u, inst.core, shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -203,12 +204,13 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
 def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
     indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
-    neighbours = csr_neighbours(indptr, indices, indices, inst.shell)
+    shell = inst.shell.tolist()
+    neighbours = csr_neighbours(indptr, indices, indices, shell)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
         u = rng.random(inst.n)
-        return site_reach_threshold(neighbours, u, inst.core)
+        return site_reach_threshold(neighbours, u, inst.core, shell)
 
     return np.fromiter(mapper(one, range(replicas)), dtype=float, count=replicas)
 
@@ -247,12 +249,14 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
                       experiment: str, replica: int) -> float:
     """One replica of the level at which the cell containing the origin
     first joins the shell through white cells.  The invasion builds only
-    the stars of the cells it takes (hypvoronoi.LocalStars)."""
+    the stars of the cells it takes (hypvoronoi.LocalStars); a cell
+    beyond R_window is known to be shell without its star."""
     pts, u = voronoi_sample(lam, window.R_sample, master_seed, experiment,
                             replica)
     stars = LocalStars(pts)
     return site_reach_threshold(
-        lambda w: stars.neighbours(w, window.R_window), u, stars.core_mask())
+        lambda w: stars.neighbours(w, window.R_window), u, stars.core_mask(),
+        pts.rho > window.R_window)
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,
@@ -688,7 +692,7 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
     indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
     # no shell: the invasion stops at level p only
     neighbours = csr_neighbours(indptr, indices, edge_id,
-                                np.zeros(ball.n_vertices, dtype=bool))
+                                [False] * ball.n_vertices)
     center = np.arange(ball.n_vertices) == 0
     tag = f"decay-{ball.p_gon}-{ball.q_deg}-p{p:g}"
 

@@ -34,6 +34,13 @@ def test_percolation_loads_no_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+def test_cli_loads_no_scipy():
+    loaded = _run("import json, sys\n"
+                  "import hyperperc.cli\n"
+                  "print(json.dumps(sorted(sys.modules)))\n")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
 def test_cli_loads_no_spatial_or_sparse():
     loaded = _run("import json, sys\n"
                   "import hyperperc.cli\n"

@@ -5,11 +5,17 @@ import pytest
 
 from hyperperc import _kernels as K
 from hyperperc.graphs import csr_adjacency
-from hyperperc.hypvoronoi import Window, core_cell_mask, shell_cell_mask
+from hyperperc.hypvoronoi import (
+    LocalStars,
+    Window,
+    core_cell_mask,
+    shell_cell_mask,
+)
 from hyperperc.percolation import (
     label_clusters,
     tiling_instance,
     voronoi_replica,
+    voronoi_sample,
     voronoi_threshold,
     voronoi_thresholds,
 )
@@ -490,6 +496,143 @@ class TestInvasionStopLevel:
                 assert K.bond_cluster(neighbours, u, center, p) == taken
                 if p == 0.0:
                     assert taken == {0: 0.0}
+
+
+def site_start(u, core):
+    """site_reach_threshold's start: each core site at its own uniform."""
+    sites = np.flatnonzero(core).tolist()
+    return list(zip(u[sites].tolist(), sites))
+
+
+class TestShellStop:
+    """A reach invasion told which sites are shell ends at a slot into one
+    at a level <= its running maximum.  Its threshold is bitwise the one
+    of the invasion that runs on to the shell, and it takes a prefix of
+    that invasion's sites."""
+
+    def check(self, neighbours, marks, start, shell):
+        """The masked and unmasked invasions agree; True if the masked one
+        took fewer sites."""
+        full, everything = K._invade(neighbours, marks, start)
+        top, taken = K._invade(neighbours, marks, start, shell=shell)
+        assert top == full
+        assert taken == {w: everything[w] for w in taken}
+        return len(taken) < len(everything)
+
+    @pytest.mark.parametrize("mode", ["bond", "site"])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3), (4, 5)])
+    def test_tiling_balls(self, p_gon, q_deg, dual, mode):
+        rng = np.random.default_rng(
+            [700, p_gon, q_deg, dual, mode == "site"])
+        early = 0
+        for layers in (3, 4, 5, 6):
+            ball = build_ball(p_gon, q_deg, layers)
+            inst = tiling_instance(dual_ball(ball) if dual else ball,
+                                   layers // 3)
+            indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
+            shell = inst.shell.tolist()
+            ids = edge_id if mode == "bond" else indices
+            neighbours = K.csr_neighbours(indptr, indices, ids, shell)
+            reach = (K.bond_reach_threshold if mode == "bond"
+                     else K.site_reach_threshold)
+            for _ in range(50):
+                if mode == "bond":
+                    u = rng.random(len(inst.edges))
+                    start = K._at_zero(inst.core)
+                else:
+                    u = rng.random(inst.n)
+                    start = site_start(u, inst.core)
+                early += self.check(neighbours, u, start, shell)
+                assert (reach(neighbours, u, inst.core, shell)
+                        == reach(neighbours, u, inst.core))
+        assert early > 0
+
+    @pytest.mark.parametrize("lam,R_window", [(0.25, 4.5), (1.0, 3.5),
+                                              (4.0, 2.5)])
+    def test_voronoi_windows(self, lam, R_window):
+        """The mask voronoi_threshold passes: the cells beyond R_window."""
+        window = Window.with_margin(R_window)
+        tag = f"shell-stop-lam{lam:g}"
+        early = 0
+        for rep in range(200):
+            pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
+            stars = LocalStars(pts)
+
+            def neighbours(w):
+                return stars.neighbours(w, R_window)
+
+            start = site_start(u, stars.core_mask())
+            early += self.check(neighbours, u, start, pts.rho > R_window)
+            assert (voronoi_threshold(lam, window, 42, tag, rep)
+                    == K._invade(neighbours, u, start)[0])
+        assert early > 0
+
+    def ring(self):
+        return TestInvasionEqualsFiltration().ring()
+
+    def masks(self, n, core_sites, shell_sites):
+        return TestInvasionEqualsFiltration().masks(n, core_sites,
+                                                    shell_sites)
+
+    def test_core_site_in_the_shell(self):
+        n, edges, levels = self.ring()
+        core, shell = self.masks(n, [0, 1, 3], [1, 3])
+        flags = shell.tolist()
+        bond = bond_neighbours(n, edges, flags)
+        assert K.bond_reach_threshold(bond, levels, core, flags) == 0.0
+        # the least uniform over core and shell: site 1's 0.2, below the
+        # level 0.3 of core site 0's path into site 1
+        u = np.array([0.3, 0.2, 0.8, 0.7, 0.4, 0.5, 0.1, 0.6])
+        indptr, indices, _ = csr_adjacency(n, edges)
+        site = K.csr_neighbours(indptr, indices, indices, flags)
+        assert K.site_reach_threshold(site, u, core, flags) == 0.2
+        assert K.site_reach_threshold(site, u, core) == 0.2
+
+    def test_shell_slot_at_the_running_maximum(self):
+        """Taking site 1 raises the maximum to 0.5, and its slot into the
+        shell site 2 costs 0.5 too: the invasion ends before site 2."""
+        n = 4
+        edges = np.array([[0, 1], [0, 3], [1, 2]])
+        levels = np.array([0.5, 0.1, 0.5])
+        shell = [False, False, True, False]
+        neighbours = bond_neighbours(n, edges, shell)
+        start = [(0.0, 0)]
+        top, taken = K._invade(neighbours, levels, start, shell=shell)
+        assert (top, taken) == (0.5, {0: 0.0, 3: 0.1, 1: 0.5})
+        # without the mask the invasion takes the shell site as well
+        assert K._invade(neighbours, levels, start) == (
+            0.5, {0: 0.0, 3: 0.1, 1: 0.5, 2: 0.5})
+        # a slot above the running maximum is taken only when popped
+        top, taken = K._invade(neighbours, np.array([0.5, 0.1, 0.6]), start,
+                               shell=shell)
+        assert (top, taken) == (0.6, {0: 0.0, 3: 0.1, 1: 0.5, 2: 0.6})
+
+    def test_empty_heap(self):
+        n, edges, levels = self.ring()
+        core, shell = self.masks(n, [0], [6, 7])
+        flags = shell.tolist()
+        neighbours = bond_neighbours(n, edges, flags)
+        assert K.bond_reach_threshold(neighbours, levels, core, flags) == 2.0
+        top, taken = K._invade(neighbours, levels, K._at_zero(core),
+                               shell=flags)
+        assert top == 2.0 and sorted(taken) == [0, 1, 2, 3, 4, 5]
+
+    def test_bond_cluster_runs_to_its_stop(self):
+        """bond_cluster takes no shell mask: a slot into a shell site below
+        the running maximum ends nothing, and the shell site is taken."""
+        n = 4
+        edges = np.array([[0, 1], [1, 2], [1, 3]])
+        levels = np.array([0.5, 0.3, 0.4])
+        shell = [False, False, True, False]
+        center = np.arange(n) == 0
+        neighbours = bond_neighbours(n, edges, shell)
+        assert K.bond_cluster(neighbours, levels, center, 0.6) == {
+            0: 0.0, 1: 0.5, 2: 0.5}
+        whole = bond_neighbours(n, edges, [False] * n)
+        assert K.bond_cluster(whole, levels, center, 0.6) == {
+            0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5}
+        assert K.bond_cluster(whole, levels, center, 0.45) == {0: 0.0}
 
 
 class TestSharedAdapter:
