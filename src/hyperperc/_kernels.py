@@ -5,15 +5,22 @@ filtration, and cluster labels.
 Wilkinson & Willemsen, J. Phys. A 16, 1983), is the one cluster
 traversal.  It takes each site at its minimax (bottleneck) level from the
 core: the first shell site gives the reach threshold, and stopped at
-level p it has taken exactly the core's p-cluster.  A reach threshold
-ends sooner, at a slot into a site known to be shell at a level at most
-the running maximum: that maximum never exceeds the threshold, since
-every core-to-shell path leaves the taken set and each new maximum is
-its cheapest exit, and the slot closes a path at or below it.  The
-invasion reads each taken site's adjacency and mark ids (edge ids for
-bond, the sites for site) through one protocol, so one loop serves a
-tiling's CSR adjacency and a Voronoi replica's stars, built as the
-invasion reaches them, and gathers the marks of the sites it takes only.
+level p it has taken exactly the core's p-cluster.  It runs as a priority
+flood (Barnes, Lehman & Mulla, Computers & Geosciences 62, 2014): a slot
+at or below the running maximum is taken at that maximum in any order, so
+it goes on a plain LIFO stack, and only a slot above it goes through
+`heapq`.  The maximum rises only when the stack is empty, so each level's
+basin is taken whole first and every level equals Prim's.  Adapters list
+a site's neighbours innermost first, so the stack takes the outermost
+first and the invasion dives toward the shell.  A reach threshold ends
+sooner, at a slot into a site known to be shell at a level at most the
+running maximum: that maximum never exceeds the threshold, since every
+core-to-shell path leaves the taken set and each new maximum is its
+cheapest exit, and the slot closes a path at or below it.  The invasion
+reads each taken site's adjacency and mark ids (edge ids for bond, the
+sites for site) through one protocol, so one loop serves a tiling's CSR
+adjacency and a Voronoi replica's stars, built as the invasion reaches
+them, and gathers the marks of the sites it takes only.
 `filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
 2000) and gives the phase sweeps their core-to-shell counts on a whole
 p-grid.  Each edge end is found with path halving, and each root keeps
@@ -100,8 +107,18 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
     `start` holds the (level, site) pairs of the core sites, each entering
     at its own level.  neighbours(w) gives site w's adjacency as (sites,
     ids), a list of sites and an index array, the slot into sites[j]
-    costing marks[ids[j]], or None if w is a shell site.  The lowest
-    boundary level is taken next.
+    costing marks[ids[j]], or None if w is a shell site.
+
+    A priority flood (Barnes, Lehman & Mulla, Computers & Geosciences 62,
+    2014): a slot at a level <= top goes on a plain stack, only a slot
+    above top on the heap.  The stack is emptied before the heap is
+    popped, and a site taken from either at a level <= top is taken at
+    top.  Levels are unchanged from Prim's order: top rises only at a
+    heap pop with the stack empty, when the heap holds every exit from
+    the taken set, so every site left has a minimax level >= top and
+    each level's basin is taken whole before top rises.  The stack is
+    LIFO, so with adjacencies listed innermost first the invasion takes
+    the outermost neighbour first and dives toward the shell.
 
     shell[w], if given, is true for a site that neighbours would call
     shell, known before its adjacency is read.  A slot into such a site
@@ -109,32 +126,43 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
     - top never exceeds the reach level, since each new maximum is the
       cheapest exit from the taken set, which every core-to-shell path
       leaves;
-    - the slot closes a core-to-shell path at level <= top, and every pop
-      before it would have left top unchanged.
+    - the slot closes a core-to-shell path at level <= top, and every
+      site taken before it would have left top unchanged.
     Without shell, the invasion runs until it takes a shell site."""
     taken = {}
     heap = list(start)
     heapify(heap)
+    stack = []
     top = 0.0
-    while heap:
-        level, w = heappop(heap)
-        if w in taken:
-            continue
-        if level > top:
-            if level > stop:
-                break
-            top = level
+    while True:
+        if stack:
+            w = stack.pop()
+            if w in taken:
+                continue
+        elif heap:
+            level, w = heappop(heap)
+            if w in taken:
+                continue
+            if level > top:
+                if level > stop:
+                    break
+                top = level
+        else:
+            break
         taken[w] = top
         adjacency = neighbours(w)
         if adjacency is None:
             return top, taken
         sites, ids = adjacency
         # a slot into a taken site would only be popped and dropped
-        for slot in zip(marks[ids].tolist(), sites):
-            if slot[1] not in taken:
-                if slot[0] <= top and shell is not None and shell[slot[1]]:
+        for level, v in zip(marks[ids].tolist(), sites):
+            if v not in taken:
+                if level > top:
+                    heappush(heap, (level, v))
+                elif shell is not None and shell[v]:
                     return top, taken
-                heappush(heap, slot)
+                else:
+                    stack.append(v)
     return 2.0, taken
 
 
@@ -142,6 +170,10 @@ def csr_neighbours(indptr, indices, ids, shell):
     """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
     ids is its edge_id for bond marks and its indices for site marks, and
     shell the shell flags as a list, which the reach thresholds share.
+    Over edges sorted by (u, v), as build_ball's are, each row lists its
+    neighbours by ascending id, and a ball's ids rise with the round that
+    adds them: innermost first, as _invade wants.  A dual ball's edges
+    are not sorted, and its rows keep their order.
 
     Built once per graph and shared by its replicas: each site's
     neighbour list and id slice are kept after the first invasion that

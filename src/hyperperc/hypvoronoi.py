@@ -292,7 +292,7 @@ class LocalStars:
     fewer than 3 vertices or an edge with the origin not strictly to its
     left (one with a NaN or infinite end included), or a face is not
     proven, more nuclei are taken, up to the whole sample, whose complex
-    delaunay() builds.  On the voronoi-pc benchmark 392 stars took 393
+    delaunay() builds.  On the voronoi-pc benchmark 268 stars took 270
     rings and no whole complex.
 
     One scalar pass over the ring's edges (`_fan`) gives each face's
@@ -304,7 +304,7 @@ class LocalStars:
     most tanh((R - 1 - _VERTEX_ROUNDING R) / 2), less a rounding margin,
     every vertex lies within R - 1 and clear of the interior test's guard,
     and the star is interior exactly when every face is kept.  On the
-    voronoi-pc benchmark this bound settled 357 of 392 stars; the others,
+    voronoi-pc benchmark this bound settled 237 of 268 stars; the others,
     and any star whose vor_rho is read, take their vertices from
     hypgeo.circumcenters_arrays.  The vertices agree with
     delaunay()'s to rounding, since the star's circles come from the
@@ -465,12 +465,18 @@ class LocalStars:
 
     def neighbours(self, x: int, R_window: float):
         """Cell x's Delaunay neighbours as _kernels._invade reads site
-        marks, a list and an array, None for a shell cell: beyond
-        R_window or not interior, as shell_cell_mask has it."""
-        if self.points.rho[x] > R_window:
+        marks, a list and an array, innermost first (ascending nucleus
+        rho), so the invasion's stack takes the outermost first; None for
+        a shell cell: beyond R_window or not interior, as shell_cell_mask
+        has it."""
+        rho = self.points.rho
+        if rho[x] > R_window:
             return None
         s = self.star(x)
-        return (s.neighbours.tolist(), s.neighbours) if s.interior else None
+        if not s.interior:
+            return None
+        near = s.neighbours[np.argsort(rho[s.neighbours], kind="stable")]
+        return near.tolist(), near
 
     def core_mask(self) -> np.ndarray:
         """core_cell_mask(delaunay(points), 0.0): every face whose Voronoi

@@ -1,8 +1,10 @@
 """Reference implementations: flood-fill labels and reach for the
-kernels, the whole-complex Voronoi threshold pipeline, and the crossing
-estimate with its bootstrap as one loop over resamples."""
+kernels, the heap-only invasion, the whole-complex Voronoi threshold
+pipeline, and the crossing estimate with its bootstrap as one loop over
+resamples."""
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -61,6 +63,57 @@ def site_reach_at_level(n, edges, uniforms_sites, core, shell, p):
     core_labels = {l for l in labels[core].tolist() if l >= 0}
     shell_labels = {l for l in labels[shell].tolist() if l >= 0}
     return len(core_labels & shell_labels) > 0
+
+
+# _kernels._invade before the priority flood: every slot goes through the
+# heap, so sites leave in Prim's order
+def heap_invade(neighbours, marks, start, stop=2.0, shell=None):
+    """Invasion percolation from the core, until the first shell site,
+    the first level above `stop`, or a slot into a known shell site at
+    most the running maximum.  Returns (top, taken): taken[w] is the
+    running maximum when site w was taken, its minimax level from the
+    core, and top is the level at which the core reaches the shell, 2.0
+    if it does not.
+
+    `start` holds the (level, site) pairs of the core sites, each entering
+    at its own level.  neighbours(w) gives site w's adjacency as (sites,
+    ids), a list of sites and an index array, the slot into sites[j]
+    costing marks[ids[j]], or None if w is a shell site.  The lowest
+    boundary level is taken next.
+
+    shell[w], if given, is true for a site that neighbours would call
+    shell, known before its adjacency is read.  A slot into such a site
+    at a level <= top returns top at once, and top is then exact:
+    - top never exceeds the reach level, since each new maximum is the
+      cheapest exit from the taken set, which every core-to-shell path
+      leaves;
+    - the slot closes a core-to-shell path at level <= top, and every pop
+      before it would have left top unchanged.
+    Without shell, the invasion runs until it takes a shell site."""
+    taken = {}
+    heap = list(start)
+    heapify(heap)
+    top = 0.0
+    while heap:
+        level, w = heappop(heap)
+        if w in taken:
+            continue
+        if level > top:
+            if level > stop:
+                break
+            top = level
+        taken[w] = top
+        adjacency = neighbours(w)
+        if adjacency is None:
+            return top, taken
+        sites, ids = adjacency
+        # a slot into a taken site would only be popped and dropped
+        for slot in zip(marks[ids].tolist(), sites):
+            if slot[1] not in taken:
+                if slot[0] <= top and shell is not None and shell[slot[1]]:
+                    return top, taken
+                heappush(heap, slot)
+    return 2.0, taken
 
 
 def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,

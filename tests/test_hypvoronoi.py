@@ -483,6 +483,30 @@ class TestLocalStars:
         assert set(hull_sizes) <= {FIRST} | GROWN
         assert_stars_match(stars, V, taken)
 
+    @pytest.mark.parametrize("lam,R_window,rep", WINDOWS[::2])
+    def test_neighbours_innermost_first(self, lam, R_window, rep):
+        # the invasion's adapter lists the star's neighbours by ascending
+        # nucleus rho, the list and the array alike, while the star keeps
+        # them by index as delaunay() has them
+        pts, _ = voronoi_sample(lam, R_window + 2.0, 71, "local-stars", rep)
+        stars = LocalStars(pts)
+        listed = 0
+        for x in range(len(pts)):
+            got = stars.neighbours(x, R_window)
+            if pts.rho[x] > R_window:
+                assert got is None
+                continue
+            s = stars.star(x)
+            if not s.interior:
+                assert got is None
+                continue
+            sites, near = got
+            assert sites == near.tolist()
+            assert sorted(sites) == s.neighbours.tolist()
+            assert (np.diff(pts.rho[near]) >= 0).all()
+            listed += 1
+        assert listed > 10
+
     # (lambda, R_window) from sparse to dense; one replica each
     GRID = [(0.05, 6.0), (0.25, 5.5), (0.5, 5.0), (1.0, 4.0), (2.0, 3.0),
             (4.0, 2.5), (8.0, 2.0)]

@@ -23,6 +23,7 @@ from hyperperc.tilinggraph import build_ball, dual_ball
 
 from oracle_perc import (
     bfs_labels,
+    heap_invade,
     reach_at_level,
     site_reach_at_level,
     whole_complex_voronoi_threshold,
@@ -628,11 +629,111 @@ class TestShellStop:
         center = np.arange(n) == 0
         neighbours = bond_neighbours(n, edges, shell)
         assert K.bond_cluster(neighbours, levels, center, 0.6) == {
-            0: 0.0, 1: 0.5, 2: 0.5}
+            0: 0.0, 1: 0.5, 3: 0.5, 2: 0.5}
         whole = bond_neighbours(n, edges, [False] * n)
         assert K.bond_cluster(whole, levels, center, 0.6) == {
             0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5}
         assert K.bond_cluster(whole, levels, center, 0.45) == {0: 0.0}
+
+
+class TestFlood:
+    """The priority flood takes each site at the level the heap-only
+    invasion (oracle_perc.heap_invade) gives it: thresholds are bitwise
+    equal with and without a shell mask, clusters are equal at every
+    stop, and the levels are taken in non-decreasing order."""
+
+    def check(self, neighbours, marks, start, shell):
+        for mask in (shell, None):
+            top, taken = K._invade(neighbours, marks, start, shell=mask)
+            want, record = heap_invade(neighbours, marks, start, shell=mask)
+            assert top == want
+            levels = list(taken.values())
+            assert levels == sorted(levels)
+            # a site both take has one minimax level
+            assert all(record[w] == level for w, level in taken.items()
+                       if w in record)
+
+    @pytest.mark.parametrize("mode", ["bond", "site"])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3), (4, 5)])
+    def test_tiling_balls(self, p_gon, q_deg, dual, mode):
+        rng = np.random.default_rng(
+            [800, p_gon, q_deg, dual, mode == "site"])
+        for layers in (3, 4, 5, 6):
+            ball = build_ball(p_gon, q_deg, layers)
+            inst = tiling_instance(dual_ball(ball) if dual else ball,
+                                   layers // 3)
+            indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
+            shell = inst.shell.tolist()
+            ids = edge_id if mode == "bond" else indices
+            neighbours = K.csr_neighbours(indptr, indices, ids, shell)
+            for _ in range(30):
+                if mode == "bond":
+                    u = rng.random(len(inst.edges))
+                    start = K._at_zero(inst.core)
+                else:
+                    u = rng.random(inst.n)
+                    start = site_start(u, inst.core)
+                self.check(neighbours, u, start, shell)
+
+    @pytest.mark.parametrize("lam,R_window", [(0.25, 6.5), (1.0, 4.5),
+                                              (4.0, 3.0)])
+    def test_voronoi_windows(self, lam, R_window):
+        window = Window.with_margin(R_window)
+        tag = f"flood-lam{lam:g}"
+        for rep in range(60):
+            pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
+            stars = LocalStars(pts)
+
+            def neighbours(w):
+                return stars.neighbours(w, R_window)
+
+            self.check(neighbours, u, site_start(u, stars.core_mask()),
+                       pts.rho > R_window)
+
+    @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3)])
+    def test_bond_clusters_at_every_stop(self, p_gon, q_deg):
+        ball = build_ball(p_gon, q_deg, 6)
+        n = ball.n_vertices
+        whole = bond_neighbours(n, ball.edges, [False] * n)
+        center = np.arange(n) == 0
+        rng = np.random.default_rng(810 + p_gon)
+        for _ in range(30):
+            u = rng.random(len(ball.edges))
+            for p in (0.0, 0.1, 0.2, 0.35, 0.6):
+                got = K.bond_cluster(whole, u, center, p)
+                assert got == heap_invade(whole, u, K._at_zero(center), p)[1]
+                levels = list(got.values())
+                assert levels == sorted(levels)
+
+    def test_heap_entry_at_the_running_maximum(self):
+        """Sites 1 and 2 both wait on the heap at 0.5.  Taking site 1
+        raises the maximum to 0.5 and stacks site 3, whose slot costs 0.2;
+        site 3 is taken at 0.5 before site 2 leaves the heap, at the
+        maximum it equals."""
+        n = 4
+        edges = np.array([[0, 1], [0, 2], [1, 3]])
+        levels = np.array([0.5, 0.5, 0.2])
+        neighbours = bond_neighbours(n, edges, [False] * n)
+        top, taken = K._invade(neighbours, levels, [(0.0, 0)], 0.5)
+        assert top == 2.0
+        assert list(taken.items()) == [(0, 0.0), (1, 0.5), (3, 0.5),
+                                       (2, 0.5)]
+        assert taken == heap_invade(neighbours, levels, [(0.0, 0)], 0.5)[1]
+
+    def test_shell_slot_from_a_stacked_site(self):
+        """Site 2 is stacked from site 1 below the running maximum 0.5, and
+        its slot into the shell site 3 costs 0.4: the invasion returns 0.5
+        before it takes site 3."""
+        n = 4
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        levels = np.array([0.5, 0.2, 0.4])
+        shell = [False, False, False, True]
+        neighbours = bond_neighbours(n, edges, shell)
+        top, taken = K._invade(neighbours, levels, [(0.0, 0)], shell=shell)
+        assert (top, taken) == (0.5, {0: 0.0, 1: 0.5, 2: 0.5})
+        assert K._invade(neighbours, levels, [(0.0, 0)]) == (
+            0.5, {0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5})
 
 
 class TestSharedAdapter:
