@@ -16,7 +16,7 @@ def side_keys(faces, n: int) -> np.ndarray:
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D array, by one sort and a neighbour mask: on
     integers, numpy 2's np.unique takes a hash path that is several times
-    slower."""
+    slower, and it imports numpy.ma on its first call."""
     s = np.sort(values)
     keep = np.empty(len(s), dtype=bool)
     keep[:1] = True

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import edges_of_keys, side_keys
+from .graphs import edges_of_keys, side_keys, sorted_distinct
 from .hypgeo import (
     GeodesicPolygon,
     HPoint,
@@ -118,7 +118,7 @@ def _disk_xy(points: ColoredPointSet) -> np.ndarray:
     if np.any(x[1:] == x[:-1]):
         order = np.argsort(xy[:, 0])
         tied = np.flatnonzero(x[1:] == x[:-1])
-        runs = order[np.union1d(tied, tied + 1)]
+        runs = order[sorted_distinct(np.concatenate((tied, tied + 1)))]
         z = np.sort(xy[runs].view(np.complex128).ravel())
         if np.any(z[1:] == z[:-1]):
             raise DegenerateInput("duplicate nuclei")
@@ -443,7 +443,7 @@ class LocalStars:
         if not interior:
             pairs = pairs[kept]
             circles = [circles[j] for j in kept]
-            ring = np.unique(pairs)
+            ring = sorted_distinct(pairs.ravel())
         vr = None
         if top > self._settled:
             vr, _ = circumcenters_arrays(*np.array(circles).reshape(-1, 3).T)
@@ -459,7 +459,7 @@ class LocalStars:
     def _from_whole(self, x):
         V = self._whole
         js = V.cell_faces(x)
-        corners = np.unique(V.faces[js])
+        corners = sorted_distinct(V.faces[js].ravel())
         return Star(V.faces[js], V.vor_rho[js], corners[corners != x],
                     bool(V.interior_mask[x]))
 

@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# np.median loads numpy.ma when it is first called: here, so that the first
-# estimate does not pay for it
-import numpy.ma  # noqa: F401
 
 from ._kernels import (
     bond_cluster,
@@ -38,7 +35,7 @@ from ._kernels import (
     label_clusters_kernel,
     site_reach_threshold,
 )
-from .graphs import bfs_distances, csr_adjacency
+from .graphs import bfs_distances, csr_adjacency, sorted_distinct
 from .hypgeo import InvalidInput, NumericFailure
 from .hypvoronoi import (
     LocalStars,
@@ -91,9 +88,9 @@ class ClusterLabeling:
         if self.core is None or self.shell is None:
             raise ValueError("labeling carries no window masks")
         lc = self.labels[self.core]
-        lc = np.unique(lc[lc >= 0])
+        lc = sorted_distinct(lc[lc >= 0])
         ls = self.labels[self.shell]
-        ls = np.unique(ls[ls >= 0])
+        ls = sorted_distinct(ls[ls >= 0])
         return int(len(np.intersect1d(lc, ls, assume_unique=True)))
 
 
@@ -363,6 +360,36 @@ def _bootstrap_draws(seed, samples):
     return np.split(draws, np.cumsum(ns)[:-1], axis=1)
 
 
+# np.median and np.percentile import numpy.ma on their first call, a tenth
+# of a fresh process's start-up; these give their values by one sort
+
+
+def _median(x: np.ndarray) -> np.ndarray:
+    """np.median(x, axis=-1) of NaN-free floats: the mean of the two middle
+    entries, or of the middle one, taken by np.mean as numpy does."""
+    s = np.sort(x, axis=-1)
+    n = s.shape[-1]
+    return s[..., (n - 1) // 2:n // 2 + 1].mean(axis=-1)
+
+
+def _percentiles(x: np.ndarray, q) -> np.ndarray:
+    """np.percentile(x, q) of NaN-free 1-D floats by numpy's linear method:
+    virtual index v = (n - 1) q / 100 between entries a and b, g its
+    fraction, a + (b - a) g, or b - (b - a)(1 - g) once g >= 0.5.  At
+    v >= n - 1 numpy takes a = b = the last entry and g = v + 1.  Only
+    the sign of a zero may differ: numpy partitions instead of sorting,
+    which may order 0.0 and -0.0 otherwise."""
+    s = np.sort(x)
+    n = len(s)
+    v = (n - 1) * (np.asarray(q, dtype=float) / 100)
+    i = np.where(v >= n - 1, -1.0, np.floor(v))
+    g = v - i
+    a = s[i.astype(np.intp)]
+    b = s[np.where(i < 0, -1, i + 1).astype(np.intp)]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
 def _check_ladder(sizes, p_grid) -> np.ndarray:
     """estimate_pc's rules on its sizes and grid, which tiling_pc and
     voronoi_pc check before their first replica: at least 3 strictly
@@ -407,7 +434,7 @@ def estimate_pc(thresholds_by_size, p_grid,
             f"size-weighted difference runs from {d.min():.4g} to "
             f"{d.max():.4g}; widen the grid or the ladder"
         )
-    value = float(np.median(crossings))
+    value = float(_median(crossings))
 
     # searchsorted is elementwise: bin each sample once and gather the
     # bins of every resample
@@ -416,13 +443,13 @@ def estimate_pc(thresholds_by_size, p_grid,
                 for t, idx in
                 zip(samples, _bootstrap_draws(bootstrap_seed, samples))],
         p_grid)
-    boots = np.median(cs[~np.isnan(cs).any(axis=1)], axis=1)
+    boots = _median(cs[~np.isnan(cs).any(axis=1)])
     if len(boots) < BOOTSTRAP_RESAMPLES // 2:
         raise NoCrossing(
             "crossing unstable under bootstrap resampling: "
             f"{len(boots)} of {BOOTSTRAP_RESAMPLES} resamples cross"
         )
-    lo, hi = np.percentile(boots, [2.5, 97.5])
+    lo, hi = _percentiles(boots, (2.5, 97.5))
     return PcEstimate(
         value=value,
         ci_lo=float(min(lo, value)),

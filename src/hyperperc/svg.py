@@ -16,6 +16,7 @@ import numpy as np
 from .hypgeo import geodesic_direction
 from .hypvoronoi import MARGIN, VoronoiComplex, shell_cell_mask
 from ._kernels import label_clusters_kernel
+from .graphs import sorted_distinct
 
 _PALETTE = (
     "#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -159,7 +160,7 @@ def render_voronoi(V: VoronoiComplex | None,
     for color_mask in (white, ~white):
         labels = label_clusters_kernel(V.n_nuclei, eu, ev, all_open, color_mask)
         ls = labels[shell]
-        for lab in np.unique(ls[ls >= 0]).tolist():
+        for lab in sorted_distinct(ls[ls >= 0]).tolist():
             stroke_color = _PALETTE[nxt % len(_PALETTE)]
             nxt += 1
             for cell in np.flatnonzero(labels == lab).tolist():

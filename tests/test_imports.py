@@ -4,8 +4,10 @@ Every threshold and sweep path is numpy-only: scipy is imported by whole
 complexes (scipy.spatial) and cluster labels (scipy.sparse) alone, when
 they are first built.  numpy loads some submodules of its own only when
 they are first used, which would put their import inside the first
-replica.  Each check runs in a fresh interpreter, since this session has
-scipy loaded already.
+replica.  numpy.ma is not needed at all: np.median, np.percentile and a
+plain np.unique would load it, so the package takes medians, percentiles
+and distinct values without them.  Each check runs in a fresh
+interpreter, since this session has scipy loaded already.
 """
 
 import json
@@ -76,3 +78,21 @@ def test_replica_paths_import_nothing():
     gained = _run(CALLS)
     assert gained == {name: [] for name in gained}
     assert len(gained) == 4
+
+
+def _masked(modules):
+    return [m for m in modules if m.split(".")[:2] == ["numpy", "ma"]]
+
+
+def test_imports_load_no_numpy_ma():
+    for module in ("hyperperc.percolation", "hyperperc.cli"):
+        loaded = _run("import json, sys\n"
+                      f"import {module}\n"
+                      "print(json.dumps(sorted(sys.modules)))\n")
+        assert _masked(loaded) == [], module
+
+
+def test_replica_paths_load_no_numpy_ma():
+    # _run reads the last line printed: every module held after all calls
+    loaded = _run(CALLS + "print(json.dumps(sorted(sys.modules)))\n")
+    assert _masked(loaded) == []

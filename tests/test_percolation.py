@@ -8,7 +8,9 @@ from hyperperc.percolation import (
     NoCrossing,
     _bootstrap_draws,
     _crossings,
+    _median,
     _pass_counts,
+    _percentiles,
     bond_thresholds,
     connectivity_decay,
     estimate_pc,
@@ -381,6 +383,51 @@ class TestBootstrapOracle:
             small, large = np.round(rng.random((2, len(grid))), 1)
             assert (one_crossing(small, large, grid)
                     == crossing_loop(small, large, grid))
+
+
+class TestMedianPercentiles:
+    """estimate_pc's median and CI percentiles against np.median and
+    np.percentile, bit for bit."""
+
+    @staticmethod
+    def samples(rng, shape):
+        # continuous values, and values on a coarse grid with ties, as
+        # crossings interpolated on a p-grid tie
+        yield rng.random(shape)
+        yield rng.normal(size=shape)
+        yield np.round(rng.random(shape) * 4) / 7 - 2 / 7
+
+    def test_one_sample_equals_numpy(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 210):
+            for x in self.samples(rng, n):
+                assert _median(x).tobytes() == np.median(x).tobytes()
+                assert (_percentiles(x, (2.5, 97.5)).tobytes()
+                        == np.percentile(x, [2.5, 97.5]).tobytes())
+
+    def test_rows_equal_numpy(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 210):
+            for x in self.samples(rng, (5, n)):
+                assert (_median(x).tobytes()
+                        == np.median(x, axis=1).tobytes())
+        assert _median(np.empty((0, 3))).shape == (0,)
+
+    def test_signed_zeros(self):
+        # np.mean sums from +0.0, so a median of zeros is +0.0 whichever
+        # zeros the sort puts in the middle; a percentile is the same
+        # value as numpy's, but np.sort and numpy's partition may place
+        # 0.0 and -0.0 in different orders
+        rng = np.random.default_rng(32)
+        for n in range(1, 210):
+            x = rng.choice([-0.0, 0.0, 0.5], (5, n))
+            assert (_median(x).tobytes()
+                    == np.median(x, axis=1).tobytes())
+            for row in x:
+                assert _median(row).tobytes() == np.median(row).tobytes()
+                np.testing.assert_array_equal(
+                    _percentiles(row, (2.5, 97.5)),
+                    np.percentile(row, [2.5, 97.5]))
 
 
 def tree_edges(d, L):
