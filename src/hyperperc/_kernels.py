@@ -17,10 +17,10 @@ sooner, at a slot into a site known to be shell at a level at most the
 running maximum: that maximum never exceeds the threshold, since every
 core-to-shell path leaves the taken set and each new maximum is its
 cheapest exit, and the slot closes a path at or below it.  The invasion
-reads each taken site's adjacency and mark ids (edge ids for bond, the
-sites for site) through one protocol, so one loop serves a tiling's CSR
-adjacency and a Voronoi replica's stars, built as the invasion reaches
-them, and gathers the marks of the sites it takes only.
+alone reads the shell flags; adapters only list a taken site's adjacency
+and mark ids (edge ids for bond, the sites for site), so one loop serves
+a tiling's CSR adjacency and a Voronoi replica's stars, built as the
+invasion reaches them, and gathers the marks of the sites it takes only.
 `filtration` adds edges in a given order (Newman & Ziff, PRL 85:4104,
 2000) and gives the phase sweeps their core-to-shell counts on a whole
 p-grid.  Each edge end is found with path halving, and each root keeps
@@ -98,7 +98,7 @@ def filtration(n, eu, ev, order, core, shell, cuts):
 
 def _invade(neighbours, marks, start, stop=2.0, shell=None):
     """Invasion percolation from the core, until the first shell site,
-    the first level above `stop`, or a slot into a known shell site at
+    the first level above `stop`, or a slot into a flagged shell site at
     most the running maximum.  Returns (top, taken): taken[w] is the
     running maximum when site w was taken, its minimax level from the
     core, and top is the level at which the core reaches the shell, 2.0
@@ -107,7 +107,7 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
     `start` holds the (level, site) pairs of the core sites, each entering
     at its own level.  neighbours(w) gives site w's adjacency as (sites,
     ids), a list of sites and an index array, the slot into sites[j]
-    costing marks[ids[j]], or None if w is a shell site.
+    costing marks[ids[j]], or None for a shell site found only then.
 
     A priority flood (Barnes, Lehman & Mulla, Computers & Geosciences 62,
     2014): a slot at a level <= top goes on a plain stack, only a slot
@@ -120,15 +120,16 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
     LIFO, so with adjacencies listed innermost first the invasion takes
     the outermost neighbour first and dives toward the shell.
 
-    shell[w], if given, is true for a site that neighbours would call
-    shell, known before its adjacency is read.  A slot into such a site
-    at a level <= top returns top at once, and top is then exact:
+    shell[w], if given, is true for a site known to be shell before its
+    adjacency is read; the invasion is the only reader of these flags.
+    Taking such a site returns top, and so does a slot into one at a
+    level <= top, where top is then exact:
     - top never exceeds the reach level, since each new maximum is the
       cheapest exit from the taken set, which every core-to-shell path
       leaves;
     - the slot closes a core-to-shell path at level <= top, and every
       site taken before it would have left top unchanged.
-    Without shell, the invasion runs until it takes a shell site."""
+    Without shell, only `stop` and a None adjacency end the invasion."""
     taken = {}
     heap = list(start)
     heapify(heap)
@@ -150,6 +151,8 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
         else:
             break
         taken[w] = top
+        if shell is not None and shell[w]:
+            return top, taken
         adjacency = neighbours(w)
         if adjacency is None:
             return top, taken
@@ -166,14 +169,14 @@ def _invade(neighbours, marks, start, stop=2.0, shell=None):
     return 2.0, taken
 
 
-def csr_neighbours(indptr, indices, ids, shell):
+def csr_neighbours(indptr, indices, ids):
     """_invade's neighbours over a CSR adjacency (graphs.csr_adjacency):
-    ids is its edge_id for bond marks and its indices for site marks, and
-    shell the shell flags as a list, which the reach thresholds share.
-    Over edges sorted by (u, v), as build_ball's are, each row lists its
-    neighbours by ascending id, and a ball's ids rise with the round that
-    adds them: innermost first, as _invade wants.  A dual ball's edges
-    are not sorted, and its rows keep their order.
+    ids is its edge_id for bond marks and its indices for site marks.  It
+    lists every site's neighbours, a shell site's too, and never returns
+    None.  Over edges sorted by (u, v), as build_ball's are, each row
+    lists its neighbours by ascending id, and a ball's ids rise with the
+    round that adds them: innermost first, as _invade wants.  A dual
+    ball's edges are not sorted, and its rows keep their order.
 
     Built once per graph and shared by its replicas: each site's
     neighbour list and id slice are kept after the first invasion that
@@ -184,8 +187,6 @@ def csr_neighbours(indptr, indices, ids, shell):
     def neighbours(w):
         got = memo.get(w)
         if got is None:
-            if shell[w]:
-                return None
             a, b = indptr[w], indptr[w + 1]
             got = memo[w] = indices[a:b].tolist(), ids[a:b]
         return got
@@ -198,16 +199,16 @@ def _at_zero(core):
     return [(0.0, w) for w in np.flatnonzero(core).tolist()]
 
 
-def bond_reach_threshold(neighbours, uniforms, core, shell=None):
+def bond_reach_threshold(neighbours, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
     edges open in increasing uniforms, 2.0 if they never join; core sites
     enter at 0.0.  neighbours(w) is _invade's with ids = edge ids, as
-    csr_neighbours(indptr, indices, edge_id, shell) gives it, and shell
-    the flags of the sites known to be shell (_invade's)."""
+    csr_neighbours(indptr, indices, edge_id) gives it, and shell the
+    flags of the shell sites (_invade's)."""
     return _invade(neighbours, uniforms, _at_zero(core), shell=shell)[0]
 
 
-def site_reach_threshold(neighbours, uniforms, core, shell=None):
+def site_reach_threshold(neighbours, uniforms, core, shell):
     """Level at which some core site first joins some shell site when
     sites open in increasing uniforms, 2.0 if they never join.
     neighbours(w) is _invade's with ids = sites, built as the invasion
@@ -224,8 +225,8 @@ def site_reach_threshold(neighbours, uniforms, core, shell=None):
 def bond_cluster(neighbours, uniforms, core, p):
     """The core's cluster of the edges with uniform <= p: a dict from
     each of its sites to its minimax level from the core.  neighbours is
-    bond_reach_threshold's; a shell site stops the invasion, so a whole
-    cluster needs neighbours without one."""
+    bond_reach_threshold's; no site is shell, so only p stops the
+    invasion."""
     return _invade(neighbours, uniforms, _at_zero(core), p)[1]
 
 

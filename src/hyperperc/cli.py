@@ -215,6 +215,11 @@ def write_summary(path: str, config: dict, results, wall_time) -> None:
     atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# ThreadPoolExecutor.map submits every replica at once and starts a thread
+# per task up to the pool size; CPython caps a default pool at 32 as well
+MAX_THREADS = 32
+
+
 def make_mapper(n_threads: int):
     """Order-preserving replica mapper; identical output for any pool size."""
     if n_threads <= 1:
@@ -534,7 +539,7 @@ def _add_common(sp, out_default="out.csv"):
     sp.add_argument("--out", "-o", default=out_default, help="output path")
     sp.add_argument("--json", default=None, help="JSON run-summary path")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker pool size (default 1)")
+                    help=f"worker pool size (1 to {MAX_THREADS}, default 1)")
     sp.add_argument("--timing", action="store_true",
                     help="record wall time in the JSON summary (breaks "
                          "byte-identical reruns)")
@@ -662,8 +667,8 @@ def main(argv=None) -> int:
         ap = build_parser()
         args = ap.parse_args(argv)
         n_threads = 1 if args.threads is None else args.threads
-        if n_threads < 1:
-            raise ConfigError("thread count must be >= 1")
+        if not 1 <= n_threads <= MAX_THREADS:
+            raise ConfigError(f"thread count must lie in [1, {MAX_THREADS}]")
         if args.replicas < 1:
             raise ConfigError("need at least one replica")
         if args.seed < 0 or args.seed >= 2**64:

@@ -243,10 +243,9 @@ class Star:
     """A cell's Delaunay star, as delaunay() of the whole sample has it: its
     kept faces (m, 3) in sample indices, their Voronoi vertices' polar
     radii vor_rho (m,), the other corners of the kept faces, ascending, and
-    the interior flag; indexed as the tuple of these four.  A local star
-    also holds its faces' Euclidean circumcircles, a list of (centre x,
-    centre y, radius), and computes vor_rho from them when it is first
-    read."""
+    the interior flag.  A local star also holds its faces' Euclidean
+    circumcircles, a list of (centre x, centre y, radius), and computes
+    vor_rho from them when it is first read."""
 
     __slots__ = ("faces", "neighbours", "interior", "circles", "_vor_rho")
 
@@ -261,9 +260,6 @@ class Star:
             rows = np.array(self.circles).reshape(-1, 3)
             self._vor_rho, _ = circumcenters_arrays(*rows.T)
         return self._vor_rho
-
-    def __getitem__(self, i):
-        return (self.faces, self.vor_rho, self.neighbours, self.interior)[i]
 
 
 class LocalStars:
@@ -463,18 +459,16 @@ class LocalStars:
         return Star(V.faces[js], V.vor_rho[js], corners[corners != x],
                     bool(V.interior_mask[x]))
 
-    def neighbours(self, x: int, R_window: float):
+    def neighbours(self, x: int):
         """Cell x's Delaunay neighbours as _kernels._invade reads site
         marks, a list and an array, innermost first (ascending nucleus
         rho), so the invasion's stack takes the outermost first; None for
-        a shell cell: beyond R_window or not interior, as shell_cell_mask
-        has it."""
-        rho = self.points.rho
-        if rho[x] > R_window:
-            return None
+        a cell that is not interior, the one shell fact (shell_cell_mask)
+        known only once its star is built."""
         s = self.star(x)
         if not s.interior:
             return None
+        rho = self.points.rho
         near = s.neighbours[np.argsort(rho[s.neighbours], kind="stable")]
         return near.tolist(), near
 

@@ -188,7 +188,7 @@ def bond_thresholds(inst: PercInstance, replicas: int, master_seed: int,
     """
     indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
     shell = inst.shell.tolist()
-    neighbours = csr_neighbours(indptr, indices, edge_id, shell)
+    neighbours = csr_neighbours(indptr, indices, edge_id)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
@@ -202,7 +202,7 @@ def site_thresholds(inst: PercInstance, replicas: int, master_seed: int,
                     experiment: str, mapper=map) -> np.ndarray:
     indptr, indices, _ = csr_adjacency(inst.n, inst.edges)
     shell = inst.shell.tolist()
-    neighbours = csr_neighbours(indptr, indices, indices, shell)
+    neighbours = csr_neighbours(indptr, indices, indices)
 
     def one(rep):
         rng = replica_rng(master_seed, experiment, rep)
@@ -251,9 +251,8 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     pts, u = voronoi_sample(lam, window.R_sample, master_seed, experiment,
                             replica)
     stars = LocalStars(pts)
-    return site_reach_threshold(
-        lambda w: stars.neighbours(w, window.R_window), u, stars.core_mask(),
-        pts.rho > window.R_window)
+    return site_reach_threshold(stars.neighbours, u, stars.core_mask(),
+                                pts.rho > window.R_window)
 
 
 def voronoi_thresholds(lam: float, window: Window, replicas: int,
@@ -717,9 +716,7 @@ def connectivity_decay(ball: TilingBall, p: float, distances, replicas: int,
     distances = np.asarray(sorted(set(int(d) for d in distances)))
 
     indptr, indices, edge_id = csr_adjacency(ball.n_vertices, ball.edges)
-    # no shell: the invasion stops at level p only
-    neighbours = csr_neighbours(indptr, indices, edge_id,
-                                [False] * ball.n_vertices)
+    neighbours = csr_neighbours(indptr, indices, edge_id)
     center = np.arange(ball.n_vertices) == 0
     tag = f"decay-{ball.p_gon}-{ball.q_deg}-p{p:g}"
 

@@ -1,7 +1,7 @@
 """Reference implementations: flood-fill labels and reach for the
-kernels, the heap-only invasion, the whole-complex Voronoi threshold
-pipeline, and the crossing estimate with its bootstrap as one loop over
-resamples."""
+kernels, the heap-only invasion, an adapter stop at the shell, the
+whole-complex Voronoi threshold pipeline, and the crossing estimate with
+its bootstrap as one loop over resamples."""
 
 from collections import deque
 from heapq import heapify, heappop, heappush
@@ -116,6 +116,16 @@ def heap_invade(neighbours, marks, start, stop=2.0, shell=None):
     return 2.0, taken
 
 
+def stop_at_shell(neighbours, shell):
+    """neighbours that returns None for a site flagged in shell, so an
+    invasion over it ends when it takes a shell site without reading the
+    flags itself: the reference for _invade's own take-time stop."""
+    def stopped(w):
+        return None if shell[w] else neighbours(w)
+
+    return stopped
+
+
 def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,
                                     replica):
     """voronoi_threshold from the whole complex: delaunay, the core and
@@ -124,8 +134,8 @@ def whole_complex_voronoi_threshold(lam, window, master_seed, experiment,
     shell = shell_cell_mask(V, window.R_window)
     core = core_cell_mask(V, 0.0)
     indptr, indices, _ = csr_adjacency(V.n_nuclei, V.delaunay_edges)
-    return site_reach_threshold(csr_neighbours(indptr, indices, indices,
-                                               shell), u, core)
+    return site_reach_threshold(csr_neighbours(indptr, indices, indices), u,
+                                core, shell)
 
 
 def crossing_loop(curve_small, curve_large, p_grid):

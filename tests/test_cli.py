@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -27,7 +28,13 @@ from hyperperc.cli import (
     parse_pq,
     pc_upper_bound,
 )
-from hyperperc.percolation import SweepRow
+from hyperperc.hypvoronoi import Window
+from hyperperc.percolation import (
+    SweepRow,
+    tiling_signature_sweep,
+    voronoi_signature_sweep,
+)
+from hyperperc.tilinggraph import build_ball
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -119,6 +126,96 @@ class TestClassify:
     def test_upper_bound_shape(self):
         # increases toward 1/2 as the intensity grows
         assert pc_upper_bound(0.25) < pc_upper_bound(1.0) < pc_upper_bound(8.0) < 0.5
+
+
+def isoperimetric_h(p_gon, q_deg):
+    """The edge-isoperimetric constant of the {p,q} tiling."""
+    return (q_deg - 2) * math.sqrt(1 - 4 / ((p_gon - 2) * (q_deg - 2)))
+
+
+def phase_bracket(p_gon, q_deg):
+    """(p_c lower, p_c upper, p_u lower, p_u upper) of bond percolation on
+    the {p,q} tiling: p_c in [1/(q - 1), 1/(1 + h)], and p_u = 1 - p_c of
+    the dual tiling {q,p}."""
+    def pc(p, q):
+        return 1 / (q - 1), 1 / (1 + isoperimetric_h(p, q))
+
+    pc_lo, pc_hi = pc(p_gon, q_deg)
+    dual_lo, dual_hi = pc(q_deg, p_gon)
+    return pc_lo, pc_hi, 1 - dual_hi, 1 - dual_lo
+
+
+class TestProvenPhaseLabels:
+    """phase-sweep's label, at the default thresholds, at points whose
+    phase a theorem fixes.  The paper's three phases: in (0, p_c] no white
+    cluster is unbounded and the black (dual) one is unique, B-unique; in
+    (p_c, p_u) both colours have infinitely many, both-many; in [p_u, 1)
+    the white one is unique, W-unique.
+
+    Tilings, bond percolation on {p,q} (q-regular, p-gon faces), with
+    recalled bounds, which test_recalled_bounds checks first:
+    - p_c >= 1/(q - 1): a q-regular graph has at most q (q - 1)^(n - 1)
+      self-avoiding paths of length n;
+    - p_c <= 1/(1 + h), h the edge-isoperimetric constant (Benjamini &
+      Schramm, "Percolation beyond Z^d, many questions and a few
+      answers", Electron. Comm. Probab. 1, 1996);
+    - h = (q - 2) sqrt(1 - 4/((p - 2)(q - 2))) (Haggstrom, Jonasson &
+      Lyons, Ann. Probab. 30, 2002);
+    - p_u = 1 - p_c of the dual tiling {q,p} (the paper).
+    On {4,5} they give p_c in [0.2500, 0.3660] and p_u in [0.5359,
+    0.6667]; on {5,4}, p_c in [0.3333, 0.4641] and p_u in [0.6340,
+    0.7500].
+
+    Voronoi at intensity lambda, from the paper: p_c(lambda) <=
+    pi lambda/(1 + 2 pi lambda) (cli.pc_upper_bound) and p_u(lambda) =
+    1 - p_c(lambda), so every p strictly between is in both-many."""
+
+    @pytest.mark.parametrize("p_gon,q_deg", [(4, 5), (5, 4), (3, 7), (7, 3)])
+    def test_recalled_bounds(self, p_gon, q_deg):
+        h = isoperimetric_h(p_gon, q_deg)
+        # every finite vertex set K has |boundary edges of K| >= h |K|;
+        # the interior vertices of a ball have all their edges in it
+        for layers in range(2, 7):
+            ball = build_ball(p_gon, q_deg, layers)
+            inside = ball.interior_vertex_mask
+            cut = np.count_nonzero(inside[ball.edges[:, 0]]
+                                   != inside[ball.edges[:, 1]])
+            assert cut >= h * np.count_nonzero(inside)
+        # the tree limit and the Euclidean edge
+        assert isoperimetric_h(10**9, q_deg) == pytest.approx(q_deg - 2)
+        assert isoperimetric_h(4, 4) == isoperimetric_h(3, 6) == 0.0
+        pc_lo, pc_hi, pu_lo, pu_hi = phase_bracket(p_gon, q_deg)
+        # on {3,7} and {7,3}, p_c's and p_u's brackets touch at 1/(1 + h)
+        assert pc_lo < pc_hi < pu_lo + 1e-12 and pu_lo < pu_hi
+        # p_u's bracket is the dual's p_c bracket, reflected
+        assert (pu_lo, pu_hi) == pytest.approx(
+            tuple(1 - b for b in phase_bracket(q_deg, p_gon)[1::-1]))
+
+    @pytest.mark.parametrize("p_gon,q_deg,labels", [
+        (4, 5, {0.2: "B-unique", 0.40: "both-many", 0.45: "both-many",
+                0.50: "both-many", 0.75: "W-unique"}),
+        (5, 4, {0.3: "B-unique", 0.50: "both-many", 0.55: "both-many",
+                0.60: "both-many", 0.8: "W-unique"}),
+    ])
+    def test_tilings(self, p_gon, q_deg, labels):
+        pc_lo, pc_hi, pu_lo, pu_hi = phase_bracket(p_gon, q_deg)
+        for p, label in labels.items():
+            proven = ("B-unique" if p < pc_lo else
+                      "both-many" if pc_hi < p < pu_lo else
+                      "W-unique" if p > pu_hi else None)
+            assert proven == label
+        sw = tiling_signature_sweep(p_gon, q_deg, 7, list(labels), 100, 42)
+        assert [r.p for r in sw.rows] == list(labels)
+        assert [classify_phase(r) for r in sw.rows] == list(labels.values())
+
+    def test_voronoi(self):
+        points = [0.4413, 0.5, 0.5587]
+        bound = pc_upper_bound(1.0)
+        assert all(bound < p < 1 - bound for p in points)
+        sw = voronoi_signature_sweep(1.0, points, Window.with_margin(5.0), 50,
+                                     42)
+        assert [r.p for r in sw.rows] == points
+        assert [classify_phase(r) for r in sw.rows] == ["both-many"] * 3
 
 
 class TestExitCodes:
@@ -354,6 +451,9 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     ["render", "--sample", "{tmp}/flat-sample.txt"],
     # a top rung past the vertex budget, refused before the first rung runs
     ["pc-estimate", "--pq", "3,7", "--ladder", "5,6,40"],
+    # refused before a pool exists: a pool this size would start a thread
+    # per replica
+    ["gen-tiling", "--pq", "3,7", "--L", "2", "--threads", "100000"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

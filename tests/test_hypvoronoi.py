@@ -492,10 +492,7 @@ class TestLocalStars:
         stars = LocalStars(pts)
         listed = 0
         for x in range(len(pts)):
-            got = stars.neighbours(x, R_window)
-            if pts.rho[x] > R_window:
-                assert got is None
-                continue
+            got = stars.neighbours(x)
             s = stars.star(x)
             if not s.interior:
                 assert got is None
@@ -580,13 +577,13 @@ class TestLocalStars:
         # fan, not views of the n-long arrays of the sample
         pts, u = voronoi_sample(1.0, 7.5, 71, "local-stars", 0)
         stars = LocalStars(pts)
-        site_reach_threshold(lambda w: stars.neighbours(w, 5.5), u,
-                             stars.core_mask())
+        site_reach_threshold(stars.neighbours, u, stars.core_mask(),
+                             pts.rho > 5.5)
         for x in np.flatnonzero(pts.rho <= 3.0):
             stars.star(int(x))
         assert len(stars._stars) > 50
         for star in stars._stars.values():
-            for a in star[:3]:
+            for a in (star.faces, star.vor_rho, star.neighbours):
                 assert a.base is None or a.base.size < 3 * len(star.faces)
 
     def test_growth(self, hull_sizes):

@@ -26,6 +26,7 @@ from oracle_perc import (
     heap_invade,
     reach_at_level,
     site_reach_at_level,
+    stop_at_shell,
     whole_complex_voronoi_threshold,
 )
 
@@ -42,10 +43,10 @@ def random_instance(rng, max_n=60, min_n=2):
     return n, edges
 
 
-def bond_neighbours(n, edges, shell):
+def bond_neighbours(n, edges):
     """The bond invasion's neighbours over the CSR adjacency of edges."""
     indptr, indices, edge_id = csr_adjacency(n, edges)
-    return K.csr_neighbours(indptr, indices, edge_id, shell)
+    return K.csr_neighbours(indptr, indices, edge_id)
 
 
 class TestLabelKernel:
@@ -109,8 +110,8 @@ class TestFiltration:
             want = 0.0
         else:
             want = levels[order[positive[0] - 1]]
-        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), levels,
-                                     core)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges), levels, core,
+                                     shell)
         assert got == want
         if (core & shell).any():
             assert got == 0.0
@@ -128,11 +129,11 @@ class TestFiltration:
         counts = K.filtration(4, eu, ev, order, core, shell,
                               np.array([3, 0, 2, 1]))
         assert counts.tolist() == [1, 0, 0, 0]
-        assert K.bond_reach_threshold(bond_neighbours(4, edges, shell),
-                                      levels, core) == 0.75
+        assert K.bond_reach_threshold(bond_neighbours(4, edges),
+                                      levels, core, shell) == 0.75
         # only the edge (2, 3): never joined
-        assert K.bond_reach_threshold(bond_neighbours(4, edges[2:], shell),
-                                      levels[2:], core) == 2.0
+        assert K.bond_reach_threshold(bond_neighbours(4, edges[2:]),
+                                      levels[2:], core, shell) == 2.0
 
     def case(self, seed):
         rng = np.random.default_rng(seed)
@@ -320,7 +321,7 @@ class TestReachKernels:
         shell = np.zeros(n, dtype=bool)
         core[0] = True
         shell[n - 1] = True
-        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), u, core)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges), u, core, shell)
         want = self.brute_bond_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -343,7 +344,7 @@ class TestReachKernels:
                 shell |= core    # no core site outside the shell
         indptr, indices, _ = csr_adjacency(n, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices), u, core, shell)
         want = self.brute_site_threshold(n, edges, u, core, shell)
         assert got == pytest.approx(want)
 
@@ -382,13 +383,14 @@ class TestInvasionEqualsFiltration:
     def test_tiling_bond(self, p_gon, q_deg, dual):
         ball = build_ball(p_gon, q_deg, 6)
         inst = tiling_instance(dual_ball(ball) if dual else ball, 0)
-        neighbours = bond_neighbours(inst.n, inst.edges, inst.shell)
+        neighbours = bond_neighbours(inst.n, inst.edges)
         rng = np.random.default_rng(500 + 10 * p_gon + dual)
         for _ in range(50):
             u = rng.random(len(inst.edges))
             want = filtration_threshold(inst.n, inst.edges, u, inst.core,
                                         inst.shell)
-            assert K.bond_reach_threshold(neighbours, u, inst.core) == want
+            assert K.bond_reach_threshold(neighbours, u, inst.core,
+                                          inst.shell) == want
 
     def test_tiling_site(self):
         inst = tiling_instance(build_ball(3, 7, 6), 0)
@@ -399,8 +401,8 @@ class TestInvasionEqualsFiltration:
             want = site_filtration_threshold(inst.n, inst.edges, u, inst.core,
                                              inst.shell)
             got = K.site_reach_threshold(
-                K.csr_neighbours(indptr, indices, indices, inst.shell), u,
-                inst.core)
+                K.csr_neighbours(indptr, indices, indices), u, inst.core,
+                inst.shell)
             assert got == want
 
     @pytest.mark.parametrize("replica", range(2))
@@ -413,7 +415,7 @@ class TestInvasionEqualsFiltration:
         want = site_filtration_threshold(V.n_nuclei, edges, u, core, shell)
         indptr, indices, _ = csr_adjacency(V.n_nuclei, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices), u, core, shell)
         assert got == want
         assert 0.0 < got < 1.0
 
@@ -441,8 +443,8 @@ class TestInvasionEqualsFiltration:
     def test_bond_edge_cases(self, core_sites, shell_sites, want):
         n, edges, levels = self.ring()
         core, shell = self.masks(n, core_sites, shell_sites)
-        got = K.bond_reach_threshold(bond_neighbours(n, edges, shell), levels,
-                                     core)
+        got = K.bond_reach_threshold(bond_neighbours(n, edges), levels, core,
+                                     shell)
         assert got == want
         assert got == filtration_threshold(n, edges, levels, core, shell)
 
@@ -460,7 +462,7 @@ class TestInvasionEqualsFiltration:
         core, shell = self.masks(n, core_sites, shell_sites)
         indptr, indices, _ = csr_adjacency(n, edges)
         got = K.site_reach_threshold(
-            K.csr_neighbours(indptr, indices, indices, shell), u, core)
+            K.csr_neighbours(indptr, indices, indices), u, core, shell)
         assert got == want
         assert got == site_filtration_threshold(n, edges, u, core, shell)
 
@@ -477,11 +479,10 @@ class TestInvasionStopLevel:
         n, edges = ball.n_vertices, ball.edges
         indptr, indices, edge_id = csr_adjacency(n, edges)
         center = np.arange(n) == 0
-        no_shell = np.zeros(n, dtype=bool)
         rng = np.random.default_rng(600 + p_gon)
         for _ in range(50):
             u = rng.random(len(edges))
-            neighbours = K.csr_neighbours(indptr, indices, edge_id, no_shell)
+            neighbours = K.csr_neighbours(indptr, indices, edge_id)
             _, record = K._invade(neighbours, u, K._at_zero(center),
                                   max(self.STOPS))
             for p in self.STOPS:
@@ -514,7 +515,8 @@ class TestShellStop:
     def check(self, neighbours, marks, start, shell):
         """The masked and unmasked invasions agree; True if the masked one
         took fewer sites."""
-        full, everything = K._invade(neighbours, marks, start)
+        full, everything = K._invade(stop_at_shell(neighbours, shell), marks,
+                                     start)
         top, taken = K._invade(neighbours, marks, start, shell=shell)
         assert top == full
         assert taken == {w: everything[w] for w in taken}
@@ -534,7 +536,9 @@ class TestShellStop:
             indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
             shell = inst.shell.tolist()
             ids = edge_id if mode == "bond" else indices
-            neighbours = K.csr_neighbours(indptr, indices, ids, shell)
+            neighbours = K.csr_neighbours(indptr, indices, ids)
+            stopped = stop_at_shell(neighbours, shell)
+            no_flags = [False] * inst.n
             reach = (K.bond_reach_threshold if mode == "bond"
                      else K.site_reach_threshold)
             for _ in range(50):
@@ -546,7 +550,7 @@ class TestShellStop:
                     start = site_start(u, inst.core)
                 early += self.check(neighbours, u, start, shell)
                 assert (reach(neighbours, u, inst.core, shell)
-                        == reach(neighbours, u, inst.core))
+                        == reach(stopped, u, inst.core, no_flags))
         assert early > 0
 
     @pytest.mark.parametrize("lam,R_window", [(0.25, 4.5), (1.0, 3.5),
@@ -559,14 +563,12 @@ class TestShellStop:
         for rep in range(200):
             pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
             stars = LocalStars(pts)
-
-            def neighbours(w):
-                return stars.neighbours(w, R_window)
-
+            shell = pts.rho > R_window
             start = site_start(u, stars.core_mask())
-            early += self.check(neighbours, u, start, pts.rho > R_window)
+            early += self.check(stars.neighbours, u, start, shell)
             assert (voronoi_threshold(lam, window, 42, tag, rep)
-                    == K._invade(neighbours, u, start)[0])
+                    == K._invade(stop_at_shell(stars.neighbours, shell), u,
+                                 start)[0])
         assert early > 0
 
     def ring(self):
@@ -580,15 +582,16 @@ class TestShellStop:
         n, edges, levels = self.ring()
         core, shell = self.masks(n, [0, 1, 3], [1, 3])
         flags = shell.tolist()
-        bond = bond_neighbours(n, edges, flags)
+        bond = bond_neighbours(n, edges)
         assert K.bond_reach_threshold(bond, levels, core, flags) == 0.0
         # the least uniform over core and shell: site 1's 0.2, below the
         # level 0.3 of core site 0's path into site 1
         u = np.array([0.3, 0.2, 0.8, 0.7, 0.4, 0.5, 0.1, 0.6])
         indptr, indices, _ = csr_adjacency(n, edges)
-        site = K.csr_neighbours(indptr, indices, indices, flags)
+        site = K.csr_neighbours(indptr, indices, indices)
         assert K.site_reach_threshold(site, u, core, flags) == 0.2
-        assert K.site_reach_threshold(site, u, core) == 0.2
+        assert K.site_reach_threshold(stop_at_shell(site, flags), u, core,
+                                      [False] * n) == 0.2
 
     def test_shell_slot_at_the_running_maximum(self):
         """Taking site 1 raises the maximum to 0.5, and its slot into the
@@ -597,23 +600,52 @@ class TestShellStop:
         edges = np.array([[0, 1], [0, 3], [1, 2]])
         levels = np.array([0.5, 0.1, 0.5])
         shell = [False, False, True, False]
-        neighbours = bond_neighbours(n, edges, shell)
+        neighbours = bond_neighbours(n, edges)
         start = [(0.0, 0)]
         top, taken = K._invade(neighbours, levels, start, shell=shell)
         assert (top, taken) == (0.5, {0: 0.0, 3: 0.1, 1: 0.5})
         # without the mask the invasion takes the shell site as well
-        assert K._invade(neighbours, levels, start) == (
+        assert K._invade(stop_at_shell(neighbours, shell), levels, start) == (
             0.5, {0: 0.0, 3: 0.1, 1: 0.5, 2: 0.5})
         # a slot above the running maximum is taken only when popped
         top, taken = K._invade(neighbours, np.array([0.5, 0.1, 0.6]), start,
                                shell=shell)
         assert (top, taken) == (0.6, {0: 0.0, 3: 0.1, 1: 0.5, 2: 0.6})
 
+    def test_shell_site_taken_from_the_heap(self):
+        """On the path 0-1-2-3 with the shell at 2, the slot into site 2
+        lies above the running maximum, so no slot stops the invasion: it
+        stops when it takes site 2 from the heap, before site 3, whose slot
+        lies below that maximum."""
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        core = np.array([True, False, False, False])
+        shell = [False, False, True, False]
+        bond = bond_neighbours(4, edges)
+        levels = np.array([0.2, 0.7, 0.1])
+        assert K.bond_reach_threshold(bond, levels, core, shell) == 0.7
+        assert K._invade(bond, levels, K._at_zero(core), shell=shell) == (
+            0.7, {0: 0.0, 1: 0.2, 2: 0.7})
+        indptr, indices, _ = csr_adjacency(4, edges)
+        site = K.csr_neighbours(indptr, indices, indices)
+        u = np.array([0.1, 0.3, 0.8, 0.2])
+        assert K.site_reach_threshold(site, u, core, shell) == 0.8
+        assert K._invade(site, u, site_start(u, core), shell=shell) == (
+            0.8, {0: 0.1, 1: 0.3, 2: 0.8})
+
+    def test_csr_neighbours_lists_a_shell_site(self):
+        """The adapter is adjacency only: a site the invasion reads as
+        shell has its neighbours listed like any other."""
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        indptr, indices, edge_id = csr_adjacency(4, edges)
+        sites, ids = K.csr_neighbours(indptr, indices, edge_id)(2)
+        assert sites == [1, 3]
+        assert ids.tolist() == [1, 2]
+
     def test_empty_heap(self):
         n, edges, levels = self.ring()
         core, shell = self.masks(n, [0], [6, 7])
         flags = shell.tolist()
-        neighbours = bond_neighbours(n, edges, flags)
+        neighbours = bond_neighbours(n, edges)
         assert K.bond_reach_threshold(neighbours, levels, core, flags) == 2.0
         top, taken = K._invade(neighbours, levels, K._at_zero(core),
                                shell=flags)
@@ -627,10 +659,10 @@ class TestShellStop:
         levels = np.array([0.5, 0.3, 0.4])
         shell = [False, False, True, False]
         center = np.arange(n) == 0
-        neighbours = bond_neighbours(n, edges, shell)
+        whole = bond_neighbours(n, edges)
+        neighbours = stop_at_shell(whole, shell)
         assert K.bond_cluster(neighbours, levels, center, 0.6) == {
             0: 0.0, 1: 0.5, 3: 0.5, 2: 0.5}
-        whole = bond_neighbours(n, edges, [False] * n)
         assert K.bond_cluster(whole, levels, center, 0.6) == {
             0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5}
         assert K.bond_cluster(whole, levels, center, 0.45) == {0: 0.0}
@@ -643,9 +675,10 @@ class TestFlood:
     stop, and the levels are taken in non-decreasing order."""
 
     def check(self, neighbours, marks, start, shell):
-        for mask in (shell, None):
-            top, taken = K._invade(neighbours, marks, start, shell=mask)
-            want, record = heap_invade(neighbours, marks, start, shell=mask)
+        stopped = stop_at_shell(neighbours, shell)
+        for adjacency, mask in ((neighbours, shell), (stopped, None)):
+            top, taken = K._invade(adjacency, marks, start, shell=mask)
+            want, record = heap_invade(stopped, marks, start, shell=mask)
             assert top == want
             levels = list(taken.values())
             assert levels == sorted(levels)
@@ -666,7 +699,7 @@ class TestFlood:
             indptr, indices, edge_id = csr_adjacency(inst.n, inst.edges)
             shell = inst.shell.tolist()
             ids = edge_id if mode == "bond" else indices
-            neighbours = K.csr_neighbours(indptr, indices, ids, shell)
+            neighbours = K.csr_neighbours(indptr, indices, ids)
             for _ in range(30):
                 if mode == "bond":
                     u = rng.random(len(inst.edges))
@@ -684,18 +717,14 @@ class TestFlood:
         for rep in range(60):
             pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
             stars = LocalStars(pts)
-
-            def neighbours(w):
-                return stars.neighbours(w, R_window)
-
-            self.check(neighbours, u, site_start(u, stars.core_mask()),
+            self.check(stars.neighbours, u, site_start(u, stars.core_mask()),
                        pts.rho > R_window)
 
     @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3)])
     def test_bond_clusters_at_every_stop(self, p_gon, q_deg):
         ball = build_ball(p_gon, q_deg, 6)
         n = ball.n_vertices
-        whole = bond_neighbours(n, ball.edges, [False] * n)
+        whole = bond_neighbours(n, ball.edges)
         center = np.arange(n) == 0
         rng = np.random.default_rng(810 + p_gon)
         for _ in range(30):
@@ -714,7 +743,7 @@ class TestFlood:
         n = 4
         edges = np.array([[0, 1], [0, 2], [1, 3]])
         levels = np.array([0.5, 0.5, 0.2])
-        neighbours = bond_neighbours(n, edges, [False] * n)
+        neighbours = bond_neighbours(n, edges)
         top, taken = K._invade(neighbours, levels, [(0.0, 0)], 0.5)
         assert top == 2.0
         assert list(taken.items()) == [(0, 0.0), (1, 0.5), (3, 0.5),
@@ -729,10 +758,11 @@ class TestFlood:
         edges = np.array([[0, 1], [1, 2], [2, 3]])
         levels = np.array([0.5, 0.2, 0.4])
         shell = [False, False, False, True]
-        neighbours = bond_neighbours(n, edges, shell)
+        neighbours = bond_neighbours(n, edges)
         top, taken = K._invade(neighbours, levels, [(0.0, 0)], shell=shell)
         assert (top, taken) == (0.5, {0: 0.0, 1: 0.5, 2: 0.5})
-        assert K._invade(neighbours, levels, [(0.0, 0)]) == (
+        assert K._invade(stop_at_shell(neighbours, shell), levels,
+                         [(0.0, 0)]) == (
             0.5, {0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5})
 
 
@@ -751,14 +781,14 @@ class TestSharedAdapter:
             reach, ids, m = K.bond_reach_threshold, edge_id, len(inst.edges)
         else:
             reach, ids, m = K.site_reach_threshold, indices, inst.n
-        shared = K.csr_neighbours(indptr, indices, ids, inst.shell)
+        shared = K.csr_neighbours(indptr, indices, ids)
         rng = np.random.default_rng(620 + dual)
         got = []
         for _ in range(100):
             u = rng.random(m)
-            fresh = K.csr_neighbours(indptr, indices, ids, inst.shell)
-            got.append(reach(shared, u, inst.core))
-            assert got[-1] == reach(fresh, u, inst.core)
+            fresh = K.csr_neighbours(indptr, indices, ids)
+            got.append(reach(shared, u, inst.core, inst.shell))
+            assert got[-1] == reach(fresh, u, inst.core, inst.shell)
         assert 0.0 < min(got) and max(got) < 1.0
 
 
@@ -786,21 +816,21 @@ class TestMarkReads:
         inst = tiling_instance(ball, 0)
         degree = np.diff(csr_adjacency(inst.n, inst.edges)[0])
         center = np.arange(inst.n) == 0
-        # one adapter of each kind serves every replica, as in
-        # bond_thresholds and connectivity_decay
-        reach = bond_neighbours(inst.n, inst.edges, inst.shell)
-        whole = bond_neighbours(inst.n, inst.edges, np.zeros(inst.n, bool))
+        # one adapter serves every replica, as in bond_thresholds and
+        # connectivity_decay
+        neighbours = bond_neighbours(inst.n, inst.edges)
         rng = np.random.default_rng(610)
         for _ in range(20):
             u = rng.random(len(inst.edges))
             marks = counting(u)
-            taken = K.bond_cluster(whole, marks, center, 0.2)
+            taken = K.bond_cluster(neighbours, marks, center, 0.2)
             assert 0 < marks.reads <= degree[list(taken)].sum()
             # every site of the threshold invasion is in the core's
             # cluster at the threshold
             marks = counting(u)
-            top = K.bond_reach_threshold(reach, marks, inst.core)
-            cluster = K.bond_cluster(whole, u, inst.core, top)
+            top = K.bond_reach_threshold(neighbours, marks, inst.core,
+                                         inst.shell)
+            cluster = K.bond_cluster(neighbours, u, inst.core, top)
             assert 0 < marks.reads <= degree[list(cluster)].sum()
             assert marks.reads < 2 * len(inst.edges)
 
