@@ -219,6 +219,11 @@ def write_summary(path: str, config: dict, results, wall_time) -> None:
 # per task up to the pool size; CPython caps a default pool at 32 as well
 MAX_THREADS = 32
 
+# Replica ceiling, checked before any work: pc-estimate's bootstrap holds
+# a (200, total replicas) int64 draw, about 0.8 GB at this count on a
+# three-rung ladder, and every path keeps a result per replica
+MAX_REPLICAS = 10**5
+
 
 def make_mapper(n_threads: int):
     """Order-preserving replica mapper; identical output for any pool size."""
@@ -671,6 +676,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"thread count must lie in [1, {MAX_THREADS}]")
         if args.replicas < 1:
             raise ConfigError("need at least one replica")
+        if args.replicas > MAX_REPLICAS:
+            raise ConfigError(f"replica count must be at most {MAX_REPLICAS}")
         if args.seed < 0 or args.seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         mapper = make_mapper(n_threads)

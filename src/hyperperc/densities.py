@@ -5,7 +5,10 @@ window ball of radius R_window strictly inside the sampling ball.  The
 face density is estimated twice, by counting nuclei and by the mean
 inverse area of the cell containing the origin; the two must agree (the
 origin lands in a cell with probability proportional to its area, so the
-inverse-area mean undoes exactly that size bias).
+inverse-area mean undoes exactly that size bias).  That cell is the one
+of the nucleus nearest the origin; its area is the Gauss-Bonnet area of
+its outline (hypvoronoi.cell_outline), the polygon of its Voronoi
+vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypgeo import InvalidInput, NumericFailure, ball_area, polygon_area
-from .hypvoronoi import VoronoiComplex, Window, cell_polygon
+from .hypvoronoi import VoronoiComplex, Window, cell_outline
 from .percolation import voronoi_replica
 from .pointprocess import check_sample_size
 
@@ -84,7 +87,7 @@ def origin_cell_area(V: VoronoiComplex) -> float:
     i = int(np.argmin(V.points.rho))
     if not V.interior_mask[i]:
         raise OriginNotInterior("origin cell is boundary-masked")
-    return polygon_area(cell_polygon(V, i))
+    return polygon_area(cell_outline(V, V.points.disk_xy, i))
 
 
 def density_experiment(lam: float, window: Window, replicas: int,

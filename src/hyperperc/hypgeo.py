@@ -1,17 +1,19 @@
-"""Hyperbolic plane primitives: points, ball and polygon areas, geodesic
-directions and vectorized circumcenters.
+"""Hyperbolic plane primitives: ball and polygon areas, geodesic
+directions and vectorized circumcenters, with the errors the package
+raises.
 
-Points live in hyperbolic polar coordinates (rho, theta) with curvature -1.
-The Poincare disk coordinate is derived on demand; keeping rho as the
-primary coordinate avoids catastrophic cancellation near the ideal
-boundary (at rho = 12 the disk radius is already within ~1e-5 of 1).
+Samples keep points in hyperbolic polar coordinates (rho, theta), with
+curvature -1, and derive the Poincare disk coordinate on demand; keeping
+rho as the primary coordinate avoids catastrophic cancellation near the
+ideal boundary (at rho = 12 the disk radius is already within ~1e-5 of
+1).  Polygons and geodesic directions take their points as disk
+coordinates, complex numbers.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,42 +42,6 @@ class CapExceeded(InvalidInput):
     """Raised when a requested radius or sample size exceeds its cap."""
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """A point of the hyperbolic plane in polar form.
-
-    rho is the hyperbolic distance from the origin (>= 0), theta the
-    angle in [0, 2*pi).
-    """
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        t = self.theta % TWO_PI
-        object.__setattr__(self, "theta", t)
-
-    @staticmethod
-    def origin() -> "HPoint":
-        return HPoint(0.0, 0.0)
-
-    @staticmethod
-    def from_disk(z: complex) -> "HPoint":
-        """Build from a Poincare disk coordinate |z| < 1."""
-        r = abs(z)
-        if r >= 1.0:
-            raise ValueError("disk coordinate must satisfy |z| < 1")
-        rho = 2.0 * math.atanh(r)
-        return HPoint(rho, cmath.phase(z) % TWO_PI)
-
-    @property
-    def disk(self) -> complex:
-        """Poincare disk coordinate tanh(rho/2) * e^{i theta}."""
-        return math.tanh(self.rho / 2.0) * cmath.exp(1j * self.theta)
-
-
 def ball_area(r: float) -> float:
     """Area of a hyperbolic disk of radius r: 2*pi*(cosh r - 1)."""
     if r < 0:
@@ -95,35 +61,21 @@ def geodesic_direction(at: complex, toward: complex) -> float:
     return cmath.phase(w)
 
 
-@dataclass(frozen=True)
-class GeodesicPolygon:
-    """Simple geodesic polygon given by counterclockwise-ordered vertices."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-
-    def interior_angles(self) -> list:
-        zs = [v.disk for v in self.vertices]
-        n = len(zs)
-        angles = []
-        for i in range(n):
-            u, v, w = zs[i - 1], zs[i], zs[(i + 1) % n]
-            a = (geodesic_direction(v, u) - geodesic_direction(v, w)) % TWO_PI
-            angles.append(a)
-        return angles
-
-
-def polygon_area(poly: GeodesicPolygon) -> float:
-    """Gauss-Bonnet area of a geodesic polygon: sum of angle defects minus 2*pi.
+def polygon_area(zs) -> float:
+    """Gauss-Bonnet area of a geodesic polygon, its corners zs given
+    counter-clockwise as disk coordinates: sum of angle defects minus 2*pi.
 
     For a geodesic polygon the boundary curvature is carried entirely by
     the vertices, so area = sum_i (pi - alpha_i) - 2*pi.
     """
-    angles = poly.interior_angles()
+    n = len(zs)
+    if n < 3:
+        raise DegenerateError(f"a polygon needs at least 3 corners, got {n}")
+    angles = []
+    for i in range(n):
+        u, v, w = zs[i - 1], zs[i], zs[(i + 1) % n]
+        angles.append((geodesic_direction(v, u) - geodesic_direction(v, w))
+                      % TWO_PI)
     area = sum(math.pi - a for a in angles) - TWO_PI
     if area <= 0:
         raise DegenerateError(

@@ -13,34 +13,30 @@ it, found by a Graham scan about the origin (`_ring`), whose edges are
 the cell's fan of faces, each proven empty in that inversion space.
 Both keep faces and mark interior nuclei by one rule, and both take a
 face's Voronoi vertex, its hyperbolic circumcenter, from its Euclidean
-circumcircle in closed form (`hypgeo.circumcenters_arrays`).
+circumcircle in closed form (`hypgeo.circumcenters_arrays`).  A cell's
+outline (`cell_outline`), its corners counter-clockwise in the disk,
+serves both the area of the origin's cell in the densities and the
+pictures.  The origin's cell is that of the nucleus nearest the origin:
+the core of a Voronoi reach threshold, and always a cell of
+`core_cell_mask`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import edges_of_keys, side_keys, sorted_distinct
-from .hypgeo import (
-    GeodesicPolygon,
-    HPoint,
-    InvalidInput,
-    circumcenters_arrays,
-    geodesic_direction,
-)
+from .hypgeo import InvalidInput, circumcenters_arrays, geodesic_direction
 from .pointprocess import ColoredPointSet
 
 
 class DegenerateInput(InvalidInput):
     """Raised for duplicate nuclei, fewer than three points or a sample
     Qhull cannot triangulate."""
-
-
-class NotInterior(ValueError):
-    """Raised when asking for the cell polygon of a boundary-masked nucleus."""
 
 
 # Least distance from a window to its sampling edge, where cells are cut
@@ -472,13 +468,6 @@ class LocalStars:
         near = s.neighbours[np.argsort(rho[s.neighbours], kind="stable")]
         return near.tolist(), near
 
-    def core_mask(self) -> np.ndarray:
-        """core_cell_mask(delaunay(points), 0.0): every face whose Voronoi
-        vertex is the origin lies in the star of the nucleus nearest the
-        origin."""
-        s = self.star(int(np.argmin(self.points.rho)))
-        return _core_rule(self.points.rho, s.faces, s.vor_rho, 0.0)
-
 
 def _ring(q):
     """The images q (rows x, y, |q|^2) that a Graham scan about the origin
@@ -518,17 +507,55 @@ def _clear(xs, ys, faces, cx, cy, r):
     return bool((d >= np.square(r)[:, None] * (1 + _ROUNDING)).all())
 
 
-def cell_polygon(V: VoronoiComplex, i: int) -> GeodesicPolygon:
-    """Voronoi cell of an interior nucleus, vertices ordered ccw."""
-    if not V.interior_mask[i]:
-        raise NotInterior(f"nucleus {i} is boundary-masked")
-    verts = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j]))
-             for j in V.cell_faces(i)]
-    zn = HPoint(float(V.points.rho[i]), float(V.points.theta[i])).disk
+def _bisector_ideal_point(zi: complex, zj: complex, toward: complex) -> complex:
+    """Ideal endpoint of the bisector of nuclei zi, zj nearer to `toward`.
+
+    z is equidistant from zi and zj when wi |z - zi|^2 = wj |z - zj|^2,
+    with w = 1 / (1 - |z|^2) of each nucleus.  Times 1 / (wi wj) and on
+    |z| = 1 this reads Re(conj(c) z) = k, with k = |zi|^2 - |zj|^2 and
+    c = (1 - |zj|^2)(zi - zj) + k zj, so the endpoints are arg c +- h with
+    cos h = k/|c|.  h is taken by atan2 from |c|^2 - k^2 =
+    (1 - |zi|^2)(1 - |zj|^2)|zi - zj|^2, since acos loses the short
+    bisectors of close nuclei near the rim.
+    """
+    d = zi - zj
+    k = d.real * (zi.real + zj.real) + d.imag * (zi.imag + zj.imag)
+    gi, gj = 1.0 - abs(zi) ** 2, 1.0 - abs(zj) ** 2
+    arg = cmath.phase(gj * d + k * zj)
+    half = math.atan2(abs(d) * math.sqrt(gi * gj), k)
+    e1 = cmath.exp(1j * (arg + half))
+    e2 = cmath.exp(1j * (arg - half))
+    return e1 if abs(e1 - toward) < abs(e2 - toward) else e2
+
+
+def cell_outline(V: VoronoiComplex, xy: np.ndarray, i: int) -> list:
+    """Disk coordinates of cell i's boundary, ccw; unbounded edges are
+    closed through their ideal endpoints, and a cell with fewer than 3
+    corners gives [].  xy holds the nuclei's disk coordinates.  An
+    interior cell's corners are its Voronoi vertices alone."""
+    zn = complex(*xy[i])
+    verts = []
+    js = V.cell_faces(i)
+    for j in js:
+        r = math.tanh(V.vor_rho[j] / 2.0)
+        verts.append(r * cmath.exp(1j * V.vor_theta[j]))
+    # edges of cell i with a single kept face extend to the ideal boundary
+    face_count = {}
+    for j in js:
+        for v in V.faces[j]:
+            v = int(v)
+            if v != i:
+                face_count[v] = face_count.get(v, 0) + 1
+    for nbr, cnt in face_count.items():
+        if cnt == 1:
+            zj = complex(*xy[nbr])
+            verts.append(_bisector_ideal_point(zn, zj, toward=(zn + zj) / 2 * 4))
+    if len(verts) < 3:
+        return []
     # the cell is hyperbolically convex, so geodesic directions at the
-    # nucleus order its vertices ccw
-    verts.sort(key=lambda v: geodesic_direction(zn, v.disk))
-    return GeodesicPolygon(verts)
+    # nucleus order its corners ccw
+    verts.sort(key=lambda z: geodesic_direction(zn, z))
+    return verts
 
 
 def core_cell_mask(V: VoronoiComplex, r_core: float) -> np.ndarray:
@@ -538,12 +565,9 @@ def core_cell_mask(V: VoronoiComplex, r_core: float) -> np.ndarray:
     vertices lies within r_core; the cell containing the origin (nearest
     nucleus) is always included.
     """
-    return _core_rule(V.points.rho, V.faces, V.vor_rho, r_core)
-
-
-def _core_rule(rho, faces, vor_rho, r_core):
+    rho = V.points.rho
     mask = rho <= r_core
-    mask[faces[vor_rho <= r_core].ravel()] = True
+    mask[V.faces[V.vor_rho <= r_core].ravel()] = True
     mask[int(np.argmin(rho))] = True
     return mask
 

@@ -247,11 +247,15 @@ def voronoi_threshold(lam: float, window: Window, master_seed: int,
     """One replica of the level at which the cell containing the origin
     first joins the shell through white cells.  The invasion builds only
     the stars of the cells it takes (hypvoronoi.LocalStars); a cell
-    beyond R_window is known to be shell without its star."""
+    beyond R_window is known to be shell without its star.  The core is
+    the origin's cell, that of the nucleus nearest the origin."""
     pts, u = voronoi_sample(lam, window.R_sample, master_seed, experiment,
                             replica)
+    # LocalStars refuses a sample of fewer than 3 nuclei first
     stars = LocalStars(pts)
-    return site_reach_threshold(stars.neighbours, u, stars.core_mask(),
+    core = np.zeros(len(pts), dtype=bool)
+    core[np.argmin(pts.rho)] = True
+    return site_reach_threshold(stars.neighbours, u, core,
                                 pts.rho > window.R_window)
 
 

@@ -1,9 +1,10 @@
 """SVG 1.1 rendering of tessellations in the Poincare disk, 600 px square.
 
 Geodesic edges are drawn as circular arcs orthogonal to the unit circle.
-Unbounded Voronoi cells are closed off through the ideal endpoints of
-their unbounded bisector edges, so a boundary cell renders as a sector
-reaching the rim of the disk.
+A cell is drawn from its outline (hypvoronoi.cell_outline), which closes
+an unbounded cell through the ideal endpoints of its unbounded bisector
+edges, so a boundary cell renders as a sector reaching the rim of the
+disk.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .hypgeo import geodesic_direction
-from .hypvoronoi import MARGIN, VoronoiComplex, shell_cell_mask
+from .hypvoronoi import MARGIN, VoronoiComplex, cell_outline, shell_cell_mask
 from ._kernels import label_clusters_kernel
 from .graphs import sorted_distinct
 
@@ -94,54 +95,6 @@ def document(body: str) -> str:
     return _HEADER + _DISK + body + "</svg>\n"
 
 
-def _bisector_ideal_point(zi: complex, zj: complex, toward: complex) -> complex:
-    """Ideal endpoint of the bisector of nuclei zi, zj nearer to `toward`.
-
-    z is equidistant from zi and zj when wi |z - zi|^2 = wj |z - zj|^2,
-    with w = 1 / (1 - |z|^2) of each nucleus.  Times 1 / (wi wj) and on
-    |z| = 1 this reads Re(conj(c) z) = k, with k = |zi|^2 - |zj|^2 and
-    c = (1 - |zj|^2)(zi - zj) + k zj, so the endpoints are arg c +- h with
-    cos h = k/|c|.  h is taken by atan2 from |c|^2 - k^2 =
-    (1 - |zi|^2)(1 - |zj|^2)|zi - zj|^2, since acos loses the short
-    bisectors of close nuclei near the rim.
-    """
-    d = zi - zj
-    k = d.real * (zi.real + zj.real) + d.imag * (zi.imag + zj.imag)
-    gi, gj = 1.0 - abs(zi) ** 2, 1.0 - abs(zj) ** 2
-    arg = cmath.phase(gj * d + k * zj)
-    half = math.atan2(abs(d) * math.sqrt(gi * gj), k)
-    e1 = cmath.exp(1j * (arg + half))
-    e2 = cmath.exp(1j * (arg - half))
-    return e1 if abs(e1 - toward) < abs(e2 - toward) else e2
-
-
-def _cell_outline(V: VoronoiComplex, xy: np.ndarray, i: int) -> list:
-    """Disk coordinates of cell i's boundary, ccw; unbounded edges are
-    closed through their ideal endpoints.  xy holds the nuclei's disk
-    coordinates."""
-    zn = complex(*xy[i])
-    verts = []
-    js = V.cell_faces(i)
-    for j in js:
-        r = math.tanh(V.vor_rho[j] / 2.0)
-        verts.append(r * cmath.exp(1j * V.vor_theta[j]))
-    # edges of cell i with a single kept face extend to the ideal boundary
-    face_count = {}
-    for j in js:
-        for v in V.faces[j]:
-            v = int(v)
-            if v != i:
-                face_count[v] = face_count.get(v, 0) + 1
-    for nbr, cnt in face_count.items():
-        if cnt == 1:
-            zj = complex(*xy[nbr])
-            verts.append(_bisector_ideal_point(zn, zj, toward=(zn + zj) / 2 * 4))
-    if len(verts) < 3:
-        return []
-    verts.sort(key=lambda z: geodesic_direction(zn, z))
-    return verts
-
-
 def render_voronoi(V: VoronoiComplex | None,
                    R_window: float | None = None) -> str:
     """Tessellation picture: white/black cell fills, boundary-reaching
@@ -168,7 +121,7 @@ def render_voronoi(V: VoronoiComplex | None,
     xy = V.points.disk_xy
     body = []
     for i in range(V.n_nuclei):
-        outline = _cell_outline(V, xy, i)
+        outline = cell_outline(V, xy, i)
         if not outline:
             continue
         fill = "#ffffff" if white[i] else "#404040"

@@ -37,11 +37,13 @@ class TooLarge(InvalidInput):
 
 @dataclass
 class TilingBall:
-    """A finite ball of the {p,q} tiling with its faces and boundary.
+    """A finite ball of the {p,q} tiling with its faces.
 
     faces is one (F, p) int64 array, a row per face in the order the
     faces were attached, so its sides give the edge keys with no
     conversion; read a row's vertices as Python ints through .tolist().
+    The vertices of the last layer, in id order, are the boundary cycle,
+    ccw.
     """
 
     p_gon: int
@@ -50,7 +52,6 @@ class TilingBall:
     n_vertices: int
     edges: np.ndarray          # (m, 2), u < v
     faces: np.ndarray          # (F, p) int64, one face per row, ccw
-    boundary: list             # final boundary cycle, ccw
     vertex_layer: np.ndarray   # round at which each vertex appeared
 
     @property
@@ -192,7 +193,6 @@ def build_ball(p_gon: int, q_deg: int, layers: int) -> TilingBall:
         n_vertices=n,
         edges=edges_of_keys(side_keys(faces, n), n),
         faces=faces,
-        boundary=list(range(round_start[-1], n)),
         vertex_layer=np.repeat(np.arange(layers, dtype=np.int64),
                                np.diff(round_start + [n])),
     )

@@ -10,6 +10,8 @@ a cycle with nonzero net crossing makes the potential inconsistent.
 
 from collections import deque
 
+import numpy as np
+
 from hyperperc.graphs import bfs_distances
 from hyperperc.tilinggraph import left_face_of
 
@@ -17,7 +19,9 @@ from hyperperc.tilinggraph import left_face_of
 def center_to_boundary_cut(ball, center=0):
     """A shortest primal path from the center to some boundary vertex."""
     dist = bfs_distances(ball.n_vertices, ball.edges, center)
-    target = max(ball.boundary, key=lambda v: dist[v])
+    # the last layer is the boundary cycle
+    boundary = np.flatnonzero(ball.vertex_layer == ball.layers - 1).tolist()
+    target = max(boundary, key=lambda v: dist[v])
     # walk back along decreasing distance
     adj = [[] for _ in range(ball.n_vertices)]
     for u, v in ball.edges:

@@ -3,7 +3,10 @@ Poincare disk and the hyperboloid circumcenter, in floats and in decimal
 arithmetic of any precision.
 
 The library computes with closed forms and array code; these scalar
-constructions check it.  Points are `hyperperc.hypgeo.HPoint`s.
+constructions check it.  Points are `HPoint`s, polar pairs with their
+disk coordinate derived in `math`/`cmath`.  `cell_polygon` is the
+Voronoi cell as the library first built it, from `HPoint`s, the
+reference for `hypvoronoi.cell_outline`.
 """
 
 import cmath
@@ -13,7 +16,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hyperperc.hypgeo import TWO_PI, DegenerateError, HPoint
+from hyperperc.hypgeo import TWO_PI, DegenerateError, geodesic_direction
+
+
+@dataclass(frozen=True)
+class HPoint:
+    """A point of the hyperbolic plane in polar form.
+
+    rho is the hyperbolic distance from the origin (>= 0), theta the
+    angle in [0, 2*pi).
+    """
+
+    rho: float
+    theta: float
+
+    def __post_init__(self):
+        if self.rho < 0:
+            raise ValueError("rho must be nonnegative")
+        t = self.theta % TWO_PI
+        object.__setattr__(self, "theta", t)
+
+    @staticmethod
+    def origin() -> "HPoint":
+        return HPoint(0.0, 0.0)
+
+    @staticmethod
+    def from_disk(z: complex) -> "HPoint":
+        """Build from a Poincare disk coordinate |z| < 1."""
+        r = abs(z)
+        if r >= 1.0:
+            raise ValueError("disk coordinate must satisfy |z| < 1")
+        rho = 2.0 * math.atanh(r)
+        return HPoint(rho, cmath.phase(z) % TWO_PI)
+
+    @property
+    def disk(self) -> complex:
+        """Poincare disk coordinate tanh(rho/2) * e^{i theta}."""
+        return math.tanh(self.rho / 2.0) * cmath.exp(1j * self.theta)
+
+
+def cell_polygon(V, i: int) -> list:
+    """The Voronoi cell of interior nucleus i of the complex V, its
+    vertices as HPoints, ordered ccw by their geodesic directions at the
+    nucleus."""
+    verts = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j]))
+             for j in V.cell_faces(i)]
+    zn = HPoint(float(V.points.rho[i]), float(V.points.theta[i])).disk
+    verts.sort(key=lambda v: geodesic_direction(zn, v.disk))
+    return verts
 
 
 def dist(a: HPoint, b: HPoint) -> float:

@@ -14,12 +14,7 @@ import pytest
 
 from hyperperc.cli import main, make_mapper, pc_upper_bound
 from hyperperc.densities import density_experiment
-from hyperperc.hypgeo import (
-    DegenerateError,
-    GeodesicPolygon,
-    HPoint,
-    polygon_area,
-)
+from hyperperc.hypgeo import DegenerateError, polygon_area
 from hyperperc.hypvoronoi import Window, delaunay
 from hyperperc.percolation import (
     ClusterLabeling,
@@ -36,11 +31,14 @@ from hyperperc.graphs import bfs_distances
 from hyperperc.pointprocess import replica_rng
 from hyperperc.tilinggraph import build_ball, dual_ball
 
-from oracle_geo import Isometry, apply, circumcenter, dist
+from oracle_geo import HPoint, Isometry, apply, circumcenter, dist
 from oracle_perc import bfs_labels
 from test_hypvoronoi import brute_force_delaunay_faces, small_sample
 
 SEED = 42
+# a pool of four for the criteria it speeds up; criteria 5 and 6 map
+# serially, since their replicas hold the GIL and ran slower on threads.
+# No result depends on the mapper
 MAPPER = make_mapper(4)
 
 
@@ -57,11 +55,11 @@ def report(name, checks, capfd=None):
 
 
 def _oriented(points):
+    zs = [p.disk for p in points]
     try:
-        poly = GeodesicPolygon(points)
-        return polygon_area(poly)
+        return polygon_area(zs)
     except DegenerateError:
-        return polygon_area(GeodesicPolygon(points[::-1]))
+        return polygon_area(zs[::-1])
 
 
 def _midpoint(a: HPoint, b: HPoint) -> HPoint:
@@ -180,7 +178,7 @@ def test_criterion_5_pc_lambda_bounds(capfd):
     ests = {}
     checks = []
     for lam, ladder in sorted(PC_LADDERS.items()):
-        est = voronoi_pc(lam, ladder, grid, 400, SEED, mapper=MAPPER)
+        est = voronoi_pc(lam, ladder, grid, 400, SEED, mapper=map)
         ests[lam] = est
         bound = pc_upper_bound(lam)
         checks += [
@@ -205,11 +203,11 @@ def test_criterion_5_pc_lambda_bounds(capfd):
 @pytest.fixture(scope="module")
 def heptagonal_estimates():
     pc37 = tiling_pc(3, 7, (5, 6, 7), np.arange(0.04, 0.62, 0.02), 600,
-                     SEED, mapper=MAPPER)
+                     SEED, mapper=map)
     pu37 = tiling_pu(3, 7, (5, 6, 7), np.arange(0.3, 0.96, 0.02), 600,
-                     SEED, mapper=MAPPER)
+                     SEED, mapper=map)
     pc73 = tiling_pc(7, 3, (5, 6, 7), np.arange(0.3, 0.96, 0.02), 600,
-                     SEED, mapper=MAPPER)
+                     SEED, mapper=map)
     return pc37, pu37, pc73
 
 
@@ -243,7 +241,7 @@ def _signature_frequencies(p_values, replicas):
         return out
 
     pairs = {p: [] for p in p_values}
-    for row in MAPPER(one, range(replicas)):
+    for row in map(one, range(replicas)):
         for p, pair in zip(p_values, row):
             pairs[p].append(pair)
     return pairs

@@ -454,6 +454,9 @@ def test_crash_injection_leaves_no_partial_output(tmp_path):
     # refused before a pool exists: a pool this size would start a thread
     # per replica
     ["gen-tiling", "--pq", "3,7", "--L", "2", "--threads", "100000"],
+    # refused before any work: the per-replica arrays would need terabytes
+    ["pc-estimate", "--pq", "3,7", "--ladder", "5,6,7", "--replicas",
+     "1000000000000"],
 ])
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not-a-sample.txt").write_text("hello\n")

@@ -10,11 +10,10 @@ from hyperperc.densities import (
     density_experiment,
     origin_cell_area,
 )
-from hyperperc.hypgeo import HPoint
 from hyperperc.hypvoronoi import Window, delaunay
 from hyperperc.pointprocess import ColoredPointSet, replica_rng, sample_poisson_ball
 
-from oracle_geo import Isometry, apply
+from oracle_geo import HPoint, Isometry, apply
 
 
 def test_exact_identity_algebra():

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from hyperperc.hypgeo import (
     DegenerateError,
-    GeodesicPolygon,
     WORKING_RADIUS,
-    HPoint,
     ball_area,
     circumcenters_arrays,
     polygon_area,
@@ -19,6 +17,7 @@ from hyperperc.hypvoronoi import _euclidean_circumcircles, delaunay
 from hyperperc.percolation import voronoi_sample
 
 from oracle_geo import (
+    HPoint,
     Isometry,
     apply,
     circumcenter,
@@ -235,11 +234,11 @@ def equilateral_triangle(angle):
 
 class TestPolygonArea:
     def test_triangle_377_tile(self):
-        tri = GeodesicPolygon(tuple(equilateral_triangle(2 * math.pi / 7)))
+        tri = [v.disk for v in equilateral_triangle(2 * math.pi / 7)]
         assert polygon_area(tri) == pytest.approx(math.pi / 7, abs=1e-10)
 
     def test_angle_defect_direct(self):
-        tri = GeodesicPolygon(tuple(equilateral_triangle(math.pi / 4)))
+        tri = [v.disk for v in equilateral_triangle(math.pi / 4)]
         assert polygon_area(tri) == pytest.approx(math.pi - 3 * math.pi / 4, abs=1e-10)
 
     def test_subdivision_oracle(self):
@@ -249,7 +248,7 @@ class TestPolygonArea:
                 (random_point(rng, rho_max=2.0) for _ in range(3)),
                 key=lambda p: p.theta,
             )
-            tri = GeodesicPolygon(tuple(pts))
+            tri = [v.disk for v in pts]
             try:
                 area = polygon_area(tri)
             except DegenerateError:
@@ -258,20 +257,20 @@ class TestPolygonArea:
             # point of the opposite side (the circumcenter-free analogue:
             # use the side midpoint computed by a translation).
             mid = _geodesic_midpoint(pts[1], pts[2])
-            a1 = polygon_area(GeodesicPolygon((pts[0], pts[1], mid)))
-            a2 = polygon_area(GeodesicPolygon((pts[0], mid, pts[2])))
+            a1 = polygon_area([pts[0].disk, pts[1].disk, mid.disk])
+            a2 = polygon_area([pts[0].disk, mid.disk, pts[2].disk])
             assert abs(area - (a1 + a2)) < 1e-9
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(5)
         tri = equilateral_triangle(math.pi / 5)
-        base = polygon_area(GeodesicPolygon(tuple(tri)))
+        base = polygon_area([v.disk for v in tri])
         for _ in range(100):
             g = random_isometry(rng)
             imgs = [apply(g, v) for v in tri]
             if g.flip:
                 imgs = imgs[::-1]
-            assert abs(polygon_area(GeodesicPolygon(tuple(imgs))) - base) < 1e-8
+            assert abs(polygon_area([v.disk for v in imgs]) - base) < 1e-8
 
     def test_additivity_under_diagonal_split(self):
         quad = [
@@ -280,18 +279,22 @@ class TestPolygonArea:
             HPoint(1.1, 3.0),
             HPoint(1.3, 4.6),
         ]
-        whole = polygon_area(GeodesicPolygon(tuple(quad)))
-        t1 = polygon_area(GeodesicPolygon((quad[0], quad[1], quad[2])))
-        t2 = polygon_area(GeodesicPolygon((quad[0], quad[2], quad[3])))
+        whole = polygon_area([v.disk for v in quad])
+        t1 = polygon_area([quad[0].disk, quad[1].disk, quad[2].disk])
+        t2 = polygon_area([quad[0].disk, quad[2].disk, quad[3].disk])
         assert abs(whole - (t1 + t2)) < 1e-8
 
     def test_collapsed_raises(self):
         with pytest.raises(DegenerateError):
             polygon_area(
-                GeodesicPolygon(
-                    (HPoint(1e-9, 0.0), HPoint(1e-9, 2.0), HPoint(1e-9, 4.0))
-                )
+                [HPoint(1e-9, 0.0).disk, HPoint(1e-9, 2.0).disk,
+                 HPoint(1e-9, 4.0).disk]
             )
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_corners_raises(self, n):
+        with pytest.raises(DegenerateError, match="at least 3 corners"):
+            polygon_area([0.1, 0.2j, -0.3][:n])
 
 
 def _geodesic_midpoint(a, b):

@@ -8,15 +8,14 @@ import pytest
 from scipy.spatial import ConvexHull
 from scipy.spatial import Delaunay as _EuclideanDelaunay
 
-from hyperperc.hypgeo import HPoint, ball_area, polygon_area
+from hyperperc.hypgeo import ball_area, polygon_area
 from hyperperc import _kernels, hypvoronoi
 from hyperperc.hypvoronoi import (
     MARGIN,
     DegenerateInput,
     LocalStars,
-    NotInterior,
     Window,
-    cell_polygon,
+    cell_outline,
     core_cell_mask,
     delaunay,
     shell_cell_mask,
@@ -28,7 +27,7 @@ from hyperperc.percolation import (
 )
 from hyperperc.pointprocess import ColoredPointSet
 
-from oracle_geo import dist, dist_arrays
+from oracle_geo import HPoint, cell_polygon, dist, dist_arrays
 
 
 def brute_force_delaunay_faces(xy):
@@ -205,11 +204,12 @@ class TestCells:
         V = delaunay(pts)
         ids = np.flatnonzero(V.interior_mask)[:15]
         assert len(ids) > 0
+        xy = pts.disk_xy
         for i in ids:
-            poly = cell_polygon(V, int(i))
-            assert polygon_area(poly) > 0
+            outline = cell_outline(V, xy, int(i))
+            assert polygon_area(outline) > 0
             nucleus = HPoint(float(pts.rho[i]), float(pts.theta[i]))
-            for v in poly.vertices:
+            for v in map(HPoint.from_disk, outline):
                 d_own = dist(v, nucleus)
                 d_min = dist_arrays(
                     np.full(len(pts), v.rho), np.full(len(pts), v.theta),
@@ -231,14 +231,23 @@ class TestCells:
                 zv = np.tanh(V.vor_rho[js] / 2.0) * np.exp(1j * V.vor_theta[js])
                 zn = complex(*xy[i])
                 ang = np.angle((zv - zn) / (1.0 - np.conj(zn) * zv))
-                want = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j]))
+                want = [HPoint(float(V.vor_rho[j]), float(V.vor_theta[j])).disk
                         for j in js[np.argsort(ang)]]
-                assert list(cell_polygon(V, int(i)).vertices) == want
+                assert cell_outline(V, xy, int(i)) == want
 
-    def test_not_interior_raises(self):
-        V = delaunay(triple_points())
-        with pytest.raises(NotInterior):
-            cell_polygon(V, 0)
+    def test_outline_is_the_polygon_of_hpoints(self):
+        # the outline's corners are, bit for bit, the disk coordinates of
+        # the HPoint cell that oracle_geo.cell_polygon builds
+        cells = 0
+        for rep in range(2):
+            pts, _ = voronoi_sample(1.0, 6.0, 37, "voronoi-cells", rep)
+            V = delaunay(pts)
+            xy = pts.disk_xy
+            for i in np.flatnonzero(V.interior_mask).tolist():
+                assert cell_outline(V, xy, i) == [
+                    v.disk for v in cell_polygon(V, i)]
+                cells += 1
+        assert cells > 100
 
     def test_interior_cell_areas_tile_the_window(self):
         # interior cells are disjoint, so their total area stays below the
@@ -248,8 +257,9 @@ class TestCells:
         for rep in range(5):
             pts, _ = voronoi_sample(lam, 7.0, 41, "voronoi-area", rep)
             V = delaunay(pts)
+            xy = pts.disk_xy
             for i in np.flatnonzero(V.interior_mask):
-                areas.append(polygon_area(cell_polygon(V, int(i))))
+                areas.append(polygon_area(cell_outline(V, xy, int(i))))
         mean = float(np.mean(areas))
         assert abs(mean - 1.0 / lam) < 0.12
 
@@ -420,6 +430,14 @@ def hull_sizes(monkeypatch):
     return sizes
 
 
+def nearest_nucleus(pts):
+    """The one-hot mask of the nucleus nearest the origin, the core of
+    percolation.voronoi_threshold."""
+    core = np.zeros(len(pts), dtype=bool)
+    core[np.argmin(pts.rho)] = True
+    return core
+
+
 # images in the ring of a star's first candidates, and after each growth
 FIRST = hypvoronoi.STAR_NUCLEI - 1
 GROWN = {hypvoronoi.STAR_NUCLEI * hypvoronoi.STAR_GROWTH ** j - 1
@@ -441,7 +459,8 @@ class TestLocalStars:
         assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
         # no star needed the whole sample
         assert max(hull_sizes) < len(pts)
-        np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
+        np.testing.assert_array_equal(core_cell_mask(V, 0.0),
+                                      nearest_nucleus(pts))
 
     @pytest.mark.parametrize("lam,R_window,rep", WINDOWS)
     def test_one_hull_per_star(self, lam, R_window, rep, hull_sizes):
@@ -515,7 +534,8 @@ class TestLocalStars:
         stars = LocalStars(pts)
         del hull_sizes[:]
         assert_stars_match(stars, V, np.flatnonzero(pts.rho <= R_window))
-        np.testing.assert_array_equal(stars.core_mask(), core_cell_mask(V, 0.0))
+        np.testing.assert_array_equal(core_cell_mask(V, 0.0),
+                                      nearest_nucleus(pts))
         assert max(hull_sizes) < len(pts) - 1
 
     @pytest.mark.parametrize("lam,R_window", GRID)
@@ -577,7 +597,7 @@ class TestLocalStars:
         # fan, not views of the n-long arrays of the sample
         pts, u = voronoi_sample(1.0, 7.5, 71, "local-stars", 0)
         stars = LocalStars(pts)
-        site_reach_threshold(stars.neighbours, u, stars.core_mask(),
+        site_reach_threshold(stars.neighbours, u, nearest_nucleus(pts),
                              pts.rho > 5.5)
         for x in np.flatnonzero(pts.rho <= 3.0):
             stars.star(int(x))

@@ -29,6 +29,7 @@ from oracle_perc import (
     stop_at_shell,
     whole_complex_voronoi_threshold,
 )
+from test_hypvoronoi import nearest_nucleus
 
 
 def random_instance(rng, max_n=60, min_n=2):
@@ -564,7 +565,7 @@ class TestShellStop:
             pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
             stars = LocalStars(pts)
             shell = pts.rho > R_window
-            start = site_start(u, stars.core_mask())
+            start = site_start(u, nearest_nucleus(pts))
             early += self.check(stars.neighbours, u, start, shell)
             assert (voronoi_threshold(lam, window, 42, tag, rep)
                     == K._invade(stop_at_shell(stars.neighbours, shell), u,
@@ -717,7 +718,7 @@ class TestFlood:
         for rep in range(60):
             pts, u = voronoi_sample(lam, window.R_sample, 42, tag, rep)
             stars = LocalStars(pts)
-            self.check(stars.neighbours, u, site_start(u, stars.core_mask()),
+            self.check(stars.neighbours, u, site_start(u, nearest_nucleus(pts)),
                        pts.rho > R_window)
 
     @pytest.mark.parametrize("p_gon,q_deg", [(3, 7), (7, 3)])

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from hyperperc import svg
-from hyperperc.hypgeo import HPoint
-from hyperperc.hypvoronoi import delaunay
+from hyperperc.hypvoronoi import _bisector_ideal_point, delaunay
 from hyperperc.percolation import voronoi_sample
 from hyperperc.pointprocess import ColoredPointSet, replica_rng
 from hyperperc.tilinggraph import build_ball
 
-from oracle_geo import Isometry, bisector_ideal_points, dist
+from oracle_geo import HPoint, Isometry, bisector_ideal_points, dist
 
 
 def paths_of(doc: str):
@@ -97,7 +96,7 @@ def test_bisector_ideal_point_is_equidistant_on_the_rim():
     zi, zj = (random_disk_points(rng, 2000) for _ in range(2))
     for a, b in zip(zi, zj):
         for toward in (a + b, -(a + b), 1j * (a - b)):
-            e = svg._bisector_ideal_point(a, b, toward)
+            e = _bisector_ideal_point(a, b, toward)
             assert abs(abs(e) - 1.0) < 1e-9
             # w |e - z|^2 with w = 1 / (1 - |z|^2) of each nucleus
             ha = abs(e - a) ** 2 / (1.0 - abs(a) ** 2)

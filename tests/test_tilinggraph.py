@@ -22,6 +22,11 @@ from oracle_tiling import (
 )
 
 
+def last_layer(ball):
+    """Ids of the ball's last-layer vertices, its boundary cycle, ccw."""
+    return np.flatnonzero(ball.vertex_layer == ball.layers - 1).tolist()
+
+
 class TestBuildBall:
     def test_base_case_single_face(self):
         b = build_ball(3, 7, 1)
@@ -138,9 +143,10 @@ class TestBuildBall:
 
     def test_boundary_is_simple_cycle(self):
         b = build_ball(3, 7, 4)
-        assert len(set(b.boundary)) == len(b.boundary)
+        boundary = last_layer(b)
+        assert len(set(boundary)) == len(boundary)
         eset = {(int(u), int(v)) for u, v in b.edges}
-        for a, c in zip(b.boundary, b.boundary[1:] + b.boundary[:1]):
+        for a, c in zip(boundary, boundary[1:] + boundary[:1]):
             assert (min(a, c), max(a, c)) in eset
 
     def test_transitivity_proxy(self):
@@ -172,7 +178,7 @@ class TestBuildBall:
             ratios = []
             for L in range(2, 7):
                 b = build_ball(p, q, L)
-                boundary = len(b.boundary)
+                boundary = len(last_layer(b))
                 ratios.append(boundary / b.n_vertices)
             assert min(ratios) > 0.3
 
@@ -202,7 +208,7 @@ class TestFlatBuilder:
         assert b.faces.shape == (len(faces), p)
         assert np.array_equal(b.faces, faces)
         assert np.array_equal(b.edges, edges_of_keys(side_keys(faces, n), n))
-        assert b.boundary == boundary
+        assert last_layer(b) == boundary
         assert b.vertex_layer.tolist() == vertex_layer
 
     def test_matches_dict_builder(self):
@@ -229,7 +235,7 @@ class TestFlatBuilder:
         # the cycle's first vertex already has q edges, so it gets no fan
         # face and the round opens with its closing face
         prev = build_ball(p, q, L - 1)
-        assert prev.degrees[prev.boundary[0]] == q
+        assert prev.degrees[last_layer(prev)[0]] == q
         self.assert_matches_dict_builder(p, q, L)
 
     @pytest.mark.parametrize("p,L", [(7, 2), (8, 2), (7, 4)])
@@ -237,14 +243,16 @@ class TestFlatBuilder:
         # q = 3: the round's first face gives the cycle's last vertex its
         # third edge, so it lies inside the round's last face
         prev = build_ball(p, 3, L - 1)
-        assert prev.degrees[prev.boundary[-1]] == 2
+        assert prev.degrees[last_layer(prev)[-1]] == 2
         self.assert_matches_dict_builder(p, 3, L)
 
     @pytest.mark.parametrize("p,q", [(3, 7), (7, 3), (4, 5), (5, 4), (8, 3)])
     def test_boundary_is_the_last_layer(self, p, q):
+        # the dict builder's boundary cycle is build_ball's last layer
         for L in range(1, 6):
             b = build_ball(p, q, L)
-            assert b.boundary == np.flatnonzero(
+            _, boundary, _ = build_ball_dicts(p, q, L)
+            assert boundary == np.flatnonzero(
                 b.vertex_layer == L - 1).tolist()
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
